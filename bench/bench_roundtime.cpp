@@ -1,8 +1,7 @@
 // Round-time perf harness: wall-clock cost of simulating Algorithm 4 per
 // robot-round, across adversaries, scales, compute-phase thread counts, and
-// the engine's three big round-loop switches -- the delta-aware structure
-// cache, the struct-of-arrays round core (EngineOptions::soa), and the flat
-// PacketArena broadcast backend (EngineOptions::flat_packets). Unlike the
+// the engine's one round-loop switch, the delta-aware structure cache
+// (EngineOptions::structure_cache). Unlike the
 // theorem benches this one makes no claim about the paper -- it tracks the
 // ENGINE, so perf regressions in the round hot path (packet assembly,
 // state serialization, planning, cross-round reuse, view materialization)
@@ -15,39 +14,40 @@
 // while `static`, `t-interval`, and `scripted` replay graphs across rounds,
 // which is where the delta-aware loop earns its keep. A mega-scale section
 // (random adversary, random placement, k up to 10^6) exercises the regime
-// the SoA core and the packet arena were built for; heap allocations are
-// counted per row (a process-global operator-new counter), which is where
-// the arena's headline -- the legacy broadcast's ~12M allocations per
-// k=10^5 run collapsing by >5x -- is visible.
+// the struct-of-arrays round core and the packet arena were built for; heap
+// allocations are counted per row (a process-global operator-new counter).
 //
 //   bench_roundtime [--json] [--out=FILE] [--threads=1,8] [--reps=N]
 //                   [--smoke] [--mega] [--mega-smoke] [--validate[=FILE]]
 //
-// Each (adversary, k, threads) tuple runs a quartet of engine paths -- all
-// toggles on (the default engine), then cache / soa / flat off one at a
-// time -- so every switch is diffed against the full default. The k=10^6
-// mega row runs the default corner only (one legacy-path run at that scale
-// would add minutes for no new information; the toggles' identity is
-// pinned up through k=10^5). `--smoke` shrinks the sweep to one tiny size
-// per adversary plus the k=4096 mega row (CI-friendly: seconds, not
-// minutes). `--mega` appends the k=10^6 headline row to the mega section
+// Each (adversary, k, threads) tuple runs a pair of engine paths -- the
+// default engine, then the cache-off engine that rebuilds everything every
+// round. The k=10^6 mega row runs the default engine only (a cache-off run
+// at that scale would add minutes for no new information; the pair's
+// identity is pinned up through k=10^5). `--smoke` shrinks the sweep to
+// one tiny size per adversary plus the k=4096 mega row (CI-friendly:
+// seconds, not minutes). `--mega` appends the k=10^6 headline row to the mega section
 // (several minutes and >1 GB RSS, so scripts/repro.sh gates it behind
 // DYNDISP_MEGA=1; see docs/PERFORMANCE.md). `--mega-smoke` instead runs
-// ONLY the mega spec at k=65536 (default corner, threads=1) and exits
+// ONLY the mega spec at k=65536 (default engine, threads=1) and exits
 // nonzero if the run misses its heap-allocation or peak-RSS ceilings --
 // the CI-sized canary for the mega row's memory diet, deterministic where
-// wall-clock on shared runners is not. Bare `--validate` checks, after the sweep, that every tuple's
-// engine paths agreed on all round observables (robot_rounds, rounds,
-// packet_mbits, dispersed) -- the three toggles claim bitwise identity,
-// and this is that claim at bench scale. `--validate=FILE` parses a
-// previously written JSON file, checks it against schema v5 (field
-// presence/types, soa and flat on/off pairing below k=10^6, per-tuple
-// observable identity, reuse counters nonzero on the replay-heavy rows),
-// and exits -- no timing assertions, so it is safe on loaded CI machines.
+// wall-clock on shared runners is not. Bare `--validate` checks, after the
+// sweep, that both engine paths of every tuple agreed on all round
+// observables (robot_rounds, rounds, packet_mbits, dispersed) -- the cache
+// claims bitwise identity, and this is that claim at bench scale.
+// `--validate=FILE` parses a previously written JSON file, checks it
+// against schema v6 (field presence/types, cache on/off pairing below
+// k=10^6, per-tuple observable identity, reuse counters nonzero on the
+// replay-heavy rows), and exits -- no timing assertions, so it is safe on
+// loaded CI machines.
 //
-// Schema v5 adds the engine's per-phase wall-time buckets (phase_*_ms from
-// RoundLoopStats: graph_build / broadcast / plan / compute / move), so the
-// mega rows' time is attributable without a profiler.
+// Every row carries the engine's per-phase wall-time buckets (phase_*_ms
+// from RoundLoopStats: graph_build / broadcast / plan / compute / move),
+// taken from the same repetition as its wall_ms, so the phases of a row
+// add up to (slightly less than) its wall time. Schema v6 dropped v5's
+// per-option columns and counters along with the engine options they
+// described.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -85,11 +85,11 @@ namespace {
 
 using namespace dyndisp;
 
-constexpr std::uint64_t kSchemaVersion = 5;
+constexpr std::uint64_t kSchemaVersion = 6;
 constexpr std::uint64_t kSeed = 11;
 
-/// k at and above which only the default engine corner runs (and the
-/// validators stop demanding toggle pairing): the mega headline row.
+/// k at and above which only the default engine runs (and the validators
+/// stop demanding cache on/off pairing): the mega headline row.
 constexpr std::size_t kDefaultCornerOnlyK = 1000000;
 
 /// --mega-smoke ceilings for the k=65536 mega row (default corner,
@@ -108,8 +108,6 @@ struct Row {
   std::size_t n = 0;
   std::size_t threads = 1;
   bool structure_cache = true;
-  bool soa = true;
-  bool flat_packets = true;
   Round rounds = 0;
   bool dispersed = false;
   std::uint64_t robot_rounds = 0;
@@ -144,7 +142,7 @@ constexpr AdversarySpec kSpecs[] = {
 
 /// The mega-scale section: the random adversary rewires every round, the
 /// random placement scatters robots so the first rounds carry giant
-/// components, and k reaches the 10^5 regime the SoA core targets.
+/// components, and k reaches the 10^5 regime the round core targets.
 /// Runs at threads=1 only -- the headline claim is single-threaded.
 constexpr AdversarySpec kMegaSpec = {"random", "random", 3, 2, false};
 
@@ -179,14 +177,12 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
 }
 
 Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
-        bool structure_cache, bool soa, bool flat_packets, std::size_t reps) {
+        bool structure_cache, std::size_t reps) {
   Row row;
   row.adversary = spec.name;
   row.k = k;
   row.threads = threads;
   row.structure_cache = structure_cache;
-  row.soa = soa;
-  row.flat_packets = flat_packets;
   // Median-free but repeatable: take the best of `reps` runs so a one-off
   // scheduler hiccup does not masquerade as a regression.
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -200,8 +196,6 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
     opt.max_rounds = 10 * k;
     opt.threads = threads;
     opt.structure_cache = structure_cache;
-    opt.soa = soa;
-    opt.flat_packets = flat_packets;
     Engine engine(*adv, std::move(initial),
                   core::dispersion_factory_memoized(), opt);
     const std::uint64_t allocs_before = dyndisp::memprobe::allocation_count();
@@ -212,7 +206,12 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
         dyndisp::memprobe::allocation_count() - allocs_before;
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < row.wall_ms) row.wall_ms = ms;
+    // The phase buckets come from the rep that set wall_ms, so a row's
+    // phases always describe the run its wall time measured.
+    if (rep == 0 || ms < row.wall_ms) {
+      row.wall_ms = ms;
+      row.stats = r.stats;
+    }
     // The round loop is deterministic, so rep 0 already warmed every
     // process-global cache; take the min so one-time warmup allocations do
     // not inflate the steady-state count.
@@ -222,7 +221,6 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
     row.dispersed = r.dispersed;
     row.robot_rounds = static_cast<std::uint64_t>(r.rounds) * k;
     row.packet_mbits = static_cast<double>(r.packet_bits_sent) / 1e6;
-    row.stats = r.stats;  // identical every rep (deterministic loop)
   }
   row.peak_rss_mb = peak_rss_mb();
   row.robot_rounds_per_sec =
@@ -269,8 +267,6 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
     w.member("n", static_cast<std::uint64_t>(r.n));
     w.member("threads", static_cast<std::uint64_t>(r.threads));
     w.member("structure_cache", r.structure_cache);
-    w.member("soa", r.soa);
-    w.member("flat_packets", r.flat_packets);
     w.member("rounds", static_cast<std::uint64_t>(r.rounds));
     w.member("dispersed", r.dispersed);
     w.member("robot_rounds", r.robot_rounds);
@@ -292,13 +288,10 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
              static_cast<std::uint64_t>(r.stats.packets_rebuilt));
     w.member("sc_exact_hits", r.stats.sc_exact_hits);
     w.member("sc_components_reused", r.stats.sc_components_reused);
-    w.member("soa_rounds", static_cast<std::uint64_t>(r.stats.soa_rounds));
-    w.member("arena_views", static_cast<std::uint64_t>(r.stats.arena_views));
     w.member("state_list_rounds_skipped",
              static_cast<std::uint64_t>(r.stats.state_list_rounds_skipped));
     w.member("before_copies_skipped",
              static_cast<std::uint64_t>(r.stats.before_copies_skipped));
-    w.member("flat_rounds", static_cast<std::uint64_t>(r.stats.flat_rounds));
     w.member("phase_graph_build_ms", r.stats.phase_graph_build_ms);
     w.member("phase_broadcast_ms", r.stats.phase_broadcast_ms);
     w.member("phase_plan_ms", r.stats.phase_plan_ms);
@@ -317,8 +310,8 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
 
 // ---- bare --validate: cross-path identity over the rows just produced ----
 
-/// Checks that within every (adversary, k, threads) tuple, every engine
-/// path (the (cache, soa) corners) observed the identical run: same
+/// Checks that within every (adversary, k, threads) tuple, both engine
+/// paths (cache on and off) observed the identical run: same
 /// robot_rounds, rounds, packet_mbits, dispersed. Throws on the first
 /// divergence -- a mismatch means a "pure optimization" changed behavior.
 void validate_rows(const std::vector<Row>& rows) {
@@ -336,9 +329,7 @@ void validate_rows(const std::vector<Row>& rows) {
     }
     const Row& a = *obs.first;
     const auto corner = [](const Row& r) {
-      return std::string(r.structure_cache ? "cache=on" : "cache=off") +
-             (r.soa ? ",soa=on" : ",soa=off") +
-             (r.flat_packets ? ",flat=on" : ",flat=off");
+      return std::string(r.structure_cache ? "cache=on" : "cache=off");
     };
     const auto diverged = [&](const char* what, const std::string& va,
                               const std::string& vb) {
@@ -362,7 +353,7 @@ void validate_rows(const std::vector<Row>& rows) {
               tuples.size());
 }
 
-// ---- --validate=FILE: schema v5 checks, no timing assertions ----
+// ---- --validate=FILE: schema v6 checks, no timing assertions ----
 
 const JsonValue& req(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.find(key);
@@ -388,18 +379,17 @@ int validate_file(const std::string& path) {
       "k", "n", "threads", "rounds", "robot_rounds", "heap_allocs",
       "graph_reuses", "validations_skipped", "broadcasts_reused",
       "broadcast_deltas", "packets_copied", "packets_rebuilt",
-      "sc_exact_hits", "sc_components_reused", "soa_rounds", "arena_views",
-      "state_list_rounds_skipped", "before_copies_skipped", "flat_rounds"};
+      "sc_exact_hits", "sc_components_reused", "state_list_rounds_skipped",
+      "before_copies_skipped"};
   static const char* const kNumbers[] = {
       "wall_ms", "robot_rounds_per_sec", "packet_mbits", "peak_rss_mb",
       "phase_graph_build_ms", "phase_broadcast_ms", "phase_plan_ms",
       "phase_compute_ms", "phase_move_ms"};
-  /// Per (adversary, k, threads) tuple: which soa/flat sides appeared
-  /// (1 = off, 2 = on; both required below the default-corner-only scale)
-  /// and the observables every engine path must agree on.
+  /// Per (adversary, k, threads) tuple: which cache sides appeared (1 =
+  /// off, 2 = on; both required below the default-only scale) and the
+  /// observables both engine paths must agree on.
   struct Tuple {
-    unsigned soa_sides = 0;
-    unsigned flat_sides = 0;
+    unsigned cache_sides = 0;
     std::uint64_t k = 0;
     bool seen = false;
     std::uint64_t robot_rounds = 0;
@@ -414,15 +404,12 @@ int validate_file(const std::string& path) {
     for (const char* key : kNumbers) (void)req(row, key).as_number();
     (void)req(row, "dispersed").as_bool();
     const bool cache = req(row, "structure_cache").as_bool();
-    const bool soa = req(row, "soa").as_bool();
-    const bool flat = req(row, "flat_packets").as_bool();
     const std::string tuple = adversary + "/k=" +
                               std::to_string(req(row, "k").as_uint()) +
                               "/t=" +
                               std::to_string(req(row, "threads").as_uint());
     Tuple& t = tuples[tuple];
-    t.soa_sides |= soa ? 2u : 1u;
-    t.flat_sides |= flat ? 2u : 1u;
+    t.cache_sides |= cache ? 2u : 1u;
     t.k = req(row, "k").as_uint();
     // Every engine path of a tuple ran the identical round sequence; the
     // round observables must say so.
@@ -437,27 +424,6 @@ int validate_file(const std::string& path) {
                t.packet_mbits != req(row, "packet_mbits").as_number() ||
                t.dispersed != req(row, "dispersed").as_bool()) {
       fail(tuple + ": engine paths disagree on round observables");
-    }
-    // The SoA counters must track the path that actually ran.
-    if (soa) {
-      if (req(row, "soa_rounds").as_uint() != req(row, "rounds").as_uint())
-        fail(tuple + ": soa row did not run every round through the arena");
-    } else {
-      for (const char* key : {"soa_rounds", "arena_views",
-                              "state_list_rounds_skipped",
-                              "before_copies_skipped"}) {
-        if (req(row, key).as_uint() != 0)
-          fail(tuple + ": soa-off row has nonzero " + key);
-      }
-    }
-    // The flat counter must track the path that actually ran: every
-    // executed round of a flat row broadcasts through the arena (all bench
-    // rows are global-comm Algorithm 4), and a legacy row must claim none.
-    if (flat) {
-      if (req(row, "flat_rounds").as_uint() != req(row, "rounds").as_uint())
-        fail(tuple + ": flat row did not broadcast every round via the arena");
-    } else if (req(row, "flat_rounds").as_uint() != 0) {
-      fail(tuple + ": flat-off row has nonzero flat_rounds");
     }
     if (!cache) {
       // The rebuild-everything loop must not report reuse it cannot perform.
@@ -481,15 +447,11 @@ int validate_file(const std::string& path) {
     }
   }
   for (const auto& [tuple, t] : tuples) {
-    // The headline mega row runs the default corner only; no pairing there.
+    // The headline mega row runs the default engine only; no pairing there.
     if (t.k >= kDefaultCornerOnlyK) continue;
-    if (t.soa_sides != 3u)
-      fail(tuple + ": missing its soa-" +
-           (t.soa_sides == 1u ? std::string("on") : std::string("off")) +
-           " row");
-    if (t.flat_sides != 3u)
-      fail(tuple + ": missing its flat-" +
-           (t.flat_sides == 1u ? std::string("on") : std::string("off")) +
+    if (t.cache_sides != 3u)
+      fail(tuple + ": missing its cache-" +
+           (t.cache_sides == 1u ? std::string("on") : std::string("off")) +
            " row");
   }
   std::printf("validate: %s ok (%zu rows, schema v%llu)\n", path.c_str(),
@@ -498,16 +460,9 @@ int validate_file(const std::string& path) {
   return 0;
 }
 
-/// The engine paths each tuple runs: all toggles on (the default engine),
-/// then each toggle off alone, so every switch is diffed against the full
-/// default. (cache, soa, flat) triples.
-struct Corner {
-  bool cache, soa, flat;
-};
-constexpr Corner kCorners[] = {{true, true, true},
-                               {false, true, true},
-                               {true, false, true},
-                               {true, true, false}};
+/// The engine paths each tuple runs: the default engine (cache on), then
+/// the cache-off engine it is diffed against.
+constexpr bool kCacheSides[] = {true, false};
 
 }  // namespace
 
@@ -535,7 +490,7 @@ int main(int argc, char** argv) try {
     // CI canary: the k=65536 mega row alone, with hard memory ceilings.
     // Runs before anything else so the process RSS high-water mark is its
     // own, not an earlier row's.
-    const Row row = run(kMegaSpec, kMegaSmokeK, 1, true, true, true, reps);
+    const Row row = run(kMegaSpec, kMegaSmokeK, 1, true, reps);
     std::printf(
         "mega-smoke: k=%zu rounds=%llu wall=%.0fms allocs=%llu rss=%.0fMB\n",
         row.k, static_cast<unsigned long long>(row.rounds), row.wall_ms,
@@ -578,29 +533,29 @@ int main(int argc, char** argv) try {
   const auto sweep = [&](const AdversarySpec& spec, const std::string& title,
                          const std::vector<std::size_t>& ks,
                          const std::vector<std::size_t>& threads_list) {
-    AsciiTable table({"k", "threads", "cache", "soa", "flat", "rounds",
+    AsciiTable table({"k", "threads", "cache", "rounds",
                       "wall ms", "g/b/p/c/m ms", "robot-rounds/s",
                       "peak RSS MB", "allocs", "packet Mbits"});
     table.set_title(title);
     for (const std::size_t k : ks) {
       for (const std::size_t threads : threads_list) {
-        double base_rate = 0;  // the all-on default engine's rate
-        for (const auto& [cache, soa, flat] : kCorners) {
-          // The headline k=10^6 row runs the default corner only, and a
-          // single rep: one legacy-path run (or a best-of-N retake) at that
+        double base_rate = 0;  // the default engine's rate
+        for (const bool cache : kCacheSides) {
+          // The headline k=10^6 row runs the default engine only, and a
+          // single rep: a cache-off run (or a best-of-N retake) at that
           // scale would add minutes for no new information (identity is
           // pinned up through k=10^5, and the row's minutes-long wall time
           // dwarfs scheduler jitter the reps exist to smooth out).
-          if (k >= kDefaultCornerOnlyK && !(cache && soa && flat)) continue;
+          if (k >= kDefaultCornerOnlyK && !cache) continue;
           const std::size_t row_reps = k >= kDefaultCornerOnlyK ? 1 : reps;
-          const Row row = run(spec, k, threads, cache, soa, flat, row_reps);
+          const Row row = run(spec, k, threads, cache, row_reps);
           ok &= row.dispersed;
           rows.push_back(row);
           std::string rate = fmt_double(row.robot_rounds_per_sec, 0);
-          if (cache && soa && flat) {
+          if (cache) {
             base_rate = row.robot_rounds_per_sec;
           } else if (row.robot_rounds_per_sec > 0) {
-            // Speedup the default engine shows over this degraded path.
+            // Speedup the default engine shows over the cache-off path.
             rate += " (x" +
                     fmt_double(base_rate / row.robot_rounds_per_sec, 2) +
                     " vs on)";
@@ -613,8 +568,7 @@ int main(int argc, char** argv) try {
               fmt_double(row.stats.phase_compute_ms, 0) + "/" +
               fmt_double(row.stats.phase_move_ms, 0);
           table.add_row({std::to_string(row.k), std::to_string(row.threads),
-                         cache ? "on" : "off", soa ? "on" : "off",
-                         flat ? "on" : "off", std::to_string(row.rounds),
+                         cache ? "on" : "off", std::to_string(row.rounds),
                          fmt_double(row.wall_ms, 1), phases, rate,
                          fmt_double(row.peak_rss_mb, 0),
                          std::to_string(row.heap_allocs),

@@ -16,22 +16,6 @@
 # the service's determinism contract is stronger than the in-process
 # thread pool's because the merge rewrites records in job order.
 #
-# A fourth leg re-runs the campaign with the struct-of-arrays round core
-# disabled ("soa": false in the spec) and checks the record SET matches the
-# default (SoA) runs after normalizing the job-id/spec-hash suffix the
-# option adds -- cross-process proof that both engine cores produce the
-# same records.
-#
-# A fifth leg does the same with the flat PacketArena broadcast backend
-# disabled ("flat_packets": false): the legacy vector<InfoPacket> broadcast
-# must produce the identical record set, which is the wire-format identity
-# claim checked across processes rather than inside one.
-#
-# A sixth leg disables incremental component-forest planning
-# ("incremental": false): every round re-planned statelessly as full churn
-# must produce the identical record set -- the cross-process twin of the
-# differential-incremental fuzzer oracle.
-#
 # usage: check_determinism.sh <dyndisp_campaign> <spec.json> <work-dir>
 set -eu
 
@@ -61,22 +45,6 @@ run_workers() {
 run_workers w1 1
 run_workers w4 4
 
-# Same spec with the SoA round core off ("soa": false spliced in after the
-# opening brace); identity claims are checked below.
-sed '0,/{/s//{ "soa": false,/' "$SPEC" > "$WORK/spec_soa_off.json"
-"$CAMPAIGN_BIN" run "$WORK/spec_soa_off.json" --seeds 2 --threads 1 --quiet \
-  --no-timing --out "$WORK/d" > "$WORK/d.stdout"
-
-# And with the flat packet arena off ("flat_packets": false spliced in).
-sed '0,/{/s//{ "flat_packets": false,/' "$SPEC" > "$WORK/spec_flat_off.json"
-"$CAMPAIGN_BIN" run "$WORK/spec_flat_off.json" --seeds 2 --threads 1 --quiet \
-  --no-timing --out "$WORK/e" > "$WORK/e.stdout"
-
-# And with incremental planning off ("incremental": false spliced in).
-sed '0,/{/s//{ "incremental": false,/' "$SPEC" > "$WORK/spec_inc_off.json"
-"$CAMPAIGN_BIN" run "$WORK/spec_inc_off.json" --seeds 2 --threads 1 --quiet \
-  --no-timing --out "$WORK/f" > "$WORK/f.stdout"
-
 # Two independent single-threaded processes: byte-identical, order included.
 cmp "$WORK/a/results.jsonl" "$WORK/b/results.jsonl" || {
   echo "FAIL: threads=1 runs differ byte-for-byte" >&2
@@ -103,34 +71,6 @@ cmp "$WORK/a.sorted" "$WORK/c.sorted" || {
   exit 1
 }
 
-# SoA on (a) vs off (d), flat on (a) vs off (e): same records up to the
-# "|soa=off" / "|flat=off" id suffix and the spec hash, all of which the
-# options change by design.
-normalize() {
-  sed -e 's/|soa=off//' -e 's/|flat=off//' -e 's/|inc=off//' \
-    -e 's/"spec_hash": "[0-9a-f]*"/"spec_hash": "-"/' \
-    "$1" | sort
-}
-normalize "$WORK/a/results.jsonl" > "$WORK/a.norm"
-normalize "$WORK/d/results.jsonl" > "$WORK/d.norm"
-cmp "$WORK/a.norm" "$WORK/d.norm" || {
-  echo "FAIL: SoA-on and SoA-off record sets differ" >&2
-  diff "$WORK/a.norm" "$WORK/d.norm" | head -10 >&2
-  exit 1
-}
-normalize "$WORK/e/results.jsonl" > "$WORK/e.norm"
-cmp "$WORK/a.norm" "$WORK/e.norm" || {
-  echo "FAIL: flat-packets-on and -off record sets differ" >&2
-  diff "$WORK/a.norm" "$WORK/e.norm" | head -10 >&2
-  exit 1
-}
-normalize "$WORK/f/results.jsonl" > "$WORK/f.norm"
-cmp "$WORK/a.norm" "$WORK/f.norm" || {
-  echo "FAIL: incremental-on and -off record sets differ" >&2
-  diff "$WORK/a.norm" "$WORK/f.norm" | head -10 >&2
-  exit 1
-}
-
 # The aggregate reports must agree too (the aggregator sorts by job index,
 # so this holds whenever the record sets do -- kept as a belt-and-braces
 # check that reporting is order-independent).
@@ -142,4 +82,4 @@ cmp "$WORK/report_a.txt" "$WORK/report_c.txt" || {
 }
 
 records=$(wc -l < "$WORK/a/results.jsonl")
-echo "determinism: OK ($records records, threads 1==1 bytewise, 1==4 as sets, workers 1/4 bytewise, soa on==off as sets, flat on==off as sets, incremental on==off as sets)"
+echo "determinism: OK ($records records, threads 1==1 bytewise, 1==4 as sets, workers 1/4 bytewise)"

@@ -41,6 +41,20 @@ std::vector<std::size_t> uint_axis(const JsonValue& axes, const char* key,
 
 }  // namespace
 
+bool accept_retired_engine_key(const std::string& key,
+                               const JsonValue& value) {
+  static const char* const kRetired[] = {"soa", "flat_packets",
+                                         "incremental"};
+  bool retired = false;
+  for (const char* k : kRetired) retired |= key == k;
+  if (!retired) return false;
+  if (!value.as_bool())
+    throw std::invalid_argument(
+        "engine option '" + key +
+        "' was removed; only its former default (true) is accepted");
+  return true;
+}
+
 std::string JobSpec::id() const {
   std::ostringstream out;
   out << algorithm << '|' << adversary << '|' << "n=" << n << '|' << "k=" << k
@@ -49,9 +63,6 @@ std::string JobSpec::id() const {
   // Appended only when off so default campaigns keep their pre-existing ids
   // (stores resume across this option's introduction).
   if (!structure_cache) out << "|sc=off";
-  if (!soa) out << "|soa=off";
-  if (!flat_packets) out << "|flat=off";
-  if (!incremental) out << "|inc=off";
   return out.str();
 }
 
@@ -87,9 +98,6 @@ analysis::TrialSpec make_trial_spec(const JobSpec& job) {
   options.allow_model_mismatch = true;
   options.threads = 1;  // campaign parallelism is across jobs, not robots
   options.structure_cache = job.structure_cache;
-  options.soa = job.soa;
-  options.flat_packets = job.flat_packets;
-  options.incremental_planning = job.incremental;
   spec.options = options;
   return spec;
 }
@@ -101,12 +109,11 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
 
   static const char* const known_keys[] = {
       "name",  "axes",      "family",     "placement",       "groups",
-      "seeds", "base_seed", "max_rounds", "structure_cache", "soa",
-      "flat_packets", "incremental"};
+      "seeds", "base_seed", "max_rounds", "structure_cache"};
   for (const auto& [key, value] : doc.members()) {
     bool known = false;
     for (const char* k : known_keys) known |= key == k;
-    if (!known)
+    if (!known && !accept_retired_engine_key(key, value))
       throw std::invalid_argument("unknown spec key '" + key + "'");
   }
 
@@ -151,11 +158,6 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
     spec.max_rounds_ = v->as_uint();
   if (const JsonValue* v = doc.find("structure_cache"))
     spec.structure_cache_ = v->as_bool();
-  if (const JsonValue* v = doc.find("soa")) spec.soa_ = v->as_bool();
-  if (const JsonValue* v = doc.find("flat_packets"))
-    spec.flat_packets_ = v->as_bool();
-  if (const JsonValue* v = doc.find("incremental"))
-    spec.incremental_ = v->as_bool();
   if (spec.seeds_ == 0)
     throw std::invalid_argument("\"seeds\" must be at least 1");
 
@@ -227,9 +229,6 @@ std::vector<JobSpec> CampaignSpec::expand() const {
                 job.max_rounds = max_rounds_;
                 job.seed = base_seed_ + s;
                 job.structure_cache = structure_cache_;
-                job.soa = soa_;
-                job.flat_packets = flat_packets_;
-                job.incremental = incremental_;
                 jobs.push_back(std::move(job));
               }
   return jobs;
@@ -257,8 +256,6 @@ std::string CampaignSpec::canonical() const {
   // Appended only when off: existing campaigns (all default) keep their hash
   // across this option's introduction.
   if (!structure_cache_) out << ";sc=off";
-  if (!soa_) out << ";soa=off";
-  if (!flat_packets_) out << ";flat=off";
   return out.str();
 }
 

@@ -20,11 +20,11 @@
 //     "seeds":     10,                    // trials per tuple [1]
 //     "base_seed": 1,                     // first seed [1]
 //     "max_rounds": 0,                    // 0 = 100*k (dyndisp_sim default)
-//     "structure_cache": true,            // delta-aware round loop [true]
-//     "soa": true,                        // struct-of-arrays round core [true]
-//     "flat_packets": true,               // flat PacketArena broadcasts [true]
-//     "incremental": true                 // graph-change plan routing [true]
+//     "structure_cache": true             // delta-aware round loop [true]
 //   }
+//
+// The retired engine keys "soa", "flat_packets" and "incremental" are still
+// accepted with the value true (see accept_retired_engine_key).
 //
 // Every name is validated against the campaign registry at parse time, so a
 // typo fails before any trial runs. Expansion order is the fixed nesting
@@ -40,7 +40,19 @@
 #include "analysis/experiment.h"
 #include "util/types.h"
 
+namespace dyndisp {
+class JsonValue;
+}  // namespace dyndisp
+
 namespace dyndisp::campaign {
+
+/// Engine options retired when the engine became one path: "soa",
+/// "flat_packets" and "incremental". Campaign specs and repro artifacts
+/// written earlier still carry them, so both readers accept each one only
+/// with the value true, which names the one remaining path. Returns false
+/// when `key` is not a retired option; throws std::invalid_argument naming
+/// the option when `value` is anything but true.
+bool accept_retired_engine_key(const std::string& key, const JsonValue& value);
 
 /// One fully-specified trial job: the cross-product point plus the seed.
 struct JobSpec {
@@ -59,15 +71,6 @@ struct JobSpec {
   /// EngineOptions::structure_cache for the job (spec key "structure_cache";
   /// the delta-aware round loop is on by default).
   bool structure_cache = true;
-  /// EngineOptions::soa for the job (spec key "soa"; the struct-of-arrays
-  /// round core is on by default).
-  bool soa = true;
-  /// EngineOptions::flat_packets for the job (spec key "flat_packets"; the
-  /// flat PacketArena broadcast backend is on by default).
-  bool flat_packets = true;
-  /// EngineOptions::incremental_planning for the job (spec key
-  /// "incremental"; the graph-change-gated plan routing is on by default).
-  bool incremental = true;
 
   /// Canonical id, e.g. "alg4|random|n=20|k=12|comm=default|f=0|seed=3"
   /// (+ "|sc=off" when the structure cache is disabled). Uniquely
@@ -142,9 +145,6 @@ class CampaignSpec {
   std::uint64_t base_seed_ = 1;
   Round max_rounds_ = 0;
   bool structure_cache_ = true;
-  bool soa_ = true;
-  bool flat_packets_ = true;
-  bool incremental_ = true;
 };
 
 }  // namespace dyndisp::campaign

@@ -43,38 +43,6 @@ DiffReport diff_structure_cache(const TrialConfig& config,
   return compare("structure-cache", "cache=on", cached, "cache=off", uncached);
 }
 
-DiffReport diff_soa(const TrialConfig& config, const Toolbox& toolbox) {
-  TrialConfig on = config;
-  on.soa = true;
-  TrialConfig off = config;
-  off.soa = false;
-  const RunResult flat = run_plain(on, toolbox, config.threads);
-  const RunResult legacy = run_plain(off, toolbox, config.threads);
-  return compare("soa", "soa=on", flat, "soa=off", legacy);
-}
-
-DiffReport diff_flat_packets(const TrialConfig& config,
-                             const Toolbox& toolbox) {
-  TrialConfig on = config;
-  on.flat_packets = true;
-  TrialConfig off = config;
-  off.flat_packets = false;
-  const RunResult arena = run_plain(on, toolbox, config.threads);
-  const RunResult legacy = run_plain(off, toolbox, config.threads);
-  return compare("packets", "flat=on", arena, "flat=off", legacy);
-}
-
-DiffReport diff_incremental(const TrialConfig& config,
-                            const Toolbox& toolbox) {
-  TrialConfig on = config;
-  on.incremental = true;
-  TrialConfig off = config;
-  off.incremental = false;
-  const RunResult gated = run_plain(on, toolbox, config.threads);
-  const RunResult replan = run_plain(off, toolbox, config.threads);
-  return compare("incremental", "inc=on", gated, "inc=off", replan);
-}
-
 DiffReport diff_construction(const TrialConfig& config) {
   // Leg A: the campaign path, exactly as the scheduler drives it.
   campaign::JobSpec job;
@@ -90,9 +58,6 @@ DiffReport diff_construction(const TrialConfig& config) {
   job.max_rounds = config.max_rounds;
   job.seed = config.seed;
   job.structure_cache = config.structure_cache;
-  job.soa = config.soa;
-  job.flat_packets = config.flat_packets;
-  job.incremental = config.incremental;
   analysis::TrialSpec spec = campaign::make_trial_spec(job);
   spec.options.record_progress = true;
   const RunResult via_campaign = analysis::run_trial(spec, job.seed);
@@ -123,9 +88,6 @@ DiffReport diff_construction(const TrialConfig& config) {
   options.allow_model_mismatch = true;
   options.record_progress = true;
   options.structure_cache = config.structure_cache;
-  options.soa = config.soa;
-  options.flat_packets = config.flat_packets;
-  options.incremental_planning = config.incremental;
   Engine engine(*adversary, std::move(initial), algo.factory, options,
                 std::move(schedule));
   const RunResult via_sim = engine.run();

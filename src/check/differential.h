@@ -1,7 +1,7 @@
 // Differential oracles: the same trial executed two independent ways must
 // produce bitwise-identical results.
 //
-// Four axes are diffed:
+// Three axes are diffed:
 //   * threads      -- the engine's parallel compute phase (threads = N)
 //                     against the fully serial engine (threads = 1). PR 1
 //                     claims bitwise identity at any thread count; this is
@@ -16,27 +16,9 @@
 //                     (EngineOptions::structure_cache, the default) against
 //                     the cache-off engine that rebuilds everything every
 //                     round. Every reuse path claims bitwise identity; this
-//                     oracle is that claim, executed.
-//   * soa          -- the struct-of-arrays round core (EngineOptions::soa,
-//                     the default: persistent view arena, gated state lists,
-//                     before-copy elision) against the legacy
-//                     allocate-per-round engine. The mega-scale rebuild
-//                     claims bitwise identity; this oracle keeps it honest.
-//   * incremental  -- the graph-change-gated plan routing
-//                     (EngineOptions::incremental_planning, the default:
-//                     full-churn rounds bypass the StructureCache and
-//                     re-plan statelessly, kSame/kSmallDelta rounds use its
-//                     exact-hit/delta machinery) against the engine that
-//                     stamps every round full churn and re-plans everything.
-//                     The mega-scale incremental planning claims bitwise
-//                     identity; this oracle keeps it honest.
-//   * packets      -- the flat PacketArena broadcast backend
-//                     (EngineOptions::flat_packets, the default: CSR-style
-//                     robot pool + offset tables, refilled in place across
-//                     rounds) against the legacy per-round
-//                     std::vector<InfoPacket> broadcast. The wire format,
-//                     metering, and every downstream plan claim bitwise
-//                     identity; this oracle keeps that claim honest.
+//                     oracle is that claim, executed. Its cache-off leg also
+//                     plans every round statelessly, so it covers the
+//                     graph-change-classified plan routing too.
 //
 // "Bitwise identical" means digest_run() equality: every RunResult scalar,
 // the final configuration, and the per-round occupied counts.
@@ -70,25 +52,5 @@ struct DiffReport {
 /// value is ignored: both legs are forced explicitly.
 [[nodiscard]] DiffReport diff_structure_cache(const TrialConfig& config,
                                               const Toolbox& toolbox);
-
-/// Runs `config` with the struct-of-arrays round core on and off (both at
-/// the config's own thread count) and compares digests. The config's own
-/// soa value is ignored: both legs are forced explicitly.
-[[nodiscard]] DiffReport diff_soa(const TrialConfig& config,
-                                  const Toolbox& toolbox);
-
-/// Runs `config` with the flat PacketArena broadcast backend on and off
-/// (both at the config's own thread count) and compares digests. The
-/// config's own flat_packets value is ignored: both legs are forced
-/// explicitly.
-[[nodiscard]] DiffReport diff_flat_packets(const TrialConfig& config,
-                                           const Toolbox& toolbox);
-
-/// Runs `config` with incremental component-forest planning on (the
-/// graph-change-gated plan routing) and off (every round re-planned
-/// statelessly as full churn) and compares digests. The config's own
-/// incremental value is ignored: both legs are forced explicitly.
-[[nodiscard]] DiffReport diff_incremental(const TrialConfig& config,
-                                          const Toolbox& toolbox);
 
 }  // namespace dyndisp::check

@@ -36,15 +36,6 @@ TrialConfig random_trial(Rng& rng, const Toolbox& toolbox,
   // The delta-aware round loop is itself a fuzzed axis: half the trials run
   // with it off, so oracle coverage spans both engine loops.
   c.structure_cache = rng.below(2) == 0;
-  // Likewise the struct-of-arrays round core: half the trials exercise the
-  // legacy allocate-per-round engine so the oracles cover both cores.
-  c.soa = rng.below(2) == 0;
-  // And the flat PacketArena broadcast backend: half the trials run on the
-  // legacy vector<InfoPacket> path so every oracle sees both wire layouts.
-  c.flat_packets = rng.below(2) == 0;
-  // And the graph-change-gated plan routing: half the trials stamp every
-  // round full churn (stateless re-plan), so the oracles cover both routes.
-  c.incremental = rng.below(2) == 0;
   return c;
 }
 
@@ -94,30 +85,6 @@ FuzzReport fuzz(const FuzzOptions& options, const Toolbox& toolbox) {
         if (!cache.ok) {
           violation = Violation{"differential-structure-cache",
                                 out.result.rounds, cache.detail};
-          from_differential = true;
-        }
-      }
-      if (!violation) {
-        const DiffReport incremental = diff_incremental(config, toolbox);
-        if (!incremental.ok) {
-          violation = Violation{"differential-incremental",
-                                out.result.rounds, incremental.detail};
-          from_differential = true;
-        }
-      }
-      if (!violation) {
-        const DiffReport soa = diff_soa(config, toolbox);
-        if (!soa.ok) {
-          violation =
-              Violation{"differential-soa", out.result.rounds, soa.detail};
-          from_differential = true;
-        }
-      }
-      if (!violation) {
-        const DiffReport packets = diff_flat_packets(config, toolbox);
-        if (!packets.ok) {
-          violation = Violation{"differential-packets", out.result.rounds,
-                                packets.detail};
           from_differential = true;
         }
       }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "campaign/spec.h"
 #include "check/oracles.h"
 #include "dynamic/scripted_adversary.h"
 #include "sim/fault.h"
@@ -19,9 +20,6 @@ std::string TrialConfig::summary() const {
   if (comm != "default") os << "|comm=" << comm;
   if (max_rounds != 0) os << "|mr=" << max_rounds;
   if (!structure_cache) os << "|sc=off";
-  if (!soa) os << "|soa=off";
-  if (!flat_packets) os << "|flat=off";
-  if (!incremental) os << "|inc=off";
   if (!script.empty()) os << "|script=" << script.size();
   return os.str();
 }
@@ -41,9 +39,6 @@ void TrialConfig::write_json(JsonWriter& w) const {
   w.member("max_rounds", static_cast<std::uint64_t>(max_rounds));
   w.member("seed", seed);
   w.member("structure_cache", structure_cache);
-  w.member("soa", soa);
-  w.member("flat_packets", flat_packets);
-  w.member("incremental", incremental);
   if (!script.empty())
     w.member("script", ScriptedAdversary::serialize_script(script));
   w.end_object();
@@ -75,15 +70,11 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
     else if (key == "seed") c.seed = value.as_uint();
     // Absent in pre-existing repro artifacts -> the default (true).
     else if (key == "structure_cache") c.structure_cache = value.as_bool();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "soa") c.soa = value.as_bool();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "flat_packets") c.flat_packets = value.as_bool();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "incremental") c.incremental = value.as_bool();
     else if (key == "script")
       c.script = ScriptedAdversary::parse_script(value.as_string());
-    else
+    // Repro artifacts written before the engine became one path carry the
+    // retired engine keys; true is accepted, false is a typed error.
+    else if (!campaign::accept_retired_engine_key(key, value))
       throw std::invalid_argument("trial config: unknown key '" + key + "'");
   }
   return c;
@@ -193,9 +184,6 @@ BuiltTrial build_trial(const TrialConfig& c, const Toolbox& tb,
   b.options.record_progress = true;
   b.options.threads = threads;
   b.options.structure_cache = c.structure_cache;
-  b.options.soa = c.soa;
-  b.options.flat_packets = c.flat_packets;
-  b.options.incremental_planning = c.incremental;
   return b;
 }
 

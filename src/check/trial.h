@@ -46,21 +46,6 @@ struct TrialConfig {
   /// default everywhere. A fuzzable axis -- the differential suite proves
   /// both values bitwise identical on every drawn trial.
   bool structure_cache = true;
-  /// EngineOptions::soa: the struct-of-arrays round core (persistent view
-  /// arena, gated state lists, before-copy elision), on by default. A
-  /// fuzzable axis like structure_cache -- the differential suite proves
-  /// both values bitwise identical on every drawn trial.
-  bool soa = true;
-  /// EngineOptions::flat_packets: the flat PacketArena broadcast backend,
-  /// on by default. A fuzzable axis like structure_cache and soa -- the
-  /// differential-packets oracle proves both values bitwise identical on
-  /// every drawn trial.
-  bool flat_packets = true;
-  /// EngineOptions::incremental_planning: graph-change-classified plan
-  /// routing (full-churn rounds bypass the StructureCache), on by default.
-  /// A fuzzable axis like the others -- the differential-incremental oracle
-  /// proves both values bitwise identical on every drawn trial.
-  bool incremental = true;
   std::vector<Graph> script;        ///< Non-empty: scripted replay.
 
   Round effective_max_rounds() const {

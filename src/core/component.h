@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "sim/info_packet.h"
 #include "sim/packet_arena.h"
 #include "util/types.h"
 
@@ -90,25 +89,13 @@ class ComponentGraph {
 /// Algorithm 1: builds the connected component containing the node named
 /// `start_name` from the full packet set. `packets` must contain one packet
 /// per occupied node (as delivered under global communication) and must
-/// include neighbor information (1-neighborhood knowledge). Either packet
-/// backend (flat arena or InfoPacket vector) builds the identical graph.
+/// include neighbor information (1-neighborhood knowledge).
 ComponentGraph build_component(const PacketSet& packets, RobotId start_name);
-
-/// Legacy-vector overload (tests, one-shot callers); identical output.
-inline ComponentGraph build_component(const std::vector<InfoPacket>& packets,
-                                      RobotId start_name) {
-  return build_component(PacketSet::borrow(packets), start_name);
-}
 
 /// Builds every connected component of the packet graph, ascending by the
 /// smallest node name they contain. (Simulator-side convenience; each robot
 /// only ever needs its own component.)
 std::vector<ComponentGraph> build_all_components(const PacketSet& packets);
-
-inline std::vector<ComponentGraph> build_all_components(
-    const std::vector<InfoPacket>& packets) {
-  return build_all_components(PacketSet::borrow(packets));
-}
 
 /// Reusable Algorithm 1 builder over ONE packet set: indexes the senders
 /// once and shares the index (and the flood-fill scratch) across every
@@ -145,10 +132,5 @@ class ComponentBuilder {
 /// passing nullptr IS build_all_components.
 std::vector<ComponentGraph> build_components_split(
     const PacketSet& packets, std::vector<RobotId>* trivial);
-
-inline std::vector<ComponentGraph> build_components_split(
-    const std::vector<InfoPacket>& packets, std::vector<RobotId>* trivial) {
-  return build_components_split(PacketSet::borrow(packets), trivial);
-}
 
 }  // namespace dyndisp::core

@@ -127,25 +127,11 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   // pinned owning key makes repeat queries O(1); the deep comparison backs
   // fresh-storage queries with identical content (trap-adversary probes).
   if (valid_ && config_ == config && key_ == packets) {
-    if (packets.owned() && !key_.owned()) {
-      key_ = packets;  // adopt for future pointer hits
-      key_copy_.clear();
-    }
     ++hits_;
     return *value_;
   }
   ++misses_;
-  if (packets.owned()) {
-    key_ = packets;
-    key_copy_.clear();
-  } else if (const std::vector<InfoPacket>* vec = packets.legacy_vec()) {
-    // Borrowed key: detach a deep copy (the caller's vector may die).
-    key_copy_ = *vec;
-    key_ = PacketSet::borrow(key_copy_);
-  } else {
-    key_copy_.clear();
-    key_.reset();
-  }
+  key_ = packets;
   config_ = config;
   // Planner-time attribution: the derivation below is the round's actual
   // planning work (everything else in this function is cache bookkeeping).
@@ -156,8 +142,9 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   // retain an owning copy of the broadcast storage -- pinning arenas the
   // round context wants to recycle. StructureCache::full_build IS
   // plan_round's computation, so the direct call is bitwise identical
-  // (the incremental-planning differential leg pins it).
-  if (structure_ && hints != nullptr && hints->valid && packets.owned() &&
+  // (the structure-cache differential, whose cache-off leg plans every
+  // round statelessly, pins it).
+  if (structure_ && hints != nullptr && hints->valid && packets &&
       hints->change != GraphChange::kFullChurn) {
     value_ = structure_->plan(packets, *hints, config);
   } else {
@@ -168,15 +155,6 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   add_planner_time_ns(phase_clock_ns() - plan_t0);
   valid_ = true;
   return *value_;
-}
-
-const SlidePlan& PlanCache::get(const std::vector<InfoPacket>& packets,
-                                const PlannerConfig& config) {
-  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
-  // serialization point -- plan probes call in from ThreadPool lanes;
-  // uncontended (and never waited on) in the per-round compute phase.
-  std::lock_guard<std::mutex> lock(mu_);
-  return get_locked(PacketSet::borrow(packets), nullptr, config);
 }
 
 const SlidePlan& PlanCache::get(const PacketSet& packets,

@@ -26,7 +26,6 @@
 #include "core/component.h"
 #include "core/disjoint_paths.h"
 #include "core/spanning_tree.h"
-#include "sim/info_packet.h"
 #include "sim/packet_arena.h"
 #include "sim/reuse_hints.h"
 #include "util/types.h"
@@ -182,14 +181,8 @@ SlidePlan plan_component(const ComponentGraph& cg, const SpanningTree& st,
 
 /// Plans the whole round: builds all components from the packets and merges
 /// the per-component plans (components without multiplicity contribute
-/// nothing). Either packet backend yields the identical plan.
+/// nothing).
 SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config = {});
-
-/// Legacy-vector overload (tests, one-shot callers); identical output.
-inline SlidePlan plan_round(const std::vector<InfoPacket>& packets,
-                            const PlannerConfig& config = {}) {
-  return plan_round(PacketSet::borrow(packets), config);
-}
 
 /// Process-wide planner wall-time accumulator, in nanoseconds: every
 /// PlanCache miss (plan_round or the StructureCache path) adds the time it
@@ -213,18 +206,12 @@ void add_planner_time_ns(std::uint64_t ns);
 /// round, where every robot receives the same broadcast.
 class PlanCache {
  public:
-  /// Legacy-vector entry point (tests, one-shot callers). The key is
-  /// deep-copied on a miss, so temporaries are safe.
-  const SlidePlan& get(const std::vector<InfoPacket>& packets,
-                       const PlannerConfig& config = {});
-
-  /// Set-keyed fast path: the engine shares one immutable broadcast per
-  /// round, so storage identity short-circuits the deep packet comparison
-  /// (the cache pins owning sets, so the address cannot be reused while it
-  /// is the key). Falls back to content comparison -- trap-adversary probes
+  /// Set-keyed lookup: the engine shares one immutable broadcast per round,
+  /// so storage identity short-circuits the deep packet comparison (the
+  /// cache pins the set, so the address cannot be reused while it is the
+  /// key). Falls back to content comparison -- trap-adversary probes
   /// produce byte-identical packet sets under fresh storage and must still
-  /// hit. Either backend works, and a hit never depends on which backend
-  /// carries the key or the query.
+  /// hit.
   const SlidePlan& get(const PacketSet& packets,
                        const PlannerConfig& config = {});
 
@@ -254,12 +241,8 @@ class PlanCache {
 
   mutable std::mutex mu_;
   std::shared_ptr<StructureCache> structure_;
-  /// The stored key: an owning set when the caller handed one in (pointer
-  /// hits stay O(1)), else a borrow of key_copy_ below.
+  /// The stored key, pinned so pointer hits stay O(1).
   PacketSet key_;
-  /// Detached deep copy backing handle-less (borrowed) keys only, so
-  /// owned-key misses never deep-copy the round's packets.
-  std::vector<InfoPacket> key_copy_;
   PlannerConfig config_;
   /// Immutable so StructureCache-produced plans are shared, not copied; the
   /// slot repoints on every miss while old plans stay alive for borrowers.

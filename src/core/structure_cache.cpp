@@ -68,9 +68,8 @@ bool StructureCache::try_delta(const Entry& prev, const PacketSet& packets,
 
   // Per-sender status: absent from the new set (default), unchanged packet,
   // or new/changed packet. Both packet sets are sender-ascending, so a
-  // two-pointer walk classifies every sender in one pass. PacketView's deep
-  // equality makes the diff backend-agnostic: an entry stored from the
-  // legacy vector diffs cleanly against a flat-arena query and vice versa.
+  // two-pointer walk classifies every sender in one pass, comparing
+  // packets by PacketView's deep equality.
   enum : std::uint8_t { kAbsent = 0, kClean = 1, kDirty = 2 };
   std::vector<std::uint8_t> status(static_cast<std::size_t>(max_id) + 1,
                                    kAbsent);
@@ -225,7 +224,7 @@ DYNDISP_HOT
 std::shared_ptr<const SlidePlan> StructureCache::plan(
     const PacketSet& packets, const ReuseHints& hints,
     const PlannerConfig& config) {
-  assert(packets.owned() && "the cache retains the set across rounds");
+  assert(packets && "the cache retains the set across rounds");
   assert(hints.valid && "callers with invalid hints must use plan_round");
   // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the cache is shared by all
   // robots of a run and the engine's plan probes; this lock is the

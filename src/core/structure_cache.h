@@ -73,9 +73,8 @@ class StructureCache {
 
   /// The round plan for `packets`, equal to core::plan_round(packets,
   /// config) by construction (the differential suite proves it bitwise).
-  /// `packets` must be owning (the cache retains it across rounds); either
-  /// backend works, and an entry stored from one backend serves exact hits
-  /// and delta rebuilds against queries from the other. `hints` must be
+  /// `packets` must be non-null (the cache retains it across rounds).
+  /// `hints` must be
   /// valid and must describe the triple `packets` was assembled from;
   /// callers with invalid hints use plan_round directly.
   std::shared_ptr<const SlidePlan> plan(const PacketSet& packets,

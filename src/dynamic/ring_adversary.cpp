@@ -1,7 +1,7 @@
 #include "dynamic/ring_adversary.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "graph/algorithms.h"
 
@@ -10,7 +10,9 @@ namespace dyndisp {
 RingAdversary::RingAdversary(std::size_t n, Strategy strategy,
                              std::uint64_t seed)
     : n_(n), strategy_(strategy), rng_(seed) {
-  assert(n >= 3 && "a ring needs at least 3 nodes");
+  if (n < 3)
+    throw std::invalid_argument("ring adversary: a ring needs at least 3 "
+                                "nodes, got n=" + std::to_string(n));
 }
 
 std::string RingAdversary::name() const {

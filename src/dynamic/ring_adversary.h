@@ -22,6 +22,7 @@ class RingAdversary final : public Adversary {
     kFixedRing,    ///< Never remove an edge (static ring control).
   };
 
+  /// Throws std::invalid_argument when n < 3 (no ring exists).
   RingAdversary(std::size_t n, Strategy strategy, std::uint64_t seed = 3);
 
   std::string name() const override;

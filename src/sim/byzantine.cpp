@@ -22,42 +22,23 @@ std::string ByzantineModel::lie_name() const {
 }
 
 DYNDISP_COLD
-void ByzantineModel::tamper(std::vector<InfoPacket>& packets) const {
-  if (lie_ == ByzantineLie::kErraticMoves) return;  // movement-only attack
-  for (InfoPacket& pkt : packets) {
-    if (!liars_.count(pkt.sender)) continue;
-    switch (lie_) {
-      case ByzantineLie::kHideMultiplicity:
-        // "I am alone here." The sensed neighbor info in OTHER packets
-        // stays truthful (sensing cannot be faked); Algorithm 4 only reads
-        // counts from the packets, so the lie lands.
-        pkt.count = 1;
-        pkt.robots = {pkt.sender};
-        break;
-      case ByzantineLie::kHideEmptyNeighbors:
-        // "All my neighbors are occupied." LeafNodeSet membership is
-        // degree > |occupied neighbors|, evaluated from the packet.
-        pkt.degree = pkt.occupied_neighbors.size();
-        break;
-      case ByzantineLie::kErraticMoves:
-        break;
-    }
-  }
-}
-
-DYNDISP_COLD
 void ByzantineModel::tamper(PacketArena& packets) const {
   if (lie_ == ByzantineLie::kErraticMoves) return;  // movement-only attack
   for (ArenaPacket& pkt : packets.headers) {
     if (!liars_.count(pkt.sender)) continue;
     switch (lie_) {
       case ByzantineLie::kHideMultiplicity:
-        // pool[robots_begin] == sender already (lists ascend, sender is the
-        // minimum), so truncating the range IS the {sender} singleton.
+        // "I am alone here." The sensed neighbor info in OTHER packets
+        // stays truthful (sensing cannot be faked); Algorithm 4 only reads
+        // counts from the packets, so the lie lands. pool[robots_begin] ==
+        // sender already (lists ascend, sender is the minimum), so
+        // truncating the range IS the {sender} singleton.
         pkt.count = 1;
         pkt.robots_count = 1;
         break;
       case ByzantineLie::kHideEmptyNeighbors:
+        // "All my neighbors are occupied." LeafNodeSet membership is
+        // degree > |occupied neighbors|, evaluated from the packet.
         pkt.degree = pkt.nb_count;
         break;
       case ByzantineLie::kErraticMoves:

@@ -21,10 +21,8 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "robots/configuration.h"
-#include "sim/info_packet.h"
 #include "sim/packet_arena.h"
 #include "util/types.h"
 
@@ -46,15 +44,12 @@ class ByzantineModel {
 
   /// Corrupts the round's packet set in place. Packets broadcast by honest
   /// robots are untouched; packets whose sender is a liar are rewritten per
-  /// the configured lie. Also fixes up how OTHER packets describe the
-  /// liar's node, since 1-neighborhood *sensing* of occupancy cannot be
-  /// faked -- only the packet contents can (counts/IDs travel in packets).
-  void tamper(std::vector<InfoPacket>& packets) const;
-
-  /// Flat-arena twin: rewrites the same packets to the same logical records
-  /// (a liar's pool slice starts with the liar itself -- robot lists ascend
-  /// and the sender is the minimum -- so hiding multiplicity is a range
-  /// shrink, never a pool rewrite).
+  /// the configured lie. How OTHER packets describe the liar's node stays
+  /// truthful, since 1-neighborhood *sensing* of occupancy cannot be faked
+  /// -- only the packet contents can (counts/IDs travel in packets). A
+  /// liar's pool slice starts with the liar itself (robot lists ascend and
+  /// the sender is the minimum), so hiding multiplicity is a range shrink,
+  /// never a pool rewrite.
   void tamper(PacketArena& packets) const;
 
   /// Movement override for kErraticMoves: the liar picks a pseudo-random

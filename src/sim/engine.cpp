@@ -23,7 +23,6 @@ Engine::Engine(Adversary& adversary, Configuration initial,
       conf_(std::move(initial)),
       options_(options),
       faults_(std::move(faults)) {
-  ctx_.set_flat_packets(options_.flat_packets);
   if (adversary_.node_count() != conf_.node_count()) {
     throw std::invalid_argument(
         "engine: adversary and configuration disagree on node count");
@@ -39,8 +38,7 @@ Engine::Engine(Adversary& adversary, Configuration initial,
   state_bits_.assign(k, 0);
   activation_rng_ = Rng(options_.activation_seed);
   // Aggregate view needs: a field is assembled if ANY robot declares it.
-  // The legacy loop always assembles everything.
-  if (options_.soa && !robots_.empty()) {
+  if (!robots_.empty()) {
     needs_ = robots_.front()->view_needs();
     for (std::size_t i = 1; i < robots_.size(); ++i)
       needs_.merge(robots_[i]->view_needs());
@@ -102,43 +100,27 @@ void Engine::plan_on(const Graph& g, const Configuration& conf,
                      const std::vector<RobotAlgorithm*>& robots,
                      const RoundContext& ctx, PacketSet packets,
                      const ReuseHints& hints, ThreadPool* pool,
-                     std::vector<RobotView>* view_arena,
-                     const ViewNeeds& needs, MovePlan& plan) {
+                     std::vector<RobotView>& views, const ViewNeeds& needs,
+                     MovePlan& plan) {
   const bool neighborhood = options.neighborhood_knowledge;
   const std::size_t k = conf.robot_count();
 
   // Phase 1: assemble all views against the synchronous snapshot. Each view
   // attaches the round's shared packet and state handles; nothing is copied
-  // per robot beyond its own neighborhood scan. The SoA loop hands in a
-  // persistent arena: each robot's slot is refilled in place (vector
-  // capacities survive across rounds) and fields outside the run's declared
-  // needs are skipped; the legacy loop constructs fresh full views.
-  std::vector<RobotView> local_views;
-  if (view_arena == nullptr) {
-    local_views.resize(k);
-  } else if (view_arena->size() != k) {
-    view_arena->resize(k);
-  }
-  std::vector<RobotView>& views = view_arena ? *view_arena : local_views;
+  // per robot beyond its own neighborhood scan. Each robot's slot of the
+  // persistent arena is refilled in place (vector capacities survive across
+  // rounds) and fields outside the run's declared needs are skipped.
+  if (views.size() != k) views.resize(k);
   parallel_for(pool, k, [&](std::size_t i) {
     const RobotId id = static_cast<RobotId>(i + 1);
     if (!conf.alive(id) || !active[i]) return;
-    if (view_arena != nullptr) {
-      RobotView& view = views[i];
-      fill_view(view, g, conf, id, round, options.comm, neighborhood, packets,
-                ctx.index(), needs);
-      view.arrival_port = arrival_ports[i];
-      if (needs.colocated_states)
-        view.colocated_states = ctx.node_states(conf.position(id));
-      view.reuse = hints;
-      return;
-    }
-    RobotView view = make_view(g, conf, id, round, options.comm,
-                               neighborhood, packets, ctx.index());
+    RobotView& view = views[i];
+    fill_view(view, g, conf, id, round, options.comm, neighborhood, packets,
+              ctx.index(), needs);
     view.arrival_port = arrival_ports[i];
-    view.colocated_states = ctx.node_states(conf.position(id));
+    if (needs.colocated_states)
+      view.colocated_states = ctx.node_states(conf.position(id));
     view.reuse = hints;
-    views[i] = std::move(view);
   });
 
   // Phase 2: every robot computes; state mutations cannot leak into views
@@ -190,7 +172,7 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
   MovePlan plan;
   plan_on(candidate, conf_, probe_round_, options_, arrival_ports_, active_,
           raw, *round_ctx_, std::move(packets), make_hints(candidate),
-          pool_.get(), options_.soa ? &views_arena_ : nullptr, needs_, plan);
+          pool_.get(), views_arena_, needs_, plan);
   return plan;
 }
 
@@ -202,8 +184,8 @@ MovePlan& Engine::compute_plan(const Graph& g, Round round,
   ReuseHints hints = make_hints(g);
   hints.change = round_change_;
   plan_on(g, conf_, round, options_, arrival_ports_, active_, raw_robots_,
-          ctx, ctx.packets(), hints, pool_.get(),
-          options_.soa ? &views_arena_ : nullptr, needs_, plan_buf_);
+          ctx, ctx.packets(), hints, pool_.get(), views_arena_, needs_,
+          plan_buf_);
   return plan_buf_;
 }
 
@@ -310,11 +292,9 @@ RunResult Engine::run() {
     // lists -- rebuilt into the persistent context's retained buffers and
     // valid for every candidate graph probed this round. The state-list
     // refresh is skipped when no robot of the run reads exchanged states
-    // (SoA loop + aggregated ViewNeeds).
-    const bool build_state_lists = !options_.soa || needs_.colocated_states;
-    ctx_.begin_round(conf_, states_, build_state_lists);
-    if (!build_state_lists) ++res.stats.state_list_rounds_skipped;
-    if (options_.soa) ++res.stats.soa_rounds;
+    // (aggregated ViewNeeds).
+    ctx_.begin_round(conf_, states_, needs_.colocated_states);
+    if (!needs_.colocated_states) ++res.stats.state_list_rounds_skipped;
     round_ctx_ = &ctx_;
     if (adversary_.wants_plan_probe()) {
       adversary_.set_plan_probe(
@@ -358,13 +338,9 @@ RunResult Engine::run() {
       if (!same_graph) graph_validated_ = false;
     }
     if (same_graph) ++res.stats.same_graph_rounds;
-    // incremental_planning=false is the differential lever: every round
-    // reads as full churn, so the plan layer re-plans statelessly each
-    // round (the full-re-plan leg the incremental oracle diffs against).
-    round_change_ = !options_.incremental_planning ? GraphChange::kFullChurn
-                    : same_graph                   ? GraphChange::kSame
-                    : small_delta                  ? GraphChange::kSmallDelta
-                                                   : GraphChange::kFullChurn;
+    round_change_ = same_graph    ? GraphChange::kSame
+                    : small_delta ? GraphChange::kSmallDelta
+                                  : GraphChange::kFullChurn;
 
     if (options_.validate_graphs) {
       const std::uint64_t fp = graph_.fingerprint();
@@ -427,7 +403,6 @@ RunResult Engine::run() {
       }
       res.packets_sent += ctx_.packet_count();
       res.packet_bits_sent += ctx_.packet_bits();
-      if (options_.flat_packets) ++res.stats.flat_rounds;
       if (options_.packet_observer) {
         options_.packet_observer(r, ctx_.packet_count(), ctx_.packet_bits(),
                                  packet_set_digest(ctx_.packets()));
@@ -452,11 +427,6 @@ RunResult Engine::run() {
     res.stats.phase_compute_ms +=
         compute_wall_ms > plan_ms ? compute_wall_ms - plan_ms : 0.0;
     round_ctx_ = nullptr;
-    if (options_.soa) {
-      for (std::size_t i = 0; i < active_.size(); ++i)
-        if (active_[i] && conf_.alive(static_cast<RobotId>(i + 1)))
-          ++res.stats.arena_views;
-    }
 
     bool crashed_this_round =
         !faults_.crashes_at(r, CrashPhase::kBeforeCommunicate).empty();
@@ -472,10 +442,9 @@ RunResult Engine::run() {
     // The Move phase needs no start-of-round snapshot: each robot's source
     // node is read from conf_ BEFORE its own write, and no robot reads
     // another robot's position. The full copy exists solely for observers
-    // (invariant checkers, traces); the SoA loop elides it when nothing
-    // observes it.
+    // (invariant checkers, traces) and is elided when nothing observes it.
     const bool need_before =
-        !options_.soa || options_.invariant_checker || options_.record_trace;
+        options_.invariant_checker || options_.record_trace;
     Configuration before;
     if (need_before)
       before = conf_;

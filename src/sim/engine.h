@@ -118,41 +118,6 @@ struct EngineOptions {
   /// suite proves it); disabling this reproduces the seed engine's behavior
   /// call-for-call, which is what --no-structure-cache exposes.
   bool structure_cache = true;
-  /// Struct-of-arrays round loop (docs/PERFORMANCE.md): views are filled
-  /// in place into a persistent per-robot arena instead of constructed
-  /// fresh each round, fields no robot's declared ViewNeeds covers are
-  /// skipped (per-node state lists, co-located and per-neighbor robot
-  /// lists), the full start-of-round Configuration copy is elided when
-  /// nothing observes it (no invariant checker, no trace), and robot
-  /// serialization reuses one BitWriter. Every skip is bitwise identical
-  /// to the assembled path (the SoA differential suite proves it);
-  /// disabling this reproduces the per-round-allocating layout, which is
-  /// what --no-soa exposes for differential proofs.
-  bool soa = true;
-  /// Flat packet broadcast (docs/PERFORMANCE.md): the per-round packet set
-  /// is assembled into a persistent CSR PacketArena (one header table, one
-  /// neighbor table, one RobotId pool) pooled and refilled in place across
-  /// rounds, instead of a fresh std::vector<InfoPacket> whose per-packet
-  /// robot lists dominated the allocation count at k >= 10^5. Every
-  /// consumer reads packets through PacketView, so the logical records,
-  /// canonical order, wire-bit metering, and run digests are bitwise
-  /// identical either way (the packet differential suite proves it);
-  /// disabling reproduces the per-round-allocating layout, which is what
-  /// --no-flat-packets exposes for differential proofs.
-  bool flat_packets = true;
-  /// Incremental component-forest planning (docs/PERFORMANCE.md): the round
-  /// loop stamps every round's ReuseHints with the observed graph-change
-  /// class (GraphChange), and the plan layer routes full-churn rounds
-  /// straight to the stateless planner instead of consulting -- and
-  /// retaining a round's packet storage into -- the StructureCache, which
-  /// could only ever miss on such rounds. kSame/kSmallDelta rounds keep the
-  /// cache's exact-hit and sender-wise delta machinery. Plans are bitwise
-  /// identical either way (StructureCache::full_build IS the stateless
-  /// planner's computation; the incremental differential leg proves it);
-  /// disabling stamps every round kFullChurn, reproducing the re-plan-
-  /// everything engine for differential proofs. No effect when
-  /// structure_cache is off (hints are invalid then).
-  bool incremental_planning = true;
   /// Record a full per-round trace (heavy).
   bool record_trace = false;
   /// Record per-round heap-allocation counts into
@@ -161,8 +126,8 @@ struct EngineOptions {
   /// install the util/memprobe.h operator-new hook
   /// (DYNDISP_MEMPROBE_DEFINE_GLOBAL_NEW); elsewhere every entry is 0.
   /// This is the runtime twin of the hotpath-alloc lint rule: the
-  /// steady-state zero-allocation test pins warmed-up arena/SoA rounds
-  /// to exactly 0 through this option.
+  /// steady-state zero-allocation test pins warmed-up rounds to exactly 0
+  /// through this option.
   bool alloc_probe = false;
   /// Record per-round occupied counts (cheap) for progress plots.
   bool record_progress = false;
@@ -181,8 +146,8 @@ struct EngineOptions {
   /// it sees exactly what the robots receive), with the round number, the
   /// packet count, the metered wire bits, and the order-sensitive
   /// packet_set_digest of the full broadcast. The golden packet-trace
-  /// fixtures replay runs through this hook; it observes, never mutates,
-  /// and is backend-independent by construction. Null = off.
+  /// fixtures replay runs through this hook; it observes, never mutates.
+  /// Null = off.
   std::function<void(Round, std::size_t, std::size_t, std::uint64_t)>
       packet_observer;
   /// Compute-phase fan-out: packet assembly, view assembly, and step() calls
@@ -211,13 +176,6 @@ struct DYNDISP_STATS RoundLoopStats {
   std::size_t state_handles_reused = 0; ///< Unchanged serialized states kept by handle.
   std::size_t node_state_lists_reused = 0;  ///< Per-node state lists kept by handle.
   std::size_t scratch_reuses = 0;       ///< Round buffers refilled in place.
-  /// SoA round-loop counters (EngineOptions::soa; observability only, like
-  /// everything in this struct).
-  std::size_t soa_rounds = 0;           ///< Rounds run through the arena path.
-  std::size_t arena_views = 0;          ///< Views filled into arena slots.
-  /// Flat-packet (PacketArena) counter: global-communication rounds whose
-  /// broadcast was published arena-backed (EngineOptions::flat_packets).
-  std::size_t flat_rounds = 0;
   std::size_t state_list_rounds_skipped = 0;  ///< begin_round state-list builds skipped (ViewNeeds).
   std::size_t before_copies_skipped = 0;      ///< Start-of-round Configuration copies elided.
   std::size_t occupancy_words = 0;      ///< Words per occupancy bitset (ceil(n/64)).
@@ -325,10 +283,10 @@ class Engine {
   std::vector<std::size_t> state_bits_;  ///< Bit counts of states_ entries.
   BitWriter state_writer_;  ///< Reused serialization sink (refresh_state).
 
-  /// SoA round loop (options_.soa): the field-wise OR of every robot's
-  /// declared ViewNeeds, and the persistent per-robot view arena plan_on
-  /// fills in place (mutable: plan probes are const and share it -- probes
-  /// and the real compute phase run strictly sequentially).
+  /// The field-wise OR of every robot's declared ViewNeeds, and the
+  /// persistent per-robot view arena plan_on fills in place (mutable: plan
+  /// probes are const and share it -- probes and the real compute phase
+  /// run strictly sequentially).
   ViewNeeds needs_;
   mutable std::vector<RobotView> views_arena_;
 
@@ -375,9 +333,7 @@ class Engine {
   /// `packets` is the (possibly candidate) broadcast for `g`; shared round
   /// artifacts come from `ctx`; `hints` ride into every view (invalid hints
   /// when the broadcast is not a pure function of (g, conf, model)).
-  /// When `view_arena` is non-null (SoA loop) views are filled in place
-  /// into its slots under `needs` gating; null runs the per-round
-  /// allocating layout with full views.
+  /// Views are filled in place into `views`' slots under `needs` gating.
   /// `plan` is an out-parameter refilled via assign() so the round loop's
   /// retained buffer never reallocates in steady state.
   static void plan_on(const Graph& g, const Configuration& conf,
@@ -387,8 +343,8 @@ class Engine {
                       const std::vector<RobotAlgorithm*>& robots,
                       const RoundContext& ctx, PacketSet packets,
                       const ReuseHints& hints, ThreadPool* pool,
-                      std::vector<RobotView>* view_arena,
-                      const ViewNeeds& needs, MovePlan& plan);
+                      std::vector<RobotView>& views, const ViewNeeds& needs,
+                      MovePlan& plan);
 
   /// Hints describing the broadcast for graph `g` this round; valid only
   /// when the structure-cache loop is on, communication is global, and no

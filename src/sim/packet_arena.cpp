@@ -1,6 +1,40 @@
 #include "sim/packet_arena.h"
 
+#include "util/contract.h"
+
 namespace dyndisp {
+
+DYNDISP_COLD
+PacketSet::PacketSet(const std::vector<InfoPacket>& packets) {
+  // Same layout as the engine's assembly: each packet's pool slice holds
+  // the sender's robots, then every neighbor's robots in list order.
+  auto arena = std::make_shared<PacketArena>();
+  arena->headers.reserve(packets.size());
+  for (const InfoPacket& pkt : packets) {
+    ArenaPacket h;
+    h.sender = pkt.sender;
+    h.count = static_cast<std::uint32_t>(pkt.count);
+    h.degree = static_cast<std::uint32_t>(pkt.degree);
+    h.robots_begin = static_cast<std::uint32_t>(arena->pool.size());
+    h.robots_count = static_cast<std::uint32_t>(pkt.robots.size());
+    arena->pool.insert(arena->pool.end(), pkt.robots.begin(), pkt.robots.end());
+    h.nb_begin = static_cast<std::uint32_t>(arena->neighbors.size());
+    h.nb_count = static_cast<std::uint32_t>(pkt.occupied_neighbors.size());
+    for (const NeighborInfo& info : pkt.occupied_neighbors) {
+      ArenaNeighbor nb;
+      nb.port = info.port;
+      nb.min_robot = info.min_robot;
+      nb.count = static_cast<std::uint32_t>(info.count);
+      nb.robots_begin = static_cast<std::uint32_t>(arena->pool.size());
+      nb.robots_count = static_cast<std::uint32_t>(info.robots.size());
+      arena->pool.insert(arena->pool.end(), info.robots.begin(),
+                         info.robots.end());
+      arena->neighbors.push_back(nb);
+    }
+    arena->headers.push_back(h);
+  }
+  arena_ = std::move(arena);
+}
 
 bool operator==(const NeighborView& a, const NeighborView& b) {
   if (a.port() != b.port() || a.min_robot() != b.min_robot() ||

@@ -1,5 +1,5 @@
 // Flat CSR storage for the per-round packet broadcast, plus the view types
-// that let every consumer read packets without caring how they are stored.
+// every consumer reads packets through.
 //
 // At k = 10^5 the per-round broadcast held ~12M heap allocations per run:
 // every InfoPacket owns a `robots` vector and one more per occupied
@@ -8,9 +8,9 @@
 // persist across rounds and are refilled in place. The wire format is an
 // observable (its bit metering feeds the Lemma-8/Theorem-4/5 oracles), so
 // the arena never changes what a packet SAYS, only where its bytes live:
-// PacketView/NeighborView present the identical logical record over either
-// backend, and PacketSet lets the engine, planner, and caches hold "this
-// round's broadcast" without knowing which representation carries it.
+// PacketView/NeighborView present exactly the fields of the InfoPacket
+// record, and PacketSet lets the engine, planner, and caches hold "this
+// round's broadcast" by reference-counted handle.
 #pragma once
 
 #include <cstddef>
@@ -62,160 +62,105 @@ struct PacketArena {
   }
 };
 
-/// Read-only view of one occupied-neighbor record, over either backend.
+/// Read-only view of one occupied-neighbor record inside an arena.
 class NeighborView {
  public:
   NeighborView() = default;
-  explicit NeighborView(const NeighborInfo& info) : legacy_(&info) {}
   NeighborView(const PacketArena& arena, const ArenaNeighbor& entry)
       : arena_(&arena), entry_(&entry) {}
 
-  [[nodiscard]] Port port() const {
-    return legacy_ ? legacy_->port : entry_->port;
-  }
-  [[nodiscard]] RobotId min_robot() const {
-    return legacy_ ? legacy_->min_robot : entry_->min_robot;
-  }
-  [[nodiscard]] std::size_t count() const {
-    return legacy_ ? legacy_->count : entry_->count;
-  }
-  [[nodiscard]] std::size_t robot_count() const {
-    return legacy_ ? legacy_->robots.size() : entry_->robots_count;
-  }
-  /// Contiguous in both backends.
+  [[nodiscard]] Port port() const { return entry_->port; }
+  [[nodiscard]] RobotId min_robot() const { return entry_->min_robot; }
+  [[nodiscard]] std::size_t count() const { return entry_->count; }
+  [[nodiscard]] std::size_t robot_count() const { return entry_->robots_count; }
+  /// Contiguous slice of the arena's pool.
   [[nodiscard]] const RobotId* robots() const {
-    return legacy_ ? legacy_->robots.data()
-                   : arena_->pool.data() + entry_->robots_begin;
+    return arena_->pool.data() + entry_->robots_begin;
   }
   [[nodiscard]] RobotId robot(std::size_t i) const { return robots()[i]; }
 
-  /// Deep field-wise equality, any backend pairing.
+  /// Deep field-wise equality.
   friend bool operator==(const NeighborView& a, const NeighborView& b);
 
  private:
-  const NeighborInfo* legacy_ = nullptr;
   const PacketArena* arena_ = nullptr;
   const ArenaNeighbor* entry_ = nullptr;
 };
 
-/// Read-only view of one packet, over either backend. Copyable and cheap;
-/// everything the consumers previously read off an InfoPacket is here.
+/// Read-only view of one packet inside an arena. Copyable and cheap; it
+/// exposes every field of the InfoPacket record it stores.
 class PacketView {
  public:
   PacketView() = default;
-  explicit PacketView(const InfoPacket& pkt) : legacy_(&pkt) {}
   PacketView(const PacketArena& arena, std::size_t index)
       : arena_(&arena), header_(&arena.headers[index]) {}
 
-  [[nodiscard]] RobotId sender() const {
-    return legacy_ ? legacy_->sender : header_->sender;
-  }
-  [[nodiscard]] std::size_t count() const {
-    return legacy_ ? legacy_->count : header_->count;
-  }
-  [[nodiscard]] std::size_t degree() const {
-    return legacy_ ? legacy_->degree : header_->degree;
-  }
+  [[nodiscard]] RobotId sender() const { return header_->sender; }
+  [[nodiscard]] std::size_t count() const { return header_->count; }
+  [[nodiscard]] std::size_t degree() const { return header_->degree; }
   [[nodiscard]] std::size_t robot_count() const {
-    return legacy_ ? legacy_->robots.size() : header_->robots_count;
+    return header_->robots_count;
   }
-  /// Contiguous in both backends.
+  /// Contiguous slice of the arena's pool.
   [[nodiscard]] const RobotId* robots() const {
-    return legacy_ ? legacy_->robots.data()
-                   : arena_->pool.data() + header_->robots_begin;
+    return arena_->pool.data() + header_->robots_begin;
   }
   [[nodiscard]] RobotId robot(std::size_t i) const { return robots()[i]; }
-  [[nodiscard]] std::size_t neighbor_count() const {
-    return legacy_ ? legacy_->occupied_neighbors.size() : header_->nb_count;
-  }
+  [[nodiscard]] std::size_t neighbor_count() const { return header_->nb_count; }
   [[nodiscard]] NeighborView neighbor(std::size_t i) const {
-    return legacy_ ? NeighborView(legacy_->occupied_neighbors[i])
-                   : NeighborView(*arena_,
-                                  arena_->neighbors[header_->nb_begin + i]);
+    return NeighborView(*arena_, arena_->neighbors[header_->nb_begin + i]);
   }
 
-  /// Deep record equality, any backend pairing (used by the plan cache key
-  /// check and the structure cache's sender-wise delta walk).
+  /// Deep record equality (used by the plan cache key check and the
+  /// structure cache's sender-wise delta walk).
   friend bool operator==(const PacketView& a, const PacketView& b);
 
  private:
-  const InfoPacket* legacy_ = nullptr;
   const PacketArena* arena_ = nullptr;
   const ArenaPacket* header_ = nullptr;
 };
 
-/// One round's broadcast, whichever backend carries it. Owning handles keep
-/// the storage alive for caches; `borrow` wraps a caller-owned vector for
-/// the synchronous compat entry points (tests, plan_round helpers) without
-/// a copy. A default-constructed (or nullptr) set is "no packets" -- the
-/// local-communication case -- and is falsy.
+/// One round's broadcast: an owning handle on an immutable arena, so caches
+/// can keep it alive across rounds. A default-constructed (or nullptr) set
+/// is "no packets" -- the local-communication case -- and is falsy.
 class PacketSet {
  public:
-  using LegacyHandle = std::shared_ptr<const std::vector<InfoPacket>>;
   using ArenaHandle = std::shared_ptr<const PacketArena>;
 
   PacketSet() = default;
   PacketSet(std::nullptr_t) {}  // NOLINT: nullptr means "no packets"
-  PacketSet(LegacyHandle legacy) : legacy_(std::move(legacy)) {}  // NOLINT
-  PacketSet(ArenaHandle arena) : arena_(std::move(arena)) {}      // NOLINT
-
-  /// Non-owning wrapper; the vector must outlive every use of the set.
-  [[nodiscard]] static PacketSet borrow(const std::vector<InfoPacket>& v) {
-    PacketSet s;
-    s.borrowed_ = &v;
-    return s;
-  }
+  PacketSet(ArenaHandle arena) : arena_(std::move(arena)) {}  // NOLINT
+  /// Packs hand-built records, in their given order, into a fresh owned
+  /// arena. Implicit so tests and one-shot callers can pass a plain
+  /// vector wherever a set is taken; the engine never goes through it.
+  PacketSet(const std::vector<InfoPacket>& packets);  // NOLINT
 
   [[nodiscard]] std::size_t size() const {
-    if (const std::vector<InfoPacket>* v = legacy_vec()) return v->size();
     return arena_ ? arena_->headers.size() : 0;
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
-  explicit operator bool() const {
-    return legacy_ != nullptr || arena_ != nullptr || borrowed_ != nullptr;
-  }
+  explicit operator bool() const { return arena_ != nullptr; }
   [[nodiscard]] PacketView operator[](std::size_t i) const {
-    if (const std::vector<InfoPacket>* v = legacy_vec())
-      return PacketView((*v)[i]);
     return PacketView(*arena_, i);
   }
 
-  [[nodiscard]] bool flat() const { return arena_ != nullptr; }
-  /// True when the set keeps its storage alive (safe to retain in a cache).
-  [[nodiscard]] bool owned() const {
-    return legacy_ != nullptr || arena_ != nullptr;
-  }
-  /// The backing vector when legacy-backed (owned or borrowed), else null.
-  [[nodiscard]] const std::vector<InfoPacket>* legacy_vec() const {
-    return legacy_ ? legacy_.get() : borrowed_;
-  }
-  [[nodiscard]] const LegacyHandle& legacy_handle() const { return legacy_; }
   [[nodiscard]] const ArenaHandle& arena_handle() const { return arena_; }
 
   /// Storage identity: equal pointers => the identical broadcast (the
   /// republish fast path); distinct pointers say nothing.
-  [[nodiscard]] const void* identity() const {
-    if (arena_) return arena_.get();
-    return legacy_vec();
-  }
+  [[nodiscard]] const void* identity() const { return arena_.get(); }
 
-  void reset() {
-    legacy_.reset();
-    arena_.reset();
-    borrowed_ = nullptr;
-  }
+  void reset() { arena_.reset(); }
 
-  /// Deep record-sequence equality, any backend pairing; identity fast path.
+  /// Deep record-sequence equality; identity fast path.
   friend bool operator==(const PacketSet& a, const PacketSet& b);
 
  private:
-  LegacyHandle legacy_;
   ArenaHandle arena_;
-  const std::vector<InfoPacket>* borrowed_ = nullptr;
 };
 
-/// Order-sensitive FNV-1a digest of every field of every packet, identical
-/// across backends; the golden packet-trace fixtures pin it per round.
+/// Order-sensitive FNV-1a digest of every field of every packet; the golden
+/// packet-trace fixtures pin it per round.
 [[nodiscard]] std::uint64_t packet_set_digest(const PacketSet& packets);
 
 }  // namespace dyndisp

@@ -27,8 +27,8 @@ namespace dyndisp {
 /// kFullChurn rounds (the random adversaries rewire everything every round)
 /// can never reuse cross-round structures, so consulting -- and, worse,
 /// RETAINING into -- the cache only pins a dead copy of the round's packet
-/// storage. kUnknown (plan probes, hint-less callers) keeps the legacy
-/// always-consult behavior. Purely a performance signal: every route
+/// storage. kUnknown (plan probes, hint-less callers) always consults the
+/// cache. Purely a performance signal: every route
 /// computes the bitwise-identical plan (the differential suite proves it).
 enum class GraphChange : std::uint8_t {
   kUnknown,

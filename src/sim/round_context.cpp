@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <utility>
 
 #include "graph/fingerprint.h"
@@ -103,11 +102,12 @@ void RoundContext::begin_round(const Configuration& conf,
   }
 }
 
-std::shared_ptr<PacketArena> RoundContext::acquire_arena() {
-  for (const std::shared_ptr<PacketArena>& a : arena_pool_) {
+std::shared_ptr<PacketArena> RoundContext::ArenaPool::acquire(
+    std::size_t* reuses) {
+  for (const std::shared_ptr<PacketArena>& a : buffers_) {
     if (a.use_count() == 1) {
       a->clear();
-      ++counters_.scratch_reuses;
+      if (reuses != nullptr) ++*reuses;
       return a;
     }
   }
@@ -118,7 +118,7 @@ std::shared_ptr<PacketArena> RoundContext::acquire_arena() {
   // NOLINTNEXTLINE-dyndisp(hotpath-alloc): pool-miss path only; a warmed-up
   // run cycles pooled buffers (scratch_reuses counts the steady state).
   auto fresh = std::make_shared<PacketArena>();
-  if (arena_pool_.size() < kArenaPoolCap) arena_pool_.push_back(fresh);
+  if (buffers_.size() < kArenaPoolCap) buffers_.push_back(fresh);
   return fresh;
 }
 
@@ -128,34 +128,19 @@ void RoundContext::assemble_packets(const Graph& g, const Configuration& conf,
                                     const ByzantineModel* byzantine,
                                     ThreadPool* pool) {
   assert(!packets_ && "the round's broadcast is assembled exactly once");
-  if (flat_) {
-    std::shared_ptr<PacketArena> arena = acquire_arena();
-    assemble_arena_metered(*arena, g, conf, with_neighborhood, index_,
-                           &packet_bits_, pool, &packet_bits_each_,
-                           &packet_nodes_);
-    if (byzantine) {
-      byzantine->tamper(*arena);
-      // Tampered packets no longer match their metered sizes; drop the
-      // per-packet arrays so no delta round ever sources from them.
-      packet_bits_each_.clear();
-      packet_nodes_.clear();
-    }
-    packets_ = PacketSet::ArenaHandle(std::move(arena));
-    return;
-  }
-  auto assembled =
-      make_all_packets_metered(g, conf, with_neighborhood, index_,
-                               &packet_bits_, pool, &packet_bits_each_,
-                               &packet_nodes_);
+  std::shared_ptr<PacketArena> arena =
+      arena_pool_.acquire(&counters_.scratch_reuses);
+  assemble_arena_metered(*arena, g, conf, with_neighborhood, index_,
+                         &packet_bits_, pool, &packet_bits_each_,
+                         &packet_nodes_);
   if (byzantine) {
-    byzantine->tamper(assembled);
+    byzantine->tamper(*arena);
+    // Tampered packets no longer match their metered sizes; drop the
+    // per-packet arrays so no delta round ever sources from them.
     packet_bits_each_.clear();
     packet_nodes_.clear();
   }
-  packets_ =
-      // NOLINTNEXTLINE-dyndisp(hotpath-alloc): legacy-backend publication
-      // (flat_packets off); the flat path republishes pooled arenas.
-      std::make_shared<const std::vector<InfoPacket>>(std::move(assembled));
+  packets_ = PacketSet::ArenaHandle(std::move(arena));
 }
 
 DYNDISP_HOT void RoundContext::reuse_packets() {
@@ -189,51 +174,7 @@ void RoundContext::delta_packets(const Graph& g, const Configuration& conf,
     node_to_prev_[v] = -2;
   }
 
-  if (flat_) {
-    delta_flat(g, conf, with_neighborhood, pool);
-    return;
-  }
-
-  std::vector<NodeId> nodes;
-  nodes.reserve(conf.occupied_count());
-  for (NodeId v = 0; v < n; ++v)
-    // NOLINTNEXTLINE-dyndisp(hotpath-alloc): legacy delta branch scratch
-    // (flat_packets off); delta_flat below runs on retained buffers.
-    if (!index_.empty(v)) nodes.push_back(v);
-
-  const std::vector<InfoPacket>& prev_vec = *prev_packets_.legacy_vec();
-  std::vector<InfoPacket> assembled(nodes.size());
-  std::vector<std::size_t> bits(nodes.size());
-  parallel_for(pool, nodes.size(), [&](std::size_t i) {
-    const NodeId v = nodes[i];
-    const std::int32_t pi = node_to_prev_[v];
-    if (pi >= 0) {
-      // Clean sender with a previous packet: the packet is a pure function
-      // of the (unchanged) occupancy and adjacency around v -- copy it and
-      // its metered size verbatim.
-      assembled[i] = prev_vec[static_cast<std::size_t>(pi)];
-      bits[i] = prev_packet_bits_each_[static_cast<std::size_t>(pi)];
-    } else {
-      assembled[i] = make_packet(g, conf, v, with_neighborhood, index_);
-      bits[i] = packet_bit_size(assembled[i], k, n);
-    }
-  });
-  for (const NodeId v : nodes) {
-    if (node_to_prev_[v] >= 0)
-      ++counters_.packets_copied;
-    else
-      ++counters_.packets_rebuilt;
-  }
-  publish_sorted(std::move(assembled), std::move(bits), std::move(nodes));
-}
-
-DYNDISP_HOT
-void RoundContext::delta_flat(const Graph& g, const Configuration& conf,
-                              bool with_neighborhood, ThreadPool* pool) {
-  assert(prev_packets_.flat() && "flat deltas source from a flat broadcast");
   const PacketArena& prev = *prev_packets_.arena_handle();
-  const std::size_t n = conf.node_count();
-  const std::size_t k = conf.robot_count();
 
   // A previous packet's pool slice is contiguous (sender robots, then each
   // neighbor's robots in port order), so its length is the distance from
@@ -244,7 +185,8 @@ void RoundContext::delta_flat(const Graph& g, const Configuration& conf,
     return last.robots_begin + last.robots_count - h.robots_begin;
   };
 
-  std::shared_ptr<PacketArena> arena_ptr = acquire_arena();
+  std::shared_ptr<PacketArena> arena_ptr =
+      arena_pool_.acquire(&counters_.scratch_reuses);
   PacketArena& arena = *arena_ptr;
 
   // Pass 1 (serial, node-ascending): size every packet -- clean senders
@@ -357,39 +299,14 @@ void RoundContext::delta_flat(const Graph& g, const Configuration& conf,
   packets_ = PacketSet::ArenaHandle(std::move(arena_ptr));
 }
 
-DYNDISP_COLD
-void RoundContext::publish_sorted(std::vector<InfoPacket> assembled,
-                                  std::vector<std::size_t> bits,
-                                  std::vector<NodeId> nodes) {
-  // Same canonical order as make_all_packets_metered: sender-ID ascending
-  // (senders are unique), permuting the aligned arrays identically.
-  std::vector<std::size_t> order(assembled.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return assembled[a].sender < assembled[b].sender;
-  });
-
-  std::vector<InfoPacket> sorted(assembled.size());
-  packet_bits_each_.resize(assembled.size());
-  packet_nodes_.resize(assembled.size());
-  packet_bits_ = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    sorted[i] = std::move(assembled[order[i]]);
-    packet_bits_each_[i] = bits[order[i]];
-    packet_nodes_[i] = nodes[order[i]];
-    packet_bits_ += packet_bits_each_[i];
-  }
-  packets_ = std::make_shared<const std::vector<InfoPacket>>(std::move(sorted));
-}
-
 PacketSet RoundContext::assemble_candidate_packets(
     const Graph& g, const Configuration& conf, bool with_neighborhood,
     const ByzantineModel* byzantine, ThreadPool* pool) const {
-  auto assembled = make_all_packets_metered(g, conf, with_neighborhood,
-                                            index_, nullptr, pool);
-  if (byzantine) byzantine->tamper(assembled);
-  return PacketSet::LegacyHandle(
-      std::make_shared<const std::vector<InfoPacket>>(std::move(assembled)));
+  std::shared_ptr<PacketArena> arena = candidate_pool_.acquire(nullptr);
+  assemble_arena_metered(*arena, g, conf, with_neighborhood, index_, nullptr,
+                         pool);
+  if (byzantine) byzantine->tamper(*arena);
+  return PacketSet::ArenaHandle(std::move(arena));
 }
 
 }  // namespace dyndisp

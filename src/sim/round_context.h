@@ -45,16 +45,6 @@ class RoundContext {
   /// An empty context; call begin_round before use.
   RoundContext() = default;
 
-  /// Selects the broadcast storage backend (EngineOptions::flat_packets):
-  /// true routes every broadcast path into a persistent PacketArena pooled
-  /// and refilled across rounds; false keeps the legacy one-vector-per-
-  /// round InfoPacket layout. The logical packet records, canonical order,
-  /// and wire-bit accounting are identical either way. Call before the
-  /// first broadcast path of a run; switching mid-run voids no invariant
-  /// (the next broadcast simply lands in the other backend) but is never
-  /// done by the engine.
-  void set_flat_packets(bool flat) { flat_ = flat; }
-
   /// One-shot construction (tests / single-round uses): equivalent to
   /// default-constructing and calling begin_round once.
   RoundContext(const Configuration& conf,
@@ -131,9 +121,8 @@ class RoundContext {
   /// Builds a broadcast for a candidate graph a trap adversary probes,
   /// without touching the context's own broadcast. Tampering applies (the
   /// adversary predicts what the robots will actually receive). Candidate
-  /// sets are always legacy-backed: probes are rare, their content is
-  /// identical either way, and keeping them off the arena pool means a
-  /// probe can never contend with the round's own refill.
+  /// arenas cycle through their own pool (same discipline as the round's),
+  /// so a probe never contends with the round's own refill.
   PacketSet assemble_candidate_packets(const Graph& g,
                                        const Configuration& conf,
                                        bool with_neighborhood,
@@ -163,30 +152,25 @@ class RoundContext {
   const Counters& counters() const { return counters_; }
 
  private:
-  /// Publishes `assembled` (node-ascending, with aligned bits/nodes arrays)
-  /// as the round's broadcast in canonical sender order.
-  void publish_sorted(std::vector<InfoPacket> assembled,
-                      std::vector<std::size_t> bits,
-                      std::vector<NodeId> nodes);
+  /// Arena buffers cycled across rounds.
+  class ArenaPool {
+   public:
+    /// An arena free for refilling: a pooled buffer nothing else
+    /// references (use_count() == 1 -- a buffer pinned by a view,
+    /// plan-cache key, or structure-cache entry is skipped BY
+    /// CONSTRUCTION, so in-place refill can never corrupt a broadcast
+    /// someone still reads), else a fresh one. The pool is capped;
+    /// overflow buffers are simply not retained. Reuses are counted into
+    /// `reuses` when non-null.
+    std::shared_ptr<PacketArena> acquire(std::size_t* reuses);
 
-  /// An arena free for refilling: a pooled buffer nothing else references
-  /// (use_count() == 1 -- a buffer pinned by a view, plan-cache key, or
-  /// structure-cache entry is skipped BY CONSTRUCTION, so in-place refill
-  /// can never corrupt a broadcast someone still reads), else a fresh one.
-  /// The pool is capped; overflow buffers are simply not retained.
-  std::shared_ptr<PacketArena> acquire_arena();
-
-  /// Flat twin of delta_packets' assembly body: clean packets are copied
-  /// from the previous arena (headers and neighbor entries rebased, pool
-  /// slice copied contiguously, metered bits carried over), dirty senders
-  /// rebuilt from `g`. node_to_prev_ must already be prepared.
-  void delta_flat(const Graph& g, const Configuration& conf,
-                  bool with_neighborhood, ThreadPool* pool);
+   private:
+    std::vector<std::shared_ptr<PacketArena>> buffers_;
+  };
 
   NodeIndex index_;
   NodeIndex prev_index_;  ///< Double buffer: last round's index.
   bool first_round_ = true;
-  bool flat_ = false;
 
   std::vector<std::shared_ptr<const std::vector<StateHandle>>> node_states_;
   std::vector<NodeId> changed_nodes_;
@@ -195,11 +179,14 @@ class RoundContext {
 
   PacketSet packets_;
   PacketSet prev_packets_;
-  /// Retained arena buffers cycled through acquire_arena(). Small and
+  /// The round's broadcast buffers. Small and
   /// bounded: current + previous broadcast plus however many rounds the
   /// caches pin, which the default StructureCache capacity keeps under the
   /// cap in steady state.
-  std::vector<std::shared_ptr<PacketArena>> arena_pool_;
+  ArenaPool arena_pool_;
+  /// Candidate broadcasts' buffers (mutable: probing is const on the
+  /// context; probes run sequentially, never concurrently).
+  mutable ArenaPool candidate_pool_;
   /// Wire bits / sender node of each packet, aligned to packets_ order (and
   /// the prev_ pair to prev_packets_). Only maintained on untampered
   /// broadcasts -- the delta paths' sources.

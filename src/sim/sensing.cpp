@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <numeric>
 
 #include "util/bits.h"
 #include "util/contract.h"
@@ -24,8 +23,8 @@ struct RobotSpan {
   RobotId front() const { return data[0]; }
 };
 
-/// Uniform accessors over the two index representations, so packet and view
-/// assembly are written once and produce identical output on both.
+/// Uniform accessors over the two index representations, so view assembly
+/// is written once and produces identical output on both.
 struct VecIndex {
   const NodeRobots* idx;
   RobotSpan at(NodeId v) const {
@@ -39,10 +38,9 @@ struct CsrIndex {
   RobotSpan at(NodeId v) const { return {idx->begin(v), idx->count(v)}; }
 };
 
-template <class Index>
 DYNDISP_COLD
 InfoPacket make_packet_impl(const Graph& g, NodeId v, bool with_neighborhood,
-                            Index index) {
+                            VecIndex index) {
   InfoPacket pkt;
   const RobotSpan here = index.at(v);
   assert(!here.empty() && "packets originate from occupied nodes only");
@@ -68,53 +66,6 @@ InfoPacket make_packet_impl(const Graph& g, NodeId v, bool with_neighborhood,
     }
   }
   return pkt;
-}
-
-template <class Index>
-DYNDISP_COLD
-std::vector<InfoPacket> make_all_packets_metered_impl(
-    const Graph& g, const Configuration& conf, bool with_neighborhood,
-    Index index, std::size_t* wire_bits, ThreadPool* pool,
-    std::vector<std::size_t>* bits_each, std::vector<NodeId>* nodes_each) {
-  g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
-  std::vector<NodeId> senders;
-  senders.reserve(conf.occupied_count());
-  for (NodeId v = 0; v < conf.node_count(); ++v)
-    if (!index.at(v).empty()) senders.push_back(v);
-
-  const bool meter = wire_bits != nullptr || bits_each != nullptr;
-  std::vector<InfoPacket> packets(senders.size());
-  std::vector<std::size_t> bits(meter ? senders.size() : 0);
-  const std::size_t k = conf.robot_count();
-  const std::size_t n = conf.node_count();
-  parallel_for(pool, senders.size(), [&](std::size_t i) {
-    packets[i] = make_packet_impl(g, senders[i], with_neighborhood, index);
-    if (meter) bits[i] = packet_bit_size(packets[i], k, n);
-  });
-  if (wire_bits) {
-    std::size_t total = 0;
-    for (const std::size_t b : bits) total += b;
-    *wire_bits = total;
-  }
-  // Assembly order is node-ascending; re-sort by sender ID for a canonical
-  // order that does not leak node identities. Senders are unique (one packet
-  // per node over disjoint robot sets), so the order is deterministic. The
-  // optional per-packet ledgers are permuted identically so they stay
-  // aligned to the published order.
-  std::vector<std::size_t> order(packets.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return packets[a].sender < packets[b].sender;
-  });
-  std::vector<InfoPacket> sorted(packets.size());
-  if (bits_each) bits_each->resize(packets.size());
-  if (nodes_each) nodes_each->resize(packets.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    sorted[i] = std::move(packets[order[i]]);
-    if (bits_each) (*bits_each)[i] = bits[order[i]];
-    if (nodes_each) (*nodes_each)[i] = senders[order[i]];
-  }
-  return sorted;
 }
 
 template <class Index>
@@ -213,41 +164,31 @@ InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
   return make_packet_impl(g, v, with_neighborhood, VecIndex{index});
 }
 
-InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
-                       bool with_neighborhood, const NodeIndex& index) {
-  (void)conf;
-  return make_packet_impl(g, v, with_neighborhood, CsrIndex{&index});
-}
-
+DYNDISP_COLD
 std::vector<InfoPacket> make_all_packets(const Graph& g,
                                          const Configuration& conf,
                                          bool with_neighborhood,
                                          const NodeRobots* index) {
+  g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
   NodeRobots local;
   if (index == nullptr) {
     local = robots_by_node(conf);
     index = &local;
   }
-  return make_all_packets_metered(g, conf, with_neighborhood, *index,
-                                  nullptr, nullptr);
-}
-
-std::vector<InfoPacket> make_all_packets_metered(
-    const Graph& g, const Configuration& conf, bool with_neighborhood,
-    const NodeRobots& index, std::size_t* wire_bits, ThreadPool* pool,
-    std::vector<std::size_t>* bits_each, std::vector<NodeId>* nodes_each) {
-  return make_all_packets_metered_impl(g, conf, with_neighborhood,
-                                       VecIndex{&index}, wire_bits, pool,
-                                       bits_each, nodes_each);
-}
-
-std::vector<InfoPacket> make_all_packets_metered(
-    const Graph& g, const Configuration& conf, bool with_neighborhood,
-    const NodeIndex& index, std::size_t* wire_bits, ThreadPool* pool,
-    std::vector<std::size_t>* bits_each, std::vector<NodeId>* nodes_each) {
-  return make_all_packets_metered_impl(g, conf, with_neighborhood,
-                                       CsrIndex{&index}, wire_bits, pool,
-                                       bits_each, nodes_each);
+  std::vector<InfoPacket> packets;
+  packets.reserve(conf.occupied_count());
+  for (NodeId v = 0; v < conf.node_count(); ++v)
+    if (!(*index)[v].empty())
+      packets.push_back(
+          make_packet_impl(g, v, with_neighborhood, VecIndex{index}));
+  // Node-ascending assembly, re-sorted by sender ID for a canonical order
+  // that does not leak node identities. Senders are unique (one packet per
+  // node over disjoint robot sets), so the order is deterministic.
+  std::sort(packets.begin(), packets.end(),
+            [](const InfoPacket& a, const InfoPacket& b) {
+              return a.sender < b.sender;
+            });
+  return packets;
 }
 
 std::size_t packet_bit_size(const PacketView& packet, std::size_t k,
@@ -377,15 +318,6 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
   RobotView view;
   fill_view_impl(view, g, conf, id, round, comm, neighborhood, packets,
                  VecIndex{index}, ViewNeeds{});
-  return view;
-}
-
-RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
-                    Round round, CommModel comm, bool neighborhood,
-                    PacketSet packets, const NodeIndex& index) {
-  RobotView view;
-  fill_view_impl(view, g, conf, id, round, comm, neighborhood, packets,
-                 CsrIndex{&index}, ViewNeeds{});
   return view;
 }
 

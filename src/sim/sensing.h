@@ -76,9 +76,8 @@ struct RobotView {
   /// All packets in the system, ascending by sender ID (one per occupied
   /// node); truthy only when global_comm is true. Shared across the
   /// round's views (k robots receive the same broadcast; copying it per
-  /// robot would make every round Theta(k^2) in packet volume). Carried by
-  /// either backend -- the flat PacketArena (EngineOptions::flat_packets)
-  /// or the legacy InfoPacket vector -- behind the same PacketView API.
+  /// robot would make every round Theta(k^2) in packet volume). Read
+  /// through the PacketView API over the round's PacketArena.
   PacketSet shared_packets;
 
   /// Cross-round reuse hints for the shared packet set (filled by the
@@ -127,12 +126,12 @@ class NodeIndex {
 };
 
 /// Which optional RobotView fields an algorithm's step() actually reads.
-/// The engine's struct-of-arrays round loop (EngineOptions::soa) skips
-/// assembling fields no robot of the run declared -- skipping is observable
-/// only to a step() that reads a field its algorithm disclaimed, so results
-/// are unchanged by construction (and pinned by the SoA-vs-legacy
-/// differential suite). The all-true default keeps unported algorithms on
-/// full views.
+/// The engine's struct-of-arrays round loop skips assembling fields no
+/// robot of the run declared -- skipping is observable only to a step()
+/// that reads a field its algorithm disclaimed, so results are unchanged by
+/// construction (and pinned by the faithful-planner comparison and the
+/// golden packet traces). The all-true default keeps unported algorithms
+/// on full views.
 struct ViewNeeds {
   bool colocated = true;           ///< RobotView::colocated IDs.
   bool colocated_states = true;    ///< Exchanged per-node state lists.
@@ -155,39 +154,14 @@ InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
                        bool with_neighborhood,
                        const NodeRobots* index = nullptr);
 
-/// CSR-index overload; identical output.
-InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
-                       bool with_neighborhood, const NodeIndex& index);
-
 /// Builds all packets (one per occupied node), ascending by sender.
 std::vector<InfoPacket> make_all_packets(const Graph& g,
                                          const Configuration& conf,
                                          bool with_neighborhood,
                                          const NodeRobots* index = nullptr);
 
-/// Single-pass broadcast assembly: builds all packets AND meters their total
-/// wire size in the same traversal (when `wire_bits` is non-null), fanning
-/// per-node packet construction across `pool` when one is supplied. Output
-/// is identical to make_all_packets at any thread count: packets are built
-/// into sender-unique slots and canonically re-sorted by sender ID.
-/// When `bits_each` / `nodes_each` are non-null they receive each packet's
-/// wire bits / sender node, aligned to the returned (sorted) packet order --
-/// the per-packet ledger delta reassembly copies from.
-std::vector<InfoPacket> make_all_packets_metered(
-    const Graph& g, const Configuration& conf, bool with_neighborhood,
-    const NodeRobots& index, std::size_t* wire_bits, ThreadPool* pool = nullptr,
-    std::vector<std::size_t>* bits_each = nullptr,
-    std::vector<NodeId>* nodes_each = nullptr);
-
-/// CSR-index overload; identical output (the engine round loop's path).
-std::vector<InfoPacket> make_all_packets_metered(
-    const Graph& g, const Configuration& conf, bool with_neighborhood,
-    const NodeIndex& index, std::size_t* wire_bits, ThreadPool* pool = nullptr,
-    std::vector<std::size_t>* bits_each = nullptr,
-    std::vector<NodeId>* nodes_each = nullptr);
-
 /// Process-wide count of FULL broadcast assemblies (make_all_packets and
-/// make_all_packets_metered calls). Test hook: the engine assembles the
+/// assemble_arena_metered calls). Test hook: the engine assembles the
 /// broadcast at most once per executed round. With the delta-aware round
 /// loop enabled (EngineOptions::structure_cache), reuse and delta rounds do
 /// not count as assemblies -- tests pinning assemblies == rounds must run
@@ -197,23 +171,26 @@ std::size_t packet_assembly_count();
 /// Wire size of one packet in bits, for the communication-cost metric:
 /// robot IDs and counts cost ceil(log2(k+1)) bits, ports and degrees
 /// ceil(log2(n)) bits (n = node count bounds both). The robot-ID lists are
-/// counted in full, matching the paper's "full information" packets. The
-/// formula reads the logical record only, so both backends meter alike.
+/// counted in full, matching the paper's "full information" packets.
 std::size_t packet_bit_size(const PacketView& packet, std::size_t k,
                             std::size_t n);
 
-/// Legacy-struct overload; identical result.
+/// Record overload for hand-built packets (tests); identical result.
 inline std::size_t packet_bit_size(const InfoPacket& packet, std::size_t k,
                                    std::size_t n) {
-  return packet_bit_size(PacketView(packet), k, n);
+  return packet_bit_size(PacketSet(std::vector<InfoPacket>{packet})[0], k, n);
 }
 
-/// Flat-backend twin of make_all_packets_metered: assembles the whole
-/// broadcast into `arena` (cleared and refilled in place -- allocation-free
-/// once its arrays have grown to steady state), headers sorted by sender,
-/// each packet's pool slice contiguous. Metering, ledgers, the
-/// packet-assembly counter, and thread-count independence behave exactly as
-/// in the vector path; the logical records are identical field for field.
+/// The round's broadcast assembly: builds one packet per occupied node
+/// into `arena` (cleared and refilled in place -- allocation-free once its
+/// arrays have grown to steady state), headers sorted by sender, each
+/// packet's pool slice contiguous, and meters the total wire size in the
+/// same traversal (when `wire_bits` is non-null). Per-node construction
+/// fans across `pool` when one is supplied; the output is identical at any
+/// thread count and record for record equal to make_all_packets. When
+/// `bits_each` / `nodes_each` are non-null they receive each packet's wire
+/// bits / sender node, aligned to the sorted header order -- the per-packet
+/// ledger delta reassembly copies from.
 void assemble_arena_metered(PacketArena& arena, const Graph& g,
                             const Configuration& conf, bool with_neighborhood,
                             const NodeIndex& index, std::size_t* wire_bits,
@@ -221,18 +198,14 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
                             std::vector<std::size_t>* bits_each = nullptr,
                             std::vector<NodeId>* nodes_each = nullptr);
 
-/// Assembles the view of robot `id` standing on its node in `g`. The packet
-/// set is attached by reference-counted handle (shared across all robots of
-/// the round); either backend works. Arrival ports and co-located states
-/// are filled in by the engine, which owns that information.
+/// Assembles the full view of robot `id` standing on its node in `g`
+/// (tests and one-shot callers; the engine fills its view arena in place
+/// via fill_view). The packet set is attached by reference-counted handle.
+/// Arrival ports and co-located states are filled in by the engine, which
+/// owns that information.
 RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
                     Round round, CommModel comm, bool neighborhood,
                     PacketSet packets, const NodeRobots* index = nullptr);
-
-/// CSR-index overload; identical output.
-RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
-                    Round round, CommModel comm, bool neighborhood,
-                    PacketSet packets, const NodeIndex& index);
 
 /// In-place view assembly for the engine's persistent view arena: fills
 /// `out` with exactly what make_view would produce for the fields `needs`
@@ -245,14 +218,5 @@ void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
                const PacketSet& packets, const NodeIndex& index,
                const ViewNeeds& needs);
-
-/// Convenience overload copying a plain packet vector (tests/examples).
-inline RobotView make_view(const Graph& g, const Configuration& conf,
-                           RobotId id, Round round, CommModel comm,
-                           bool neighborhood,
-                           const std::vector<InfoPacket>& packets) {
-  return make_view(g, conf, id, round, comm, neighborhood,
-                   std::make_shared<const std::vector<InfoPacket>>(packets));
-}
 
 }  // namespace dyndisp

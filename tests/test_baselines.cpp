@@ -2,6 +2,8 @@
 // their documented failure modes on dynamic inputs.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/blind_walk.h"
 #include "baselines/dfs_dispersion.h"
 #include "baselines/greedy_local.h"
@@ -54,6 +56,11 @@ Graph g_random() {
   return builders::random_connected(12, 6, rng);
 }
 Graph g_lollipop() { return builders::lollipop(5, 5); }
+
+// Print a case as its name: gtest would otherwise dump its raw bytes,
+// function pointers included, into the discovered test names, which
+// would then change from build to build.
+void PrintTo(const DfsCase& c, std::ostream* os) { *os << c.name; }
 
 class DfsStaticSweep : public ::testing::TestWithParam<DfsCase> {};
 

@@ -2,6 +2,7 @@
 // sizes checking structural invariants of every family.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <queue>
 #include <set>
 #include <utility>
@@ -174,6 +175,11 @@ Graph make_torus() { return torus(3, 3); }
 Graph make_hypercube() { return hypercube(3); }  // n = 8
 Graph make_btree() { return binary_tree(9); }
 Graph make_lollipop() { return lollipop(5, 4); }
+
+// Print a case as its name: gtest would otherwise dump its raw bytes,
+// function pointers included, into the discovered test names, which
+// would then change from build to build.
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
 
 class BuilderFamilyTest : public ::testing::TestWithParam<FamilyCase> {};
 

@@ -41,20 +41,6 @@ TEST(Byzantine, NoLiarsIsExactlyHonest) {
   EXPECT_TRUE(a.final_config == b.final_config);
 }
 
-TEST(Byzantine, TamperRewritesOnlyLiarPackets) {
-  const Graph g = builders::path(4);
-  const Configuration conf(4, {0, 0, 1});
-  auto packets = make_all_packets(g, conf, true);
-  const auto original = packets;
-  const ByzantineModel model({1}, ByzantineLie::kHideMultiplicity);
-  model.tamper(packets);
-  ASSERT_EQ(packets.size(), 2u);
-  EXPECT_EQ(packets[0].sender, 1u);
-  EXPECT_EQ(packets[0].count, 1u);  // lied: really 2
-  EXPECT_EQ(packets[0].robots, std::vector<RobotId>{1});
-  EXPECT_EQ(packets[1], original[1]);  // honest packet untouched
-}
-
 TEST(Byzantine, HideMultiplicityDeadlocksItsNode) {
   // Robot 1 (the broadcaster of the rooted pile) lies "I am alone": the
   // node never looks like a multiplicity node, no spanning tree is ever

@@ -128,6 +128,18 @@ TEST(Registry, ListsAndResolvesEveryName) {
   EXPECT_TRUE(registry.has_placement("rooted"));
 }
 
+TEST(Registry, RingAdversariesRejectRingsBelowThreeNodes) {
+  // No ring exists on two nodes; construction is a typed error, never an
+  // abort, so a campaign can record it as a failed job.
+  const Registry& registry = Registry::instance();
+  for (const char* name : {"ring", "ring-worst"}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(registry.adversary(name, "random", 2, 1),
+                 std::invalid_argument);
+    EXPECT_NE(registry.adversary(name, "random", 3, 1), nullptr);
+  }
+}
+
 TEST(Registry, ThrowsOnUnknownNames) {
   const Registry& registry = Registry::instance();
   EXPECT_THROW(registry.algorithm("nope", 1), std::invalid_argument);
@@ -228,6 +240,31 @@ TEST(CampaignSpec, RejectsUnknownNamesAndMalformedInput) {
   EXPECT_THROW(
       CampaignSpec::parse_json(R"({"name": "x", "axes": {"n": [-4]}})"),
       std::invalid_argument);
+}
+
+TEST(CampaignSpec, RetiredEngineKeysAcceptOnlyTrue) {
+  const CampaignSpec plain = CampaignSpec::parse_json(kSmallSpec);
+  const std::string body = std::string(kSmallSpec).substr(1);  // after '{'
+  for (const char* key : {"soa", "flat_packets", "incremental"}) {
+    SCOPED_TRACE(key);
+    const std::string prefix = std::string("{\"") + key;
+    // True describes the one remaining path: same jobs, ids and hash.
+    const CampaignSpec on =
+        CampaignSpec::parse_json(prefix + "\": true," + body);
+    EXPECT_EQ(on.hash(), plain.hash());
+    ASSERT_EQ(on.expand().size(), plain.expand().size());
+    EXPECT_EQ(on.expand().front().id(), plain.expand().front().id());
+    // False asks for a removed engine path: a typed error naming it.
+    try {
+      (void)CampaignSpec::parse_json(prefix + "\": false," + body);
+      ADD_FAILURE() << "false was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  // Absent keys leave default job ids without any option suffix.
+  EXPECT_EQ(plain.expand().front().id(), "alg4|random|n=12|k=6|comm=default|f=0|seed=1");
 }
 
 TEST(CampaignSpec, HashIgnoresSeedRangeButNotAxes) {
@@ -480,6 +517,29 @@ TEST(Campaign, TrialFailureIsRecordedNotFatal) {
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].failed, 2u);
   EXPECT_EQ(groups[0].trials, 2u);
+}
+
+TEST(Campaign, TinyRingIsRecordedNotFatal) {
+  // The ring adversaries need n >= 3; n = 2 must fail its jobs as records
+  // instead of aborting the whole run.
+  const CampaignSpec spec = CampaignSpec::parse_json(R"({
+    "name": "tiny-ring",
+    "axes": {
+      "algorithms": ["alg4"],
+      "adversaries": ["ring", "ring-worst"],
+      "n": [2]
+    }
+  })");
+  ResultStore store(scratch_dir("tiny_ring"));
+  const CampaignOutcome outcome = run_campaign(spec, store, 1);
+  EXPECT_EQ(outcome.executed, 2u);
+  EXPECT_EQ(outcome.failed, 2u);
+  const std::vector<TrialRecord> records = store.load();
+  ASSERT_EQ(records.size(), 2u);
+  for (const TrialRecord& r : records) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("at least 3 nodes"), std::string::npos) << r.error;
+  }
 }
 
 TEST(Campaign, RefusesStoreOfDifferentCampaign) {

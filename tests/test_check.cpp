@@ -60,6 +60,45 @@ TEST(TrialConfig, ParseRejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(TrialConfig::parse_json("not json at all"), std::exception);
 }
 
+// Repro artifacts written while the engine still had the soa /
+// flat_packets / incremental switches carry those keys. True names the one
+// remaining path and parses to the same trial (same summary, no suffix);
+// false asks for a path that no longer exists and is a typed error naming
+// the option. New artifacts never write the key.
+void expect_retired_key_accepts_only_true(const char* key) {
+  SCOPED_TRACE(key);
+  const std::string prefix = std::string("{\"seed\": 7, \"") + key;
+  const TrialConfig on = TrialConfig::parse_json(prefix + "\": true}");
+  EXPECT_EQ(on.summary(), TrialConfig::parse_json("{\"seed\": 7}").summary());
+  EXPECT_EQ(on.summary().find("=off"), std::string::npos);
+  const std::string json = on.to_json();
+  EXPECT_EQ(json.find(std::string("\"") + key + "\""), std::string::npos)
+      << json;
+  EXPECT_EQ(TrialConfig::parse_json(json).summary(), on.summary());
+  try {
+    (void)TrialConfig::parse_json(prefix + "\": false}");
+    ADD_FAILURE() << "false was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(SoaTrialConfig, JsonRoundTripAndSummarySuffix) {
+  expect_retired_key_accepts_only_true("soa");
+}
+
+TEST(FlatPacketTrialConfig, JsonRoundTripAndSummarySuffix) {
+  expect_retired_key_accepts_only_true("flat_packets");
+}
+
+TEST(TrialConfig, RetiredEngineKeysAcceptOnlyTrue) {
+  expect_retired_key_accepts_only_true("incremental");
+  // Absent keys are the common case.
+  const TrialConfig c;
+  EXPECT_EQ(TrialConfig::parse_json(c.to_json()).summary(), c.summary());
+  EXPECT_EQ(c.summary().find("=off"), std::string::npos);
+}
+
 TEST(TrialConfig, MinimumNReflectsComponentFloors) {
   TrialConfig c;
   c.adversary = "ring";

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
 
 #include "analysis/verify.h"
 #include "core/dispersion.h"
 #include "dynamic/churn_adversary.h"
+#include "dynamic/clique_trap_adversary.h"
+#include "dynamic/path_trap_adversary.h"
 #include "dynamic/random_adversary.h"
 #include "dynamic/star_star_adversary.h"
 #include "dynamic/static_adversary.h"
@@ -110,16 +115,47 @@ TEST(Dispersion, UnderStarStarWithShuffledPorts) {
 }
 
 TEST(Dispersion, MemoizedModeIdenticalToFaithful) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    RandomAdversary adv1(12, 5, seed), adv2(12, 5, seed);
-    Rng r1(seed), r2(seed);
-    const Configuration conf1 = placement::uniform_random(12, 9, r1);
-    const Configuration conf2 = placement::uniform_random(12, 9, r2);
-    const RunResult a = run(adv1, conf1, core::dispersion_factory());
-    const RunResult b = run(adv2, conf2, core::dispersion_factory_memoized());
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.total_moves, b.total_moves);
-    EXPECT_TRUE(a.final_config == b.final_config);
+  // The faithful factory has every robot derive the round plan itself from
+  // the packets; the memoized engine shares one plan through the PlanCache
+  // and StructureCache. Beyond the random adversary, the trap adversaries
+  // drive the probe path (candidate broadcasts on pooled arenas, dry runs
+  // of every robot) and the T=8 interval adversary replays graphs, which
+  // exercises delta broadcasts and StructureCache delta rounds.
+  using MakeAdversary = std::unique_ptr<Adversary> (*)(std::uint64_t seed);
+  const std::pair<const char*, MakeAdversary> kAdversaries[] = {
+      {"random",
+       [](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+         return std::make_unique<RandomAdversary>(12, 5, seed);
+       }},
+      {"path-trap",
+       [](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+         return std::make_unique<PathTrapAdversary>(12, seed);
+       }},
+      {"clique-trap",
+       [](std::uint64_t) -> std::unique_ptr<Adversary> {
+         return std::make_unique<CliqueTrapAdversary>(12);
+       }},
+      {"t-interval(T=8)",
+       [](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+         return std::make_unique<TIntervalAdversary>(
+             std::make_unique<RandomAdversary>(12, 3, seed), 8);
+       }},
+  };
+  for (const auto& [name, make] : kAdversaries) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      const std::unique_ptr<Adversary> adv1 = make(seed), adv2 = make(seed);
+      Rng r1(seed), r2(seed);
+      const Configuration conf1 = placement::uniform_random(12, 9, r1);
+      const Configuration conf2 = placement::uniform_random(12, 9, r2);
+      const RunResult a = run(*adv1, conf1, core::dispersion_factory());
+      const RunResult b =
+          run(*adv2, conf2, core::dispersion_factory_memoized());
+      EXPECT_TRUE(a.dispersed);
+      EXPECT_EQ(a.rounds, b.rounds);
+      EXPECT_EQ(a.total_moves, b.total_moves);
+      EXPECT_TRUE(a.final_config == b.final_config);
+    }
   }
 }
 
@@ -173,6 +209,11 @@ Configuration place_grouped(std::size_t n, std::size_t k, std::uint64_t seed) {
   Rng rng(seed);
   return placement::grouped(n, k, std::max<std::size_t>(2, k / 3), rng);
 }
+
+// Print a case as its name: gtest would otherwise dump its raw bytes,
+// function pointers included, into the discovered test names, which
+// would then change from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class DispersionSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -78,9 +78,9 @@ class StayRobot final : public RobotAlgorithm {
   }
 };
 
-// The acceptance pin: at k = 10^4 on a static graph with the retained
-// layouts on (structure_cache + soa + flat_packets, the defaults) and one
-// thread, every warmed-up round performs exactly zero heap allocations.
+// The acceptance pin: at k = 10^4 on a static graph with the default
+// engine (structure cache on) and one thread, every warmed-up round
+// performs exactly zero heap allocations.
 // The first rounds grow the retained buffers (index, arena, state table,
 // plan buffer) and MUST allocate; the tail must be allocation-free.
 TEST(Memprobe, SteadyStateRoundsAreAllocationFree) {

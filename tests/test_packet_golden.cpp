@@ -3,11 +3,10 @@
 // EngineOptions::packet_observer reports, for every executed global-comm
 // round, the broadcast's (packet count, total wire bits, packet digest).
 // This file replays one Table-I tuple per comm model against checked-in
-// per-round traces (tests/golden/), on BOTH packet backends
-// (flat_packets on and off), so any future drift in packet contents, bit
-// metering, or the digest itself fails loudly with a per-round diff
-// instead of a silent digest change rippling through the differential
-// oracles.
+// per-round traces (tests/golden/), so any future drift in packet
+// contents, bit metering, or the digest itself fails loudly with a
+// per-round diff instead of a silent digest change rippling through the
+// differential oracles.
 //
 // Regenerating (only when the wire format changes ON PURPOSE):
 //   DYNDISP_REGEN_GOLDEN=1 ./build/tests/test_packet_golden
@@ -27,7 +26,6 @@
 #include "dynamic/random_adversary.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
-#include "sim/packet_arena.h"
 
 #ifndef DYNDISP_GOLDEN_DIR
 #error "DYNDISP_GOLDEN_DIR must point at tests/golden (set by CMake)"
@@ -52,8 +50,8 @@ struct GoldenTuple {
   AlgorithmFactory factory;
 };
 
-// One Table-I tuple per comm model, both on the n=36/k=24 random-adversary
-// instance the SoA determinism suite already pins. The local tuple's
+// One Table-I tuple per comm model, both on the same n=36/k=24
+// random-adversary instance. The local tuple's
 // per-round trace is empty BY CONTRACT -- local comm never broadcasts --
 // so its fixture pins exactly that, plus the run totals.
 const GoldenTuple kTuples[] = {
@@ -66,7 +64,7 @@ const GoldenTuple kTuples[] = {
 /// Runs the tuple with the observer recording and renders the trace: one
 /// "round R packets P bits B digest X" line per executed global-comm round
 /// and a final "total ..." line covering the whole run.
-std::string render_trace(const GoldenTuple& t, bool flat_packets) {
+std::string render_trace(const GoldenTuple& t) {
   const std::size_t n = 36, k = 24;
   RandomAdversary adv(n, n / 3, 7);
   std::ostringstream os;
@@ -74,7 +72,6 @@ std::string render_trace(const GoldenTuple& t, bool flat_packets) {
   opt.comm = t.comm;
   opt.neighborhood_knowledge = t.neighborhood;
   opt.max_rounds = 200;
-  opt.flat_packets = flat_packets;
   opt.packet_observer = [&os](Round r, std::size_t packets, std::size_t bits,
                               std::uint64_t digest) {
     os << "round " << r << " packets " << packets << " bits " << bits
@@ -128,15 +125,12 @@ bool regen_requested() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
+// The fixtures were recorded while two broadcast backends had to agree on
+// them (hence the name); the one remaining PacketArena backend must still
+// reproduce them byte for byte.
 TEST(PacketGolden, TracesMatchFixturesOnBothBackends) {
   for (const GoldenTuple& t : kTuples) {
-    const std::string flat = render_trace(t, /*flat_packets=*/true);
-    const std::string legacy = render_trace(t, /*flat_packets=*/false);
-    // Both backends must render the identical trace before either is
-    // compared to the fixture: the fixture pins the FORMAT, this pins
-    // that the backends cannot drift apart between regenerations.
-    expect_trace_equal(flat, legacy,
-                       std::string(t.label) + " flat vs legacy");
+    const std::string trace = render_trace(t);
 
     if (regen_requested()) {
       std::ofstream out(fixture_path(t));
@@ -147,12 +141,12 @@ TEST(PacketGolden, TracesMatchFixturesOnBothBackends) {
           << "# format: one line per executed global-comm round, then run "
              "totals\n"
           << "# regenerate: DYNDISP_REGEN_GOLDEN=1 ./test_packet_golden\n"
-          << flat;
+          << trace;
       continue;
     }
     const std::string fixture = read_fixture(fixture_path(t));
     if (fixture.empty()) continue;  // read_fixture already failed the test
-    expect_trace_equal(fixture, flat, std::string(t.label) + " vs fixture");
+    expect_trace_equal(fixture, trace, std::string(t.label) + " vs fixture");
   }
 }
 
@@ -160,7 +154,7 @@ TEST(PacketGolden, LocalCommNeverBroadcasts) {
   // The local fixture's empty per-round section is a real pin: if the
   // engine ever starts assembling broadcasts for local comm, this fails
   // before the fixture diff does.
-  const std::string trace = render_trace(kTuples[1], true);
+  const std::string trace = render_trace(kTuples[1]);
   // The whole trace is the totals line: no per-round broadcast ever fired.
   EXPECT_EQ(trace.rfind("total rounds ", 0), 0u) << trace;
   EXPECT_NE(trace.find(" packets 0 bits 0 "), std::string::npos) << trace;

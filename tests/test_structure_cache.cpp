@@ -35,12 +35,9 @@ using core::PlannerConfig;
 using core::SlidePlan;
 using core::StructureCache;
 
-using PacketsHandle = std::shared_ptr<const std::vector<InfoPacket>>;
-
-PacketsHandle packets_for(const Graph& g, const Configuration& conf,
-                          bool neighborhood = true) {
-  return std::make_shared<const std::vector<InfoPacket>>(
-      make_all_packets(g, conf, neighborhood));
+PacketSet packets_for(const Graph& g, const Configuration& conf,
+                      bool neighborhood = true) {
+  return make_all_packets(g, conf, neighborhood);
 }
 
 /// The (graph, configuration, sensing) triple digest the engine attaches to
@@ -67,11 +64,11 @@ TEST(StructureCache, ExactHitSharesThePlanUntouched) {
   const Graph g = builders::grid(4, 4);
   const Configuration conf(16, {0, 0, 0, 5, 9});
   StructureCache cache;
-  const PacketsHandle packets = packets_for(g, conf);
+  const PacketSet packets = packets_for(g, conf);
   const auto first = cache.plan(packets, hints_for(g, conf), {});
   const auto again = cache.plan(packets, hints_for(g, conf), {});
   EXPECT_EQ(first.get(), again.get());  // shared, not recomputed
-  EXPECT_EQ(*first, plan_round(*packets));
+  EXPECT_EQ(*first, plan_round(packets));
   const auto stats = cache.stats();
   EXPECT_EQ(stats.full_builds, 1u);
   EXPECT_EQ(stats.exact_hits, 1u);
@@ -121,9 +118,9 @@ TEST(StructureCache, MatchesPlanRoundOnRandomRounds) {
   for (int step = 0; step < 40; ++step) {
     const RobotId id = static_cast<RobotId>(1 + rng.below(10));
     conf.set_position(id, static_cast<NodeId>(rng.below(20)));
-    const PacketsHandle packets = packets_for(g, conf);
+    const PacketSet packets = packets_for(g, conf);
     const auto plan = cache.plan(packets, hints_for(g, conf), {});
-    EXPECT_EQ(*plan, plan_round(*packets)) << "step " << step;
+    EXPECT_EQ(*plan, plan_round(packets)) << "step " << step;
   }
   const auto stats = cache.stats();
   EXPECT_EQ(stats.exact_hits + stats.delta_rounds + stats.full_builds, 40u);

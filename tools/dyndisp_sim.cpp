@@ -64,19 +64,6 @@ flags (all optional):
   --no-structure-cache disable the delta-aware round loop / structure cache
                        (results are identical either way; this exposes the
                        rebuild-everything engine for benchmarking)
-  --no-soa             disable the struct-of-arrays round core (persistent
-                       view arena, gated state lists, before-copy elision;
-                       results are identical either way; this exposes the
-                       legacy per-round-allocation path for differential
-                       proofs and benchmarking)
-  --no-flat-packets    disable the flat PacketArena broadcast backend
-                       (results are identical either way; this exposes the
-                       legacy per-round std::vector<InfoPacket> broadcast
-                       path for differential proofs and benchmarking)
-  --no-incremental     disable graph-change-gated plan routing: every round
-                       is re-planned statelessly as full churn (results are
-                       identical either way; this exposes the full-re-plan
-                       engine for differential proofs and benchmarking)
   --faults F           robots to crash at random rounds (default 0)
   --liars L            Byzantine liars (robots 1..L) (default 0)
   --lie KIND           hide-multiplicity | hide-empty | erratic
@@ -148,9 +135,6 @@ int main(int argc, char** argv) {
     options.allow_model_mismatch = true;
     options.record_progress = true;
     if (args.has("no-structure-cache")) options.structure_cache = false;
-    if (args.has("no-soa")) options.soa = false;
-    if (args.has("no-flat-packets")) options.flat_packets = false;
-    if (args.has("no-incremental")) options.incremental_planning = false;
     if (activation < 1.0) {
       options.activation = Activation::kRandomSubset;
       options.activation_probability = activation;
