@@ -1,16 +1,15 @@
 // Round-time perf harness: wall-clock cost of simulating Algorithm 4 per
-// robot-round, across adversaries, scales, compute-phase thread counts, and
-// the engine's one round-loop switch, the delta-aware structure cache
-// (EngineOptions::structure_cache). Unlike the
-// theorem benches this one makes no claim about the paper -- it tracks the
-// ENGINE, so perf regressions in the round hot path (packet assembly,
-// state serialization, planning, cross-round reuse, view materialization)
-// show up as a number a CI job or a human can diff across commits. `--json`
-// writes BENCH_roundtime.json, a machine-readable sibling of the ASCII
-// table (schema in README.md).
+// robot-round, across adversaries, scales and compute-phase thread counts,
+// through the engine's one round loop. Unlike the theorem benches this one
+// makes no claim about the paper -- it tracks the ENGINE, so perf
+// regressions in the round hot path (packet assembly, state serialization,
+// planning, cross-round reuse, view materialization) show up as a number a
+// CI job or a human can diff across commits. `--json` writes
+// BENCH_roundtime.json, a machine-readable sibling of the ASCII table
+// (schema in README.md).
 //
 // The adversary set spans the reuse spectrum: `random` / `star-star` /
-// `ring-worst` rewire every round (the cache can at best break even there),
+// `ring-worst` rewire every round (cross-round reuse cannot fire there),
 // while `static`, `t-interval`, and `scripted` replay graphs across rounds,
 // which is where the delta-aware loop earns its keep. A mega-scale section
 // (random adversary, random placement, k up to 10^6) exercises the regime
@@ -20,11 +19,9 @@
 //   bench_roundtime [--json] [--out=FILE] [--threads=1,8] [--reps=N]
 //                   [--smoke] [--mega] [--mega-smoke] [--validate[=FILE]]
 //
-// Each (adversary, k, threads) tuple runs a pair of engine paths -- the
-// default engine, then the cache-off engine that rebuilds everything every
-// round. The k=10^6 mega row runs the default engine only (a cache-off run
-// at that scale would add minutes for no new information; the pair's
-// identity is pinned up through k=10^5). `--smoke` shrinks the sweep to
+// Each (adversary, k, threads) tuple is one row. The k=10^6 mega row runs
+// a single rep (its minutes-long wall time dwarfs the scheduler jitter the
+// reps exist to smooth out). `--smoke` shrinks the sweep to
 // one tiny size per adversary plus the k=4096 mega row (CI-friendly:
 // seconds, not minutes). `--mega` appends the k=10^6 headline row to the mega section
 // (several minutes and >1 GB RSS, so scripts/repro.sh gates it behind
@@ -33,21 +30,20 @@
 // nonzero if the run misses its heap-allocation or peak-RSS ceilings --
 // the CI-sized canary for the mega row's memory diet, deterministic where
 // wall-clock on shared runners is not. Bare `--validate` checks, after the
-// sweep, that both engine paths of every tuple agreed on all round
-// observables (robot_rounds, rounds, packet_mbits, dispersed) -- the cache
-// claims bitwise identity, and this is that claim at bench scale.
-// `--validate=FILE` parses a previously written JSON file, checks it
-// against schema v6 (field presence/types, cache on/off pairing below
-// k=10^6, per-tuple observable identity, reuse counters nonzero on the
+// sweep, that the rows of every (adversary, k) -- one per thread count --
+// agreed on all round observables (robot_rounds, rounds, packet_mbits,
+// dispersed): the engine claims bitwise identity at any thread count, and
+// this is that claim at bench scale. `--validate=FILE` parses a previously
+// written JSON file, checks it against schema v7 (field presence/types,
+// the same thread-count agreement, reuse counters nonzero on the
 // replay-heavy rows), and exits -- no timing assertions, so it is safe on
 // loaded CI machines.
 //
 // Every row carries the engine's per-phase wall-time buckets (phase_*_ms
 // from RoundLoopStats: graph_build / broadcast / plan / compute / move),
 // taken from the same repetition as its wall_ms, so the phases of a row
-// add up to (slightly less than) its wall time. Schema v6 dropped v5's
-// per-option columns and counters along with the engine options they
-// described.
+// add up to (slightly less than) its wall time. Schema v7 dropped v6's
+// structure_cache column along with the engine option it described.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -85,12 +81,11 @@ namespace {
 
 using namespace dyndisp;
 
-constexpr std::uint64_t kSchemaVersion = 6;
+constexpr std::uint64_t kSchemaVersion = 7;
 constexpr std::uint64_t kSeed = 11;
 
-/// k at and above which only the default engine runs (and the validators
-/// stop demanding cache on/off pairing): the mega headline row.
-constexpr std::size_t kDefaultCornerOnlyK = 1000000;
+/// k at and above which a row runs a single rep: the mega headline row.
+constexpr std::size_t kSingleRepK = 1000000;
 
 /// --mega-smoke ceilings for the k=65536 mega row (default corner,
 /// threads=1). Allocation counts are deterministic (the memprobe counter
@@ -107,7 +102,6 @@ struct Row {
   std::size_t k = 0;
   std::size_t n = 0;
   std::size_t threads = 1;
-  bool structure_cache = true;
   Round rounds = 0;
   bool dispersed = false;
   std::uint64_t robot_rounds = 0;
@@ -128,7 +122,7 @@ struct AdversarySpec {
   const char* name;       // registry adversary name, or "scripted"
   const char* placement;  // registry placement name
   std::size_t n_num, n_den;  // n = k * n_num / n_den
-  bool reuse_heavy;       // replays graphs; cache counters must be nonzero
+  bool reuse_heavy;       // replays graphs; reuse counters must be nonzero
 };
 
 constexpr AdversarySpec kSpecs[] = {
@@ -177,12 +171,11 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
 }
 
 Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
-        bool structure_cache, std::size_t reps) {
+        std::size_t reps) {
   Row row;
   row.adversary = spec.name;
   row.k = k;
   row.threads = threads;
-  row.structure_cache = structure_cache;
   // Median-free but repeatable: take the best of `reps` runs so a one-off
   // scheduler hiccup does not masquerade as a regression.
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -195,7 +188,6 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
     EngineOptions opt;
     opt.max_rounds = 10 * k;
     opt.threads = threads;
-    opt.structure_cache = structure_cache;
     Engine engine(*adv, std::move(initial),
                   core::dispersion_factory_memoized(), opt);
     const std::uint64_t allocs_before = dyndisp::memprobe::allocation_count();
@@ -266,7 +258,6 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
     w.member("k", static_cast<std::uint64_t>(r.k));
     w.member("n", static_cast<std::uint64_t>(r.n));
     w.member("threads", static_cast<std::uint64_t>(r.threads));
-    w.member("structure_cache", r.structure_cache);
     w.member("rounds", static_cast<std::uint64_t>(r.rounds));
     w.member("dispersed", r.dispersed);
     w.member("robot_rounds", r.robot_rounds);
@@ -308,52 +299,59 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
   throw std::runtime_error("validate: " + what);
 }
 
-// ---- bare --validate: cross-path identity over the rows just produced ----
+// ---- the threads pairing: one observable identity per (adversary, k) ----
 
-/// Checks that within every (adversary, k, threads) tuple, both engine
-/// paths (cache on and off) observed the identical run: same
-/// robot_rounds, rounds, packet_mbits, dispersed. Throws on the first
-/// divergence -- a mismatch means a "pure optimization" changed behavior.
-void validate_rows(const std::vector<Row>& rows) {
-  struct Observed {
-    const Row* first = nullptr;
-  };
-  std::map<std::string, Observed> tuples;
-  for (const Row& row : rows) {
-    const std::string tuple = row.adversary + "/k=" + std::to_string(row.k) +
-                              "/t=" + std::to_string(row.threads);
-    Observed& obs = tuples[tuple];
-    if (obs.first == nullptr) {
-      obs.first = &row;
-      continue;
-    }
-    const Row& a = *obs.first;
-    const auto corner = [](const Row& r) {
-      return std::string(r.structure_cache ? "cache=on" : "cache=off");
-    };
-    const auto diverged = [&](const char* what, const std::string& va,
-                              const std::string& vb) {
-      fail(tuple + ": " + what + " diverged across engine paths (" +
-           corner(a) + ": " + va + " | " + corner(row) + ": " + vb + ")");
-    };
-    if (a.robot_rounds != row.robot_rounds)
-      diverged("robot_rounds", std::to_string(a.robot_rounds),
-               std::to_string(row.robot_rounds));
-    if (a.rounds != row.rounds)
-      diverged("rounds", std::to_string(a.rounds), std::to_string(row.rounds));
-    if (a.packet_mbits != row.packet_mbits)
-      diverged("packet_mbits", std::to_string(a.packet_mbits),
-               std::to_string(row.packet_mbits));
-    if (a.dispersed != row.dispersed)
-      diverged("dispersed", std::to_string(a.dispersed),
-               std::to_string(row.dispersed));
+/// The round observables every row of one (adversary, k) must share: the
+/// engine is bitwise identical at any thread count.
+struct Observables {
+  std::uint64_t robot_rounds = 0;
+  std::uint64_t rounds = 0;
+  double packet_mbits = 0;
+  bool dispersed = false;
+
+  bool operator==(const Observables&) const = default;
+
+  std::string describe() const {
+    return "robot_rounds=" + std::to_string(robot_rounds) +
+           " rounds=" + std::to_string(rounds) +
+           " packet_mbits=" + std::to_string(packet_mbits) +
+           " dispersed=" + std::to_string(dispersed);
   }
-  std::printf("validate: %zu tuples, every engine path agreed on all round "
-              "observables\n",
-              tuples.size());
+};
+
+/// (adversary, k) -> the first row's thread count and observables.
+using ThreadPairs =
+    std::map<std::string, std::pair<std::uint64_t, Observables>>;
+
+/// Records `seen` for (adversary, k) and throws when an earlier row of the
+/// pair, at another thread count, observed a different run.
+void pair_threads(ThreadPairs& pairs, const std::string& adversary,
+                  std::uint64_t k, std::uint64_t threads,
+                  const Observables& seen) {
+  const std::string key = adversary + "/k=" + std::to_string(k);
+  const auto [it, first] = pairs.try_emplace(key, threads, seen);
+  if (first || it->second.second == seen) return;
+  fail(key + ": round observables diverged across thread counts (threads=" +
+       std::to_string(it->second.first) + ": " +
+       it->second.second.describe() + " | threads=" + std::to_string(threads) +
+       ": " + seen.describe() + ")");
 }
 
-// ---- --validate=FILE: schema v6 checks, no timing assertions ----
+/// Bare --validate: checks the rows just produced. Throws on the first
+/// divergence -- a mismatch means the parallel compute phase changed
+/// behavior.
+void validate_rows(const std::vector<Row>& rows) {
+  ThreadPairs pairs;
+  for (const Row& row : rows)
+    pair_threads(pairs, row.adversary, row.k, row.threads,
+                 {row.robot_rounds, row.rounds, row.packet_mbits,
+                  row.dispersed});
+  std::printf("validate: %zu (adversary, k) pairs, every thread count agreed "
+              "on all round observables\n",
+              pairs.size());
+}
+
+// ---- --validate=FILE: schema v7 checks, no timing assertions ----
 
 const JsonValue& req(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.find(key);
@@ -385,59 +383,24 @@ int validate_file(const std::string& path) {
       "wall_ms", "robot_rounds_per_sec", "packet_mbits", "peak_rss_mb",
       "phase_graph_build_ms", "phase_broadcast_ms", "phase_plan_ms",
       "phase_compute_ms", "phase_move_ms"};
-  /// Per (adversary, k, threads) tuple: which cache sides appeared (1 =
-  /// off, 2 = on; both required below the default-only scale) and the
-  /// observables both engine paths must agree on.
-  struct Tuple {
-    unsigned cache_sides = 0;
-    std::uint64_t k = 0;
-    bool seen = false;
-    std::uint64_t robot_rounds = 0;
-    std::uint64_t rounds = 0;
-    double packet_mbits = 0;
-    bool dispersed = false;
-  };
-  std::map<std::string, Tuple> tuples;
+  ThreadPairs pairs;
   for (const JsonValue& row : rows) {
     const std::string adversary = req(row, "adversary").as_string();
     for (const char* key : kUints) (void)req(row, key).as_uint();
     for (const char* key : kNumbers) (void)req(row, key).as_number();
-    (void)req(row, "dispersed").as_bool();
-    const bool cache = req(row, "structure_cache").as_bool();
-    const std::string tuple = adversary + "/k=" +
-                              std::to_string(req(row, "k").as_uint()) +
-                              "/t=" +
-                              std::to_string(req(row, "threads").as_uint());
-    Tuple& t = tuples[tuple];
-    t.cache_sides |= cache ? 2u : 1u;
-    t.k = req(row, "k").as_uint();
-    // Every engine path of a tuple ran the identical round sequence; the
-    // round observables must say so.
-    if (!t.seen) {
-      t.seen = true;
-      t.robot_rounds = req(row, "robot_rounds").as_uint();
-      t.rounds = req(row, "rounds").as_uint();
-      t.packet_mbits = req(row, "packet_mbits").as_number();
-      t.dispersed = req(row, "dispersed").as_bool();
-    } else if (t.robot_rounds != req(row, "robot_rounds").as_uint() ||
-               t.rounds != req(row, "rounds").as_uint() ||
-               t.packet_mbits != req(row, "packet_mbits").as_number() ||
-               t.dispersed != req(row, "dispersed").as_bool()) {
-      fail(tuple + ": engine paths disagree on round observables");
-    }
-    if (!cache) {
-      // The rebuild-everything loop must not report reuse it cannot perform.
-      for (const char* key : {"graph_reuses", "broadcasts_reused",
-                              "broadcast_deltas", "sc_exact_hits"}) {
-        if (req(row, key).as_uint() != 0)
-          fail(tuple + ": cache-off row has nonzero " + key);
-      }
-      continue;
-    }
+    const std::uint64_t k = req(row, "k").as_uint();
+    const std::uint64_t threads = req(row, "threads").as_uint();
+    pair_threads(pairs, adversary, k, threads,
+                 {req(row, "robot_rounds").as_uint(),
+                  req(row, "rounds").as_uint(),
+                  req(row, "packet_mbits").as_number(),
+                  req(row, "dispersed").as_bool()});
+    const std::string tuple = adversary + "/k=" + std::to_string(k) +
+                              "/t=" + std::to_string(threads);
     for (const AdversarySpec& spec : kSpecs) {
       if (!spec.reuse_heavy || adversary != spec.name) continue;
-      // Replay-heavy adversary with the cache on: the hint path and the
-      // broadcast reuse/delta path must both have fired.
+      // Replay-heavy adversary: the hint path and the broadcast reuse/delta
+      // path must both have fired.
       if (req(row, "graph_reuses").as_uint() == 0)
         fail(tuple + ": reuse-heavy row has graph_reuses == 0");
       if (req(row, "broadcasts_reused").as_uint() +
@@ -446,23 +409,11 @@ int validate_file(const std::string& path) {
         fail(tuple + ": reuse-heavy row reused no broadcasts");
     }
   }
-  for (const auto& [tuple, t] : tuples) {
-    // The headline mega row runs the default engine only; no pairing there.
-    if (t.k >= kDefaultCornerOnlyK) continue;
-    if (t.cache_sides != 3u)
-      fail(tuple + ": missing its cache-" +
-           (t.cache_sides == 1u ? std::string("on") : std::string("off")) +
-           " row");
-  }
   std::printf("validate: %s ok (%zu rows, schema v%llu)\n", path.c_str(),
               rows.size(),
               static_cast<unsigned long long>(kSchemaVersion));
   return 0;
 }
-
-/// The engine paths each tuple runs: the default engine (cache on), then
-/// the cache-off engine it is diffed against.
-constexpr bool kCacheSides[] = {true, false};
 
 }  // namespace
 
@@ -490,7 +441,7 @@ int main(int argc, char** argv) try {
     // CI canary: the k=65536 mega row alone, with hard memory ceilings.
     // Runs before anything else so the process RSS high-water mark is its
     // own, not an earlier row's.
-    const Row row = run(kMegaSpec, kMegaSmokeK, 1, true, reps);
+    const Row row = run(kMegaSpec, kMegaSmokeK, 1, reps);
     std::printf(
         "mega-smoke: k=%zu rounds=%llu wall=%.0fms allocs=%llu rss=%.0fMB\n",
         row.k, static_cast<unsigned long long>(row.rounds), row.wall_ms,
@@ -533,47 +484,29 @@ int main(int argc, char** argv) try {
   const auto sweep = [&](const AdversarySpec& spec, const std::string& title,
                          const std::vector<std::size_t>& ks,
                          const std::vector<std::size_t>& threads_list) {
-    AsciiTable table({"k", "threads", "cache", "rounds",
+    AsciiTable table({"k", "threads", "rounds",
                       "wall ms", "g/b/p/c/m ms", "robot-rounds/s",
                       "peak RSS MB", "allocs", "packet Mbits"});
     table.set_title(title);
     for (const std::size_t k : ks) {
       for (const std::size_t threads : threads_list) {
-        double base_rate = 0;  // the default engine's rate
-        for (const bool cache : kCacheSides) {
-          // The headline k=10^6 row runs the default engine only, and a
-          // single rep: a cache-off run (or a best-of-N retake) at that
-          // scale would add minutes for no new information (identity is
-          // pinned up through k=10^5, and the row's minutes-long wall time
-          // dwarfs scheduler jitter the reps exist to smooth out).
-          if (k >= kDefaultCornerOnlyK && !cache) continue;
-          const std::size_t row_reps = k >= kDefaultCornerOnlyK ? 1 : reps;
-          const Row row = run(spec, k, threads, cache, row_reps);
-          ok &= row.dispersed;
-          rows.push_back(row);
-          std::string rate = fmt_double(row.robot_rounds_per_sec, 0);
-          if (cache) {
-            base_rate = row.robot_rounds_per_sec;
-          } else if (row.robot_rounds_per_sec > 0) {
-            // Speedup the default engine shows over the cache-off path.
-            rate += " (x" +
-                    fmt_double(base_rate / row.robot_rounds_per_sec, 2) +
-                    " vs on)";
-          }
-          // Phase attribution: graph_build/broadcast/plan/compute/move.
-          const std::string phases =
-              fmt_double(row.stats.phase_graph_build_ms, 0) + "/" +
-              fmt_double(row.stats.phase_broadcast_ms, 0) + "/" +
-              fmt_double(row.stats.phase_plan_ms, 0) + "/" +
-              fmt_double(row.stats.phase_compute_ms, 0) + "/" +
-              fmt_double(row.stats.phase_move_ms, 0);
-          table.add_row({std::to_string(row.k), std::to_string(row.threads),
-                         cache ? "on" : "off", std::to_string(row.rounds),
-                         fmt_double(row.wall_ms, 1), phases, rate,
-                         fmt_double(row.peak_rss_mb, 0),
-                         std::to_string(row.heap_allocs),
-                         fmt_double(row.packet_mbits, 2)});
-        }
+        const std::size_t row_reps = k >= kSingleRepK ? 1 : reps;
+        const Row row = run(spec, k, threads, row_reps);
+        ok &= row.dispersed;
+        rows.push_back(row);
+        // Phase attribution: graph_build/broadcast/plan/compute/move.
+        const std::string phases =
+            fmt_double(row.stats.phase_graph_build_ms, 0) + "/" +
+            fmt_double(row.stats.phase_broadcast_ms, 0) + "/" +
+            fmt_double(row.stats.phase_plan_ms, 0) + "/" +
+            fmt_double(row.stats.phase_compute_ms, 0) + "/" +
+            fmt_double(row.stats.phase_move_ms, 0);
+        table.add_row({std::to_string(row.k), std::to_string(row.threads),
+                       std::to_string(row.rounds), fmt_double(row.wall_ms, 1),
+                       phases, fmt_double(row.robot_rounds_per_sec, 0),
+                       fmt_double(row.peak_rss_mb, 0),
+                       std::to_string(row.heap_allocs),
+                       fmt_double(row.packet_mbits, 2)});
       }
     }
     std::fputs(table.render().c_str(), stdout);

@@ -185,13 +185,6 @@ Registry::Registry() {
   };
   placements_["grouped"] = [](std::size_t n, std::size_t k, std::size_t groups,
                               std::uint64_t seed) {
-    // Throw (don't assert) here: specs are untrusted input, and a campaign
-    // records a per-job failure instead of aborting the whole sweep.
-    if (groups == 0 || groups > k || groups > n)
-      throw std::invalid_argument(
-          "grouped placement needs 1 <= groups <= min(k, n); got groups=" +
-          std::to_string(groups) + " k=" + std::to_string(k) +
-          " n=" + std::to_string(n));
     Rng rng(seed);
     return placement::grouped(n, k, groups, rng);
   };

@@ -43,8 +43,8 @@ std::vector<std::size_t> uint_axis(const JsonValue& axes, const char* key,
 
 bool accept_retired_engine_key(const std::string& key,
                                const JsonValue& value) {
-  static const char* const kRetired[] = {"soa", "flat_packets",
-                                         "incremental"};
+  static const char* const kRetired[] = {"soa", "flat_packets", "incremental",
+                                         "structure_cache"};
   bool retired = false;
   for (const char* k : kRetired) retired |= key == k;
   if (!retired) return false;
@@ -60,9 +60,6 @@ std::string JobSpec::id() const {
   out << algorithm << '|' << adversary << '|' << "n=" << n << '|' << "k=" << k
       << '|' << "comm=" << comm << '|' << "f=" << faults << '|'
       << "seed=" << seed;
-  // Appended only when off so default campaigns keep their pre-existing ids
-  // (stores resume across this option's introduction).
-  if (!structure_cache) out << "|sc=off";
   return out.str();
 }
 
@@ -97,7 +94,6 @@ analysis::TrialSpec make_trial_spec(const JobSpec& job) {
   options.neighborhood_knowledge = algo.needs_knowledge;
   options.allow_model_mismatch = true;
   options.threads = 1;  // campaign parallelism is across jobs, not robots
-  options.structure_cache = job.structure_cache;
   spec.options = options;
   return spec;
 }
@@ -108,8 +104,8 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
     throw std::invalid_argument("campaign spec must be a JSON object");
 
   static const char* const known_keys[] = {
-      "name",  "axes",      "family",     "placement",       "groups",
-      "seeds", "base_seed", "max_rounds", "structure_cache"};
+      "name",   "axes",  "family",    "placement",
+      "groups", "seeds", "base_seed", "max_rounds"};
   for (const auto& [key, value] : doc.members()) {
     bool known = false;
     for (const char* k : known_keys) known |= key == k;
@@ -156,8 +152,6 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
   if (const JsonValue* v = doc.find("base_seed")) spec.base_seed_ = v->as_uint();
   if (const JsonValue* v = doc.find("max_rounds"))
     spec.max_rounds_ = v->as_uint();
-  if (const JsonValue* v = doc.find("structure_cache"))
-    spec.structure_cache_ = v->as_bool();
   if (spec.seeds_ == 0)
     throw std::invalid_argument("\"seeds\" must be at least 1");
 
@@ -228,7 +222,6 @@ std::vector<JobSpec> CampaignSpec::expand() const {
                 job.faults = faults;
                 job.max_rounds = max_rounds_;
                 job.seed = base_seed_ + s;
-                job.structure_cache = structure_cache_;
                 jobs.push_back(std::move(job));
               }
   return jobs;
@@ -253,9 +246,6 @@ std::string CampaignSpec::canonical() const {
   // (each seed is keyed individually by its job id).
   out << ";family=" << family_ << ";placement=" << placement_
       << ";groups=" << groups_ << ";max_rounds=" << max_rounds_;
-  // Appended only when off: existing campaigns (all default) keep their hash
-  // across this option's introduction.
-  if (!structure_cache_) out << ";sc=off";
   return out.str();
 }
 

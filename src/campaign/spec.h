@@ -19,12 +19,12 @@
 //     "groups":    3,                     // grouped-placement group count
 //     "seeds":     10,                    // trials per tuple [1]
 //     "base_seed": 1,                     // first seed [1]
-//     "max_rounds": 0,                    // 0 = 100*k (dyndisp_sim default)
-//     "structure_cache": true             // delta-aware round loop [true]
+//     "max_rounds": 0                     // 0 = 100*k (dyndisp_sim default)
 //   }
 //
-// The retired engine keys "soa", "flat_packets" and "incremental" are still
-// accepted with the value true (see accept_retired_engine_key).
+// The retired engine keys "soa", "flat_packets", "incremental" and
+// "structure_cache" are still accepted with the value true (see
+// accept_retired_engine_key).
 //
 // Every name is validated against the campaign registry at parse time, so a
 // typo fails before any trial runs. Expansion order is the fixed nesting
@@ -47,11 +47,12 @@ class JsonValue;
 namespace dyndisp::campaign {
 
 /// Engine options retired when the engine became one path: "soa",
-/// "flat_packets" and "incremental". Campaign specs and repro artifacts
-/// written earlier still carry them, so both readers accept each one only
-/// with the value true, which names the one remaining path. Returns false
-/// when `key` is not a retired option; throws std::invalid_argument naming
-/// the option when `value` is anything but true.
+/// "flat_packets", "incremental" and "structure_cache". Campaign specs and
+/// repro artifacts written earlier still carry them, so both readers accept
+/// each one only with the value true, which names the one remaining path.
+/// Returns false when `key` is not a retired option; throws
+/// std::invalid_argument naming the option when `value` is anything but
+/// true.
 bool accept_retired_engine_key(const std::string& key, const JsonValue& value);
 
 /// One fully-specified trial job: the cross-product point plus the seed.
@@ -68,13 +69,9 @@ struct JobSpec {
   std::size_t faults = 0;
   Round max_rounds = 0;  ///< 0 = 100*k.
   std::uint64_t seed = 1;
-  /// EngineOptions::structure_cache for the job (spec key "structure_cache";
-  /// the delta-aware round loop is on by default).
-  bool structure_cache = true;
 
-  /// Canonical id, e.g. "alg4|random|n=20|k=12|comm=default|f=0|seed=3"
-  /// (+ "|sc=off" when the structure cache is disabled). Uniquely
-  /// identifies the job within its campaign; the resume key.
+  /// Canonical id, e.g. "alg4|random|n=20|k=12|comm=default|f=0|seed=3".
+  /// Uniquely identifies the job within its campaign; the resume key.
   std::string id() const;
 
   /// The round budget actually applied (resolves the 0 default).
@@ -144,7 +141,6 @@ class CampaignSpec {
   std::size_t seeds_ = 1;
   std::uint64_t base_seed_ = 1;
   Round max_rounds_ = 0;
-  bool structure_cache_ = true;
 };
 
 }  // namespace dyndisp::campaign

@@ -1,7 +1,7 @@
 // Differential oracles: the same trial executed two independent ways must
 // produce bitwise-identical results.
 //
-// Three axes are diffed:
+// Two axes are diffed:
 //   * threads      -- the engine's parallel compute phase (threads = N)
 //                     against the fully serial engine (threads = 1). PR 1
 //                     claims bitwise identity at any thread count; this is
@@ -12,13 +12,10 @@
 //                     exists so both resolve a name identically; this
 //                     catches the two paths drifting apart (seed streams,
 //                     option defaults, placement parameters).
-//   * structure-cache -- the delta-aware round loop + StructureCache
-//                     (EngineOptions::structure_cache, the default) against
-//                     the cache-off engine that rebuilds everything every
-//                     round. Every reuse path claims bitwise identity; this
-//                     oracle is that claim, executed. Its cache-off leg also
-//                     plans every round statelessly, so it covers the
-//                     graph-change-classified plan routing too.
+//
+// The engine's cross-round reuse paths need no second engine: the in-run
+// broadcast-reference oracle (check/oracles.h) compares every round's
+// published broadcast with a fresh make_all_packets.
 //
 // "Bitwise identical" means digest_run() equality: every RunResult scalar,
 // the final configuration, and the per-round occupied counts.
@@ -46,11 +43,5 @@ struct DiffReport {
 /// for configs whose every name resolves through the shared registry (no
 /// toolbox extensions, no script).
 [[nodiscard]] DiffReport diff_construction(const TrialConfig& config);
-
-/// Runs `config` with the structure cache on and off (both at the config's
-/// own thread count) and compares digests. The config's own structure_cache
-/// value is ignored: both legs are forced explicitly.
-[[nodiscard]] DiffReport diff_structure_cache(const TrialConfig& config,
-                                              const Toolbox& toolbox);
 
 }  // namespace dyndisp::check

@@ -52,6 +52,8 @@ struct FuzzFailure {
 struct FuzzReport {
   std::size_t trials_run = 0;
   std::size_t differential_trials = 0;
+  /// Rounds whose broadcast the broadcast-reference oracle compared.
+  std::size_t reference_rounds = 0;
   bool budget_exhausted = false;
   std::vector<FuzzFailure> failures;
 

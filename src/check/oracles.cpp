@@ -1,8 +1,10 @@
 #include "check/oracles.h"
 
+#include <set>
 #include <string>
 
 #include "analysis/verify.h"
+#include "sim/sensing.h"
 #include "util/bits.h"
 
 namespace dyndisp::check {
@@ -60,6 +62,61 @@ InvariantChecker make_invariant_checker(const OracleProfile& profile,
               std::to_string(s.round));
     }
   };
+}
+
+namespace {
+
+/// One round's broadcast as the wire sees it: what packet_observer reports.
+std::string wire_record(Round round, std::size_t count, std::size_t bits,
+                        std::uint64_t digest) {
+  return "round " + std::to_string(round) + ": count=" +
+         std::to_string(count) + " bits=" + std::to_string(bits) +
+         " digest=" + std::to_string(digest);
+}
+
+}  // namespace
+
+std::shared_ptr<const std::size_t> install_broadcast_reference(
+    EngineOptions& options, const FaultSchedule& faults) {
+  if (options.comm != CommModel::kGlobal || options.byzantine) return nullptr;
+  struct State {
+    std::string published;  ///< wire_record of the last broadcast.
+    std::size_t compared = 0;
+  };
+  auto state = std::make_shared<State>();
+  std::set<Round> skipped;
+  for (const CrashEvent& e : faults.events())
+    if (e.phase == CrashPhase::kAfterCommunicate) skipped.insert(e.round);
+
+  options.packet_observer =
+      [state, observer = std::move(options.packet_observer)](
+          Round r, std::size_t count, std::size_t bits, std::uint64_t digest) {
+        state->published = wire_record(r, count, bits, digest);
+        if (observer) observer(r, count, bits, digest);
+      };
+  options.invariant_checker =
+      [state, checker = std::move(options.invariant_checker),
+       neighborhood = options.neighborhood_knowledge,
+       skipped = std::move(skipped)](const RoundSnapshot& s) {
+        if (!skipped.count(s.round)) {
+          const PacketSet fresh(
+              make_all_packets(s.graph, s.before, neighborhood));
+          std::size_t bits = 0;
+          for (std::size_t i = 0; i < fresh.size(); ++i)
+            bits += packet_bit_size(fresh[i], s.before.robot_count(),
+                                    s.before.node_count());
+          const std::string expected = wire_record(
+              s.round, fresh.size(), bits, packet_set_digest(fresh));
+          if (state->published != expected)
+            throw InvariantViolation(
+                s.round, "broadcast-reference",
+                "[broadcast-reference] published " + state->published +
+                    ", but a fresh make_all_packets gives " + expected);
+          ++state->compared;
+        }
+        if (checker) checker(s);
+      };
+  return {state, &state->compared};
 }
 
 std::optional<Violation> post_run_violation(const OracleProfile& profile,

@@ -18,9 +18,15 @@
 //   dispersal         the algorithm's basic liveness claim, post-run
 //   round-bound       Theorem 4 (rounds <= k), post-run, fault-free only
 //   faulty-round-bound Theorem 5 (rounds <= k-f+slack), post-run, faulty
+//   broadcast-reference every cross-round reuse equals a fresh rebuild,
+//                     in-engine: each round's published broadcast matches
+//                     make_all_packets on that round's graph and
+//                     start-of-round configuration (global communication,
+//                     no Byzantine liars)
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "check/trial.h"
 #include "sim/engine.h"
@@ -47,6 +53,18 @@ OracleProfile oracle_profile(const TrialConfig& config, bool claims_lemmas);
 /// of them bind, so the engine hot path stays untouched.
 InvariantChecker make_invariant_checker(const OracleProfile& profile,
                                         std::size_t k);
+
+/// Installs the broadcast-reference oracle (see the key table above) into
+/// `options`: packet_observer records each round's packet count, wire bits
+/// and packet_set_digest, and the invariant checker compares them with a
+/// fresh make_all_packets(snapshot.graph, snapshot.before, neighborhood).
+/// Rounds with a kAfterCommunicate crash in `faults` are skipped: the
+/// snapshot's start-of-round configuration is copied after those kills.
+/// Chains onto any observer/checker already installed. Returns null (and
+/// installs nothing) unless communication is global with no Byzantine
+/// model; otherwise the count of rounds compared, read after the run.
+std::shared_ptr<const std::size_t> install_broadcast_reference(
+    EngineOptions& options, const FaultSchedule& faults);
 
 /// Runs the profile's post-run oracles (dispersal, round-bound,
 /// faulty-round-bound) against a completed result, reusing the

@@ -19,7 +19,6 @@ std::string TrialConfig::summary() const {
      << "|seed=" << seed;
   if (comm != "default") os << "|comm=" << comm;
   if (max_rounds != 0) os << "|mr=" << max_rounds;
-  if (!structure_cache) os << "|sc=off";
   if (!script.empty()) os << "|script=" << script.size();
   return os.str();
 }
@@ -38,7 +37,6 @@ void TrialConfig::write_json(JsonWriter& w) const {
   w.member("threads", static_cast<std::uint64_t>(threads));
   w.member("max_rounds", static_cast<std::uint64_t>(max_rounds));
   w.member("seed", seed);
-  w.member("structure_cache", structure_cache);
   if (!script.empty())
     w.member("script", ScriptedAdversary::serialize_script(script));
   w.end_object();
@@ -68,8 +66,6 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
     else if (key == "threads") c.threads = static_cast<std::size_t>(value.as_uint());
     else if (key == "max_rounds") c.max_rounds = value.as_uint();
     else if (key == "seed") c.seed = value.as_uint();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "structure_cache") c.structure_cache = value.as_bool();
     else if (key == "script")
       c.script = ScriptedAdversary::parse_script(value.as_string());
     // Repro artifacts written before the engine became one path carry the
@@ -183,7 +179,6 @@ BuiltTrial build_trial(const TrialConfig& c, const Toolbox& tb,
   b.options.allow_model_mismatch = true;
   b.options.record_progress = true;
   b.options.threads = threads;
-  b.options.structure_cache = c.structure_cache;
   return b;
 }
 
@@ -197,6 +192,8 @@ CheckedOutcome run_checked(const TrialConfig& config, const Toolbox& toolbox,
   const OracleProfile profile =
       oracle_profile(config, toolbox.claims_lemmas(config.algorithm));
   b.options.invariant_checker = make_invariant_checker(profile, config.k);
+  const std::shared_ptr<const std::size_t> reference_rounds =
+      install_broadcast_reference(b.options, b.faults);
 
   Adversary& adversary =
       override_adversary ? *override_adversary : *b.adversary;
@@ -210,6 +207,7 @@ CheckedOutcome run_checked(const TrialConfig& config, const Toolbox& toolbox,
   } catch (const InvariantViolation& e) {
     out.violation = Violation{e.oracle(), e.round(), e.what()};
   }
+  if (reference_rounds) out.reference_rounds = *reference_rounds;
   return out;
 }
 

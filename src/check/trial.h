@@ -42,10 +42,6 @@ struct TrialConfig {
   std::size_t threads = 1;
   Round max_rounds = 0;             ///< 0 = 100*k, as everywhere else.
   std::uint64_t seed = 1;
-  /// EngineOptions::structure_cache: the delta-aware round loop, on by
-  /// default everywhere. A fuzzable axis -- the differential suite proves
-  /// both values bitwise identical on every drawn trial.
-  bool structure_cache = true;
   std::vector<Graph> script;        ///< Non-empty: scripted replay.
 
   Round effective_max_rounds() const {
@@ -122,6 +118,9 @@ struct CheckedOutcome {
   RunResult result;   ///< Meaningful when `completed`.
   bool completed = false;
   std::optional<Violation> violation;
+  /// Rounds the broadcast-reference oracle compared (0 when it does not
+  /// apply to the trial).
+  std::size_t reference_rounds = 0;
 };
 
 /// Runs `config` with the oracle set for its profile installed (see

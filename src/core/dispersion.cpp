@@ -74,8 +74,9 @@ AlgorithmFactory dispersion_factory() {
 AlgorithmFactory dispersion_factory_memoized() {
   auto cache = std::make_shared<PlanCache>();
   // The cross-round StructureCache is attached unconditionally; it is only
-  // consulted when the engine hands out valid reuse hints (structure_cache
-  // engine option), so attaching it never changes uncached runs.
+  // consulted when the engine hands out valid reuse hints (global
+  // communication, no Byzantine tampering), and every plan it serves equals
+  // plan_round's.
   cache->set_structure_cache(std::make_shared<StructureCache>());
   return [cache](RobotId id, std::size_t k) {
     return std::make_unique<DispersionRobot>(id, k, cache);

@@ -142,8 +142,8 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   // retain an owning copy of the broadcast storage -- pinning arenas the
   // round context wants to recycle. StructureCache::full_build IS
   // plan_round's computation, so the direct call is bitwise identical
-  // (the structure-cache differential, whose cache-off leg plans every
-  // round statelessly, pins it).
+  // (StructureCache.MatchesPlanRoundOnRandomRounds and the faithful
+  // per-robot planner pin it).
   if (structure_ && hints != nullptr && hints->valid && packets &&
       hints->change != GraphChange::kFullChurn) {
     value_ = structure_->plan(packets, *hints, config);

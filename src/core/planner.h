@@ -218,9 +218,8 @@ class PlanCache {
   /// Hint-carrying fast path: on a slot miss with VALID hints and an
   /// attached StructureCache, the plan is obtained from the cross-round
   /// cache (exact hit or delta rebuild) instead of plan_round. With invalid
-  /// hints or no StructureCache this overload is byte-for-byte the plain
-  /// set overload -- which is how --no-structure-cache reproduces the
-  /// baseline exactly.
+  /// hints (local communication, Byzantine tampering) or no StructureCache
+  /// this overload is byte-for-byte the plain set overload.
   const SlidePlan& get(const PacketSet& packets, const ReuseHints& hints,
                        const PlannerConfig& config = {});
 

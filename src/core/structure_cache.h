@@ -72,7 +72,8 @@ class StructureCache {
   explicit StructureCache(std::size_t capacity = 4);
 
   /// The round plan for `packets`, equal to core::plan_round(packets,
-  /// config) by construction (the differential suite proves it bitwise).
+  /// config) by construction (StructureCache.MatchesPlanRoundOnRandomRounds
+  /// pins it bitwise).
   /// `packets` must be non-null (the cache retains it across rounds).
   /// `hints` must be
   /// valid and must describe the triple `packets` was assembled from;

@@ -9,7 +9,8 @@
 // hard guarantee (the engine's broadcast-reuse path) use the fingerprint
 // as a fast reject and confirm with Graph::operator==; consumers that can
 // tolerate the astronomical collision odds (validation skipping, cache
-// keys whose misuse the differential oracle would catch) use it directly.
+// keys whose misuse the broadcast-reference oracle would catch) use it
+// directly.
 //
 // The mixer is the splitmix64 finalizer over the same constants util/rng.h
 // seeds with -- a fixed, seeded function, never std::hash (whose value is

@@ -1,17 +1,32 @@
 #include "robots/placement.h"
 
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace dyndisp::placement {
 
+namespace {
+
+// Sizes come from untrusted input (specs, CLI flags, repro artifacts):
+// throw, so a campaign records a failed job instead of aborting.
+void require(bool ok, const char* placement, const char* rule, std::size_t n,
+             std::size_t k) {
+  if (ok) return;
+  throw std::invalid_argument(std::string(placement) + " placement needs " +
+                              rule + "; got k=" + std::to_string(k) +
+                              " n=" + std::to_string(n));
+}
+
+}  // namespace
+
 Configuration rooted(std::size_t n, std::size_t k, NodeId root) {
-  assert(k <= n && root < n);
+  require(k <= n && root < n, "rooted", "k <= n and root < n", n, k);
   return Configuration(n, std::vector<NodeId>(k, root));
 }
 
 Configuration uniform_random(std::size_t n, std::size_t k, Rng& rng) {
-  assert(k <= n);
+  require(k <= n, "random", "k <= n", n, k);
   std::vector<NodeId> pos(k);
   for (auto& p : pos) p = static_cast<NodeId>(rng.below(n));
   return Configuration(n, std::move(pos));
@@ -19,7 +34,8 @@ Configuration uniform_random(std::size_t n, std::size_t k, Rng& rng) {
 
 Configuration grouped(std::size_t n, std::size_t k, std::size_t groups,
                       Rng& rng) {
-  assert(groups >= 1 && groups <= k && groups <= n);
+  require(groups >= 1 && groups <= k && groups <= n, "grouped",
+          "1 <= groups <= min(k, n)", n, k);
   std::vector<NodeId> nodes(n);
   std::iota(nodes.begin(), nodes.end(), NodeId{0});
   rng.shuffle(nodes);
@@ -29,7 +45,7 @@ Configuration grouped(std::size_t n, std::size_t k, std::size_t groups,
 }
 
 Configuration figure1(std::size_t n, std::size_t k) {
-  assert(k >= 3 && k <= n && "figure-1 trap needs k >= 3");
+  require(k >= 3 && k <= n, "figure1", "3 <= k <= n", n, k);
   std::vector<NodeId> pos(k);
   pos[0] = 0;  // the doubled node "v"
   pos[1] = 0;

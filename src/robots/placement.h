@@ -3,6 +3,8 @@
 // The paper distinguishes *rooted* initial configurations (all robots on one
 // node; used by the lower bound of Theorem 3) from arbitrary ones. The
 // placements here cover both plus the specific trap configuration of Fig. 1.
+// Each generator throws std::invalid_argument when its sizes do not fit
+// (k > n, bad group count).
 #pragma once
 
 #include <cstddef>
@@ -21,7 +23,7 @@ Configuration rooted(std::size_t n, std::size_t k, NodeId root = 0);
 Configuration uniform_random(std::size_t n, std::size_t k, Rng& rng);
 
 /// Robots spread over `groups` random distinct nodes, sizes as equal as
-/// possible (yields several multiplicity nodes). Requires groups <= k,
+/// possible (yields several multiplicity nodes). Requires 1 <= groups <= k,
 /// groups <= n.
 Configuration grouped(std::size_t n, std::size_t k, std::size_t groups,
                       Rng& rng);

@@ -85,7 +85,7 @@ void Engine::refresh_state(RobotId id) {
 
 ReuseHints Engine::make_hints(const Graph& g) const {
   ReuseHints hints;
-  hints.valid = options_.structure_cache && options_.comm == CommModel::kGlobal &&
+  hints.valid = options_.comm == CommModel::kGlobal &&
                 options_.byzantine == nullptr;
   hints.neighborhood = options_.neighborhood_knowledge;
   hints.graph_fp = g.fingerprint();
@@ -306,10 +306,9 @@ RunResult Engine::run() {
     // compute phase = [t2,t3) split into plan (planner accumulator delta)
     // and the remainder, move = [t3,t4).
     const std::uint64_t ph_t0 = phase_clock_ns();
-    const bool sc = options_.structure_cache;
     bool same_graph = false;   // G_r provably operator== G_{r-1}
     bool small_delta = false;  // G_r near G_{r-1}; graph_delta_ holds the diff
-    if (sc && have_graph_ && adversary_.same_as_last(r, conf_)) {
+    if (have_graph_ && adversary_.same_as_last(r, conf_)) {
       // Honest hint (conformance-tested per adversary): the graph the
       // adversary would emit equals the one it last emitted, which is
       // graph_. Skip constructing it at all.
@@ -321,7 +320,7 @@ RunResult Engine::run() {
       // swap promotes it -- no per-round Graph allocation in steady state.
       adversary_.next_graph_into(r, conf_, scratch_graph_);
       const Graph& g = scratch_graph_;
-      if (sc && have_graph_) {
+      if (have_graph_) {
         if (g.fingerprint() == graph_.fingerprint() && g == graph_) {
           same_graph = true;
         } else {
@@ -344,7 +343,7 @@ RunResult Engine::run() {
 
     if (options_.validate_graphs) {
       const std::uint64_t fp = graph_.fingerprint();
-      if (sc && same_graph && graph_validated_ && validated_fp_ == fp) {
+      if (same_graph && graph_validated_ && validated_fp_ == fp) {
         // The identical graph already passed validation; re-running it
         // would re-derive the same verdict.
         ++res.stats.validations_skipped;
@@ -365,8 +364,8 @@ RunResult Engine::run() {
     res.stats.phase_graph_build_ms += phase_ns_to_ms(ph_t1 - ph_t0);
 
     if (options_.comm == CommModel::kGlobal) {
-      const bool can_source = sc && options_.byzantine == nullptr &&
-                              ctx_.has_prev_packets();
+      const bool can_source =
+          options_.byzantine == nullptr && ctx_.has_prev_packets();
       if (can_source && same_graph && !ctx_.occupancy_changed()) {
         // Both broadcast inputs are unchanged: republish the previous
         // round's packets by handle, bits ledger and all.

@@ -109,15 +109,6 @@ struct EngineOptions {
   Round max_rounds = 100000;
   /// Validate every adversary-emitted graph (connectivity, ports, |V|).
   bool validate_graphs = true;
-  /// Delta-aware round loop (docs/PERFORMANCE.md): skip next_graph when the
-  /// adversary promises an unchanged graph (same_as_last), skip re-validating
-  /// a graph already validated, reuse or delta-assemble the packet broadcast
-  /// across rounds, and hand robots valid ReuseHints so plan layers can
-  /// memoize Algorithm 1-3 structures across rounds (StructureCache). Every
-  /// reuse path is bitwise identical to the rebuilt path (the differential
-  /// suite proves it); disabling this reproduces the seed engine's behavior
-  /// call-for-call, which is what --no-structure-cache exposes.
-  bool structure_cache = true;
   /// Record a full per-round trace (heavy).
   bool record_trace = false;
   /// Record per-round heap-allocation counts into
@@ -159,12 +150,16 @@ struct EngineOptions {
 };
 
 /// Delta-aware round-loop effectiveness, counted (not estimated) per run.
+/// The round loop (docs/PERFORMANCE.md) skips next_graph when the adversary
+/// promises an unchanged graph (same_as_last), skips re-validating a graph
+/// already validated, reuses or delta-assembles the packet broadcast, and
+/// hands robots valid ReuseHints so plan layers can memoize Algorithm 1-3
+/// structures across rounds (StructureCache). Every reuse equals a fresh
+/// rebuild (the broadcast-reference oracle in check/oracles.h checks it).
 /// Observability only: these fields are deliberately excluded from run
-/// digests (check/trial.cpp) and campaign records, so toggling
-/// EngineOptions::structure_cache can never change a correctness-compared
-/// output -- the differential suite relies on exactly that. The exclusion
-/// is machine-checked: the DYNDISP_STATS tag makes any read of these
-/// fields inside a digest/serialize function a digest-exclusion finding.
+/// digests (check/trial.cpp) and campaign records. The exclusion is
+/// machine-checked: the DYNDISP_STATS tag makes any read of these fields
+/// inside a digest/serialize function a digest-exclusion finding.
 struct DYNDISP_STATS RoundLoopStats {
   std::size_t same_graph_rounds = 0;    ///< Rounds where G_r == G_{r-1}.
   std::size_t graph_reuses = 0;         ///< next_graph calls skipped (hint).
@@ -347,8 +342,7 @@ class Engine {
                       MovePlan& plan);
 
   /// Hints describing the broadcast for graph `g` this round; valid only
-  /// when the structure-cache loop is on, communication is global, and no
-  /// Byzantine model tampers packets.
+  /// when communication is global and no Byzantine model tampers packets.
   ReuseHints make_hints(const Graph& g) const;
 
   /// Re-serializes robot `id`'s persistent state into states_.

@@ -1,8 +1,9 @@
 #include "sim/fault.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace dyndisp {
 
@@ -13,8 +14,12 @@ FaultSchedule::FaultSchedule(std::vector<CrashEvent> events)
 
 FaultSchedule FaultSchedule::random(std::size_t k, std::size_t f,
                                     Round horizon, Rng& rng) {
-  assert(f <= k);
-  assert(horizon >= 1);
+  // Untrusted input (specs, CLI flags, repro artifacts): throw, not assert.
+  if (f > k || horizon < 1)
+    throw std::invalid_argument(
+        "fault schedule needs faults <= k and a horizon >= 1; got faults=" +
+        std::to_string(f) + " k=" + std::to_string(k) +
+        " horizon=" + std::to_string(horizon));
   std::vector<RobotId> ids(k);
   std::iota(ids.begin(), ids.end(), RobotId{1});
   rng.shuffle(ids);

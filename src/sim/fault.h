@@ -39,7 +39,8 @@ class FaultSchedule {
   static FaultSchedule none() { return FaultSchedule{}; }
 
   /// `f` distinct robots crash at uniformly random rounds in [0, horizon)
-  /// with uniformly random phases.
+  /// with uniformly random phases. Throws std::invalid_argument when
+  /// f > k or horizon == 0.
   static FaultSchedule random(std::size_t k, std::size_t f, Round horizon,
                               Rng& rng);
 

@@ -10,9 +10,9 @@
 // every consumer confirms candidates by comparing actual packet contents, so
 // a digest collision costs a missed reuse, never a wrong plan.
 //
-// `valid` is false when the engine cannot vouch for the triple -- structure
-// caching disabled, local communication, or a Byzantine model tampering
-// packets after assembly (tampered packets are not a function of the triple).
+// `valid` is false when the engine cannot vouch for the triple -- local
+// communication, or a Byzantine model tampering packets after assembly
+// (tampered packets are not a function of the triple).
 // Invalid hints make every consumer fall back to the uncached path.
 #pragma once
 
@@ -28,8 +28,9 @@ namespace dyndisp {
 /// can never reuse cross-round structures, so consulting -- and, worse,
 /// RETAINING into -- the cache only pins a dead copy of the round's packet
 /// storage. kUnknown (plan probes, hint-less callers) always consults the
-/// cache. Purely a performance signal: every route
-/// computes the bitwise-identical plan (the differential suite proves it).
+/// cache. Purely a performance signal: every route computes the
+/// bitwise-identical plan (the StructureCache-vs-plan_round unit tests and
+/// the faithful per-robot planner pin it).
 enum class GraphChange : std::uint8_t {
   kUnknown,
   kSame,        ///< G_r operator== G_{r-1}.

@@ -162,10 +162,10 @@ std::vector<InfoPacket> make_all_packets(const Graph& g,
 
 /// Process-wide count of FULL broadcast assemblies (make_all_packets and
 /// assemble_arena_metered calls). Test hook: the engine assembles the
-/// broadcast at most once per executed round. With the delta-aware round
-/// loop enabled (EngineOptions::structure_cache), reuse and delta rounds do
-/// not count as assemblies -- tests pinning assemblies == rounds must run
-/// with structure_cache off.
+/// broadcast at most once per executed round. Reuse and delta rounds of the
+/// delta-aware round loop do not count as assemblies, so a round's
+/// broadcast is produced by exactly one of three routes: assemblies +
+/// RoundLoopStats::broadcasts_reused + broadcast_deltas == rounds.
 std::size_t packet_assembly_count();
 
 /// Wire size of one packet in bits, for the communication-cost metric:

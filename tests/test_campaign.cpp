@@ -245,7 +245,8 @@ TEST(CampaignSpec, RejectsUnknownNamesAndMalformedInput) {
 TEST(CampaignSpec, RetiredEngineKeysAcceptOnlyTrue) {
   const CampaignSpec plain = CampaignSpec::parse_json(kSmallSpec);
   const std::string body = std::string(kSmallSpec).substr(1);  // after '{'
-  for (const char* key : {"soa", "flat_packets", "incremental"}) {
+  for (const char* key :
+       {"soa", "flat_packets", "incremental", "structure_cache"}) {
     SCOPED_TRACE(key);
     const std::string prefix = std::string("{\"") + key;
     // True describes the one remaining path: same jobs, ids and hash.
@@ -539,6 +540,32 @@ TEST(Campaign, TinyRingIsRecordedNotFatal) {
   for (const TrialRecord& r : records) {
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("at least 3 nodes"), std::string::npos) << r.error;
+  }
+}
+
+TEST(Campaign, OversizedKOrFaultsAreRecordedNotFatal) {
+  // More robots than nodes, or more faults than robots, must fail the job
+  // as a record instead of aborting the whole process.
+  const std::pair<const char*, const char*> kCases[] = {
+      {R"("n": [5], "k": [6])", "k <= n"},
+      {R"("n": [5], "k": [3], "faults": [10])", "faults <= k"},
+  };
+  for (std::size_t c = 0; c < std::size(kCases); ++c) {
+    const auto& [axes, error] = kCases[c];
+    SCOPED_TRACE(axes);
+    const CampaignSpec spec = CampaignSpec::parse_json(
+        std::string(R"({"name": "oversized", "axes": {"algorithms": ["alg4"],)"
+                    R"( "adversaries": ["random"], )") +
+        axes + "}}");
+    ResultStore store(scratch_dir("oversized_" + std::to_string(c)));
+    const CampaignOutcome outcome = run_campaign(spec, store, 1);
+    EXPECT_EQ(outcome.executed, 1u);
+    EXPECT_EQ(outcome.failed, 1u);
+    const std::vector<TrialRecord> records = store.load();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_FALSE(records[0].ok);
+    EXPECT_NE(records[0].error.find(error), std::string::npos)
+        << records[0].error;
   }
 }
 

@@ -61,10 +61,10 @@ TEST(TrialConfig, ParseRejectsUnknownKeysAndGarbage) {
 }
 
 // Repro artifacts written while the engine still had the soa /
-// flat_packets / incremental switches carry those keys. True names the one
-// remaining path and parses to the same trial (same summary, no suffix);
-// false asks for a path that no longer exists and is a typed error naming
-// the option. New artifacts never write the key.
+// flat_packets / incremental / structure_cache switches carry those keys.
+// True names the one remaining path and parses to the same trial (same
+// summary, no suffix); false asks for a path that no longer exists and is a
+// typed error naming the option. New artifacts never write the key.
 void expect_retired_key_accepts_only_true(const char* key) {
   SCOPED_TRACE(key);
   const std::string prefix = std::string("{\"seed\": 7, \"") + key;
@@ -93,6 +93,7 @@ TEST(FlatPacketTrialConfig, JsonRoundTripAndSummarySuffix) {
 
 TEST(TrialConfig, RetiredEngineKeysAcceptOnlyTrue) {
   expect_retired_key_accepts_only_true("incremental");
+  expect_retired_key_accepts_only_true("structure_cache");
   // Absent keys are the common case.
   const TrialConfig c;
   EXPECT_EQ(TrialConfig::parse_json(c.to_json()).summary(), c.summary());

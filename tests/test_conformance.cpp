@@ -16,6 +16,7 @@
 #include <string>
 
 #include "campaign/registry.h"
+#include "check/oracles.h"
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/scripted_adversary.h"
 #include "dynamic/static_adversary.h"
@@ -222,6 +223,45 @@ TEST_P(AdversaryConformance, SerialAndParallelEmissionsAreByteIdentical) {
       const std::string diag = validate_round_graph(from_pool, n);
       ASSERT_TRUE(diag.empty())
           << name << " n=" << n << " round " << r << ": " << diag;
+    }
+  }
+}
+
+// The broadcast-reference oracle under Algorithm 4 against every registered
+// adversary: each round's published broadcast -- freshly assembled,
+// republished by handle, or delta-assembled -- equals make_all_packets on
+// that round's graph and start-of-round configuration. On the replaying
+// adversaries the reuse paths must actually have fired, so the reference
+// cannot pass vacuously.
+TEST_P(AdversaryConformance, EveryBroadcastMatchesAFreshAssembly) {
+  const auto& registry = campaign::Registry::instance();
+  const std::string& name = GetParam();
+  const bool replays = name == "static" || name == "t-interval";
+
+  for (const std::uint64_t seed : {1ull, 5ull, 12ull}) {
+    SCOPED_TRACE(name + " seed " + std::to_string(seed));
+    auto adversary = registry.adversary(name, "random", 12, seed);
+    const std::size_t n = adversary->node_count();
+    const std::size_t k = std::max<std::size_t>(2, n / 2);
+    const campaign::AlgorithmChoice algo = registry.algorithm("alg4", seed);
+
+    EngineOptions options;
+    options.max_rounds = 40;  // traps never disperse; bound the run
+    const auto compared =
+        check::install_broadcast_reference(options, FaultSchedule::none());
+    ASSERT_NE(compared, nullptr);
+    Engine engine(*adversary, placement::rooted(n, k), algo.factory, options);
+    RunResult result;
+    try {
+      result = engine.run();
+    } catch (const InvariantViolation& e) {
+      FAIL() << e.what();
+    }
+    EXPECT_EQ(*compared, result.rounds);
+    if (replays) {
+      EXPECT_GT(result.stats.graph_reuses, 0u);
+      EXPECT_GT(result.stats.broadcasts_reused + result.stats.broadcast_deltas,
+                0u);
     }
   }
 }

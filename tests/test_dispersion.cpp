@@ -5,7 +5,9 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "analysis/verify.h"
 #include "core/dispersion.h"
@@ -13,6 +15,7 @@
 #include "dynamic/clique_trap_adversary.h"
 #include "dynamic/path_trap_adversary.h"
 #include "dynamic/random_adversary.h"
+#include "dynamic/scripted_adversary.h"
 #include "dynamic/star_star_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "dynamic/t_interval_adversary.h"
@@ -156,6 +159,43 @@ TEST(Dispersion, MemoizedModeIdenticalToFaithful) {
       EXPECT_EQ(a.total_moves, b.total_moves);
       EXPECT_TRUE(a.final_config == b.final_config);
     }
+  }
+
+  // Replay-heavy inputs: a static torus and a three-graph script that
+  // replays its last graph forever. The memoized run must visibly have
+  // reused work, so the identity is not vacuous on them.
+  const std::size_t n = 30, k = 20;
+  Rng rng(9);
+  std::vector<Graph> script;
+  for (int i = 0; i < 3; ++i)
+    script.push_back(builders::random_connected(n, n / 2, rng));
+  StaticAdversary torus_a(builders::torus(5, 6));
+  StaticAdversary torus_b(builders::torus(5, 6));
+  ScriptedAdversary script_a(script), script_b(script);
+  const std::tuple<const char*, Adversary*, Adversary*> kReplays[] = {
+      {"static torus", &torus_a, &torus_b},
+      {"scripted, repeat-last horizon", &script_a, &script_b}};
+  for (const auto& [name, faithful_adv, memo_adv] : kReplays) {
+    SCOPED_TRACE(name);
+    const RunResult a = run(*faithful_adv, placement::rooted(n, k),
+                            core::dispersion_factory());
+    const RunResult b = run(*memo_adv, placement::rooted(n, k),
+                            core::dispersion_factory_memoized());
+    EXPECT_TRUE(a.dispersed);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.total_moves, b.total_moves);
+    EXPECT_EQ(a.packet_bits_sent, b.packet_bits_sent);
+    EXPECT_TRUE(a.final_config == b.final_config);
+    EXPECT_GT(b.stats.graph_reuses, 0u);
+    if (memo_adv != &torus_b) continue;
+    EXPECT_GT(b.stats.broadcasts_reused + b.stats.broadcast_deltas, 0u);
+    EXPECT_GT(b.stats.validations_skipped, 0u);
+    // The planner consulted the cross-round cache (exact hit, delta or full
+    // build depending on how much occupancy moved; test_structure_cache.cpp
+    // pins each mode individually).
+    EXPECT_GT(b.stats.sc_exact_hits + b.stats.sc_delta_rounds +
+                  b.stats.sc_full_builds,
+              0u);
   }
 }
 

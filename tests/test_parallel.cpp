@@ -19,6 +19,7 @@
 #include "core/dispersion.h"
 #include "dynamic/path_trap_adversary.h"
 #include "dynamic/random_adversary.h"
+#include "dynamic/t_interval_adversary.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
 #include "sim/sensing.h"
@@ -250,21 +251,25 @@ TEST(ThreadDeterminism, ProbeDrivenTrapAdversary) {
 // ---- Single-assembly invariant ----
 
 TEST(RoundPipeline, PacketsAssembledExactlyOncePerRound) {
-  // RandomAdversary never probes, so the only assemblies are the per-round
-  // broadcasts: the global counter must advance by exactly r.rounds. The
-  // delta-aware loop replaces some assemblies with reuse/delta rounds, so
-  // the exactly-once pin is stated against the loop it describes: cache off.
+  // The interval adversary never probes, so the only assemblies are the
+  // per-round broadcasts. Every round's broadcast is produced exactly once,
+  // by one of three routes: a full assembly, a republish of the previous
+  // round's broadcast, or a delta reassembly. A T=5 window replays each
+  // graph for four rounds, so the reuse routes fire alongside assemblies.
   const std::size_t n = 36, k = 24;
-  RandomAdversary adv(n, n / 3, 7);
+  TIntervalAdversary adv(std::make_unique<RandomAdversary>(n, n / 3, 7), 5);
   EngineOptions opt;
   opt.max_rounds = 200;
-  opt.structure_cache = false;
   Engine engine(adv, placement::rooted(n, k),
                 core::dispersion_factory_memoized(), opt);
   const std::size_t before = packet_assembly_count();
   const RunResult r = engine.run();
   EXPECT_TRUE(r.dispersed);
-  EXPECT_EQ(packet_assembly_count() - before, r.rounds);
+  const std::size_t assemblies = packet_assembly_count() - before;
+  EXPECT_GT(assemblies, 0u);
+  EXPECT_GT(r.stats.broadcasts_reused + r.stats.broadcast_deltas, 0u);
+  EXPECT_EQ(assemblies + r.stats.broadcasts_reused + r.stats.broadcast_deltas,
+            r.rounds);
 }
 
 }  // namespace

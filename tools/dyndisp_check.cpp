@@ -100,8 +100,10 @@ int cmd_fuzz(const CliArgs& args) {
 
   const FuzzReport report = fuzz(options, toolbox);
   std::printf(
-      "fuzz: %zu trials, %zu differential, %zu violation(s)%s\n",
-      report.trials_run, report.differential_trials, report.failures.size(),
+      "fuzz: %zu trials, %zu differential, %zu broadcast rounds compared, "
+      "%zu violation(s)%s\n",
+      report.trials_run, report.differential_trials, report.reference_rounds,
+      report.failures.size(),
       report.budget_exhausted ? " (budget exhausted)" : "");
   for (const FuzzFailure& f : report.failures) {
     std::printf("  [%s] %s\n", f.violation.oracle.c_str(),

@@ -61,9 +61,6 @@ flags (all optional):
                        activates one robot per round)
   --threads T          compute-phase worker threads (default 1; results
                        are identical at any thread count)
-  --no-structure-cache disable the delta-aware round loop / structure cache
-                       (results are identical either way; this exposes the
-                       rebuild-everything engine for benchmarking)
   --faults F           robots to crash at random rounds (default 0)
   --liars L            Byzantine liars (robots 1..L) (default 0)
   --lie KIND           hide-multiplicity | hide-empty | erratic
@@ -134,7 +131,6 @@ int main(int argc, char** argv) {
         args.get_bool("knowledge", algo.needs_knowledge);
     options.allow_model_mismatch = true;
     options.record_progress = true;
-    if (args.has("no-structure-cache")) options.structure_cache = false;
     if (activation < 1.0) {
       options.activation = Activation::kRandomSubset;
       options.activation_probability = activation;
