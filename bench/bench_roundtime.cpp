@@ -19,7 +19,9 @@
 //   bench_roundtime [--json] [--out=FILE] [--threads=1,8] [--reps=N]
 //                   [--smoke] [--mega] [--mega-smoke] [--validate[=FILE]]
 //
-// Each (adversary, k, threads) tuple is one row. The k=10^6 mega row runs
+// Each (adversary, k, threads) tuple is one row; the families sweep
+// k = 64..512, and `ring-worst`, whose adversary is O(n) per round, also
+// runs k = 1024 and 4096. The k=10^6 mega row runs
 // a single rep (its minutes-long wall time dwarfs the scheduler jitter the
 // reps exist to smooth out). `--smoke` shrinks the sweep to
 // one tiny size per adversary plus the k=4096 mega row (CI-friendly:
@@ -50,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <new>
@@ -123,12 +126,18 @@ struct AdversarySpec {
   const char* placement;  // registry placement name
   std::size_t n_num, n_den;  // n = k * n_num / n_den
   bool reuse_heavy;       // replays graphs; reuse counters must be nonzero
+  bool extended = false;  // also runs the kExtendedSizes rows (full sweep)
 };
+
+/// Extra sizes for the families whose per-round adversary cost is O(n):
+/// the worst-edge ring scores its cut in one scan, so its rows reach k in
+/// the thousands where the other families stop at 512.
+constexpr std::size_t kExtendedSizes[] = {1024, 4096};
 
 constexpr AdversarySpec kSpecs[] = {
     {"random", "rooted", 3, 2, false},
     {"star-star", "rooted", 3, 2, false},
-    {"ring-worst", "rooted", 3, 2, false},
+    {"ring-worst", "rooted", 3, 2, false, /*extended=*/true},
     {"static", "rooted", 3, 1, true},
     {"t-interval", "rooted", 3, 1, true},
     {"scripted", "rooted", 3, 1, true},
@@ -512,8 +521,13 @@ int main(int argc, char** argv) try {
     std::fputs(table.render().c_str(), stdout);
     std::printf("\n");
   };
-  for (const AdversarySpec& spec : kSpecs)
-    sweep(spec, spec.name, sizes, thread_counts);
+  for (const AdversarySpec& spec : kSpecs) {
+    std::vector<std::size_t> ks = sizes;
+    if (spec.extended && !smoke)
+      ks.insert(ks.end(), std::begin(kExtendedSizes),
+                std::end(kExtendedSizes));
+    sweep(spec, spec.name, ks, thread_counts);
+  }
   sweep(kMegaSpec, "random (mega-scale, random placement)", mega_sizes, {1});
 
   if (!validate_arg.empty()) validate_rows(rows);

@@ -2,10 +2,81 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
-#include "graph/algorithms.h"
+#include "util/contract.h"
 
 namespace dyndisp {
+
+namespace {
+
+/// The worst edge to cut (see the header for the closed form), or n to
+/// keep the full ring.
+std::size_t worst_edge(std::size_t n, const Configuration& conf) {
+  NodeId heaviest = kInvalidNode;
+  std::size_t heaviest_count = 1;
+  for (NodeId v = 0; v < n; ++v) {
+    if (conf.count_at(v) > heaviest_count) {
+      heaviest_count = conf.count_at(v);
+      heaviest = v;
+    }
+  }
+  if (heaviest == kInvalidNode || conf.occupied_count() >= n) return n;
+
+  // Both walks stop: an empty node exists, and h itself is occupied.
+  std::size_t a = 1;
+  while (conf.count_at(static_cast<NodeId>((heaviest + a) % n)) != 0) ++a;
+  std::size_t b = 1;
+  while (conf.count_at(static_cast<NodeId>((heaviest + n - b) % n)) != 0) ++b;
+
+  std::size_t best_edge = n;
+  std::size_t best_score = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    const std::size_t cw_offset = (e + n - heaviest) % n;  // e - h
+    const std::size_t ccw_offset = (heaviest + n - e) % n;  // h - e
+    std::size_t score = std::min(a, b);
+    if (cw_offset < a)
+      score = b;
+    else if (ccw_offset >= 1 && ccw_offset <= b)
+      score = a;
+    if (score > best_score) {
+      best_score = score;
+      best_edge = e;
+    }
+  }
+  return best_edge;
+}
+
+/// Fills `out` with the ring minus edge `cut` (cut == n keeps every edge),
+/// port-for-port equal to adding edges (e, e+1) with add_edge in ascending
+/// e. Each node therefore numbers its edges in ascending edge id: node
+/// v >= 1 has edge v-1 (to v-1) on port 1 and edge v (to v+1) on port 2,
+/// node 0 has edge 0 (to 1) on port 1 and edge n-1 (to n-1) on port 2, and
+/// a node that lost one of its edges keeps the other on port 1.
+void emit_ring_without(std::size_t n, std::size_t cut, Graph& out) {
+  const auto prev_edge = [n](std::size_t v) { return (v + n - 1) % n; };
+  out.reset_assembly(n);
+  for (NodeId v = 0; v < n; ++v) {
+    std::vector<HalfEdge>& row = out.assembly_row(v);
+    row.reserve(2);  // degree 1 now, 2 later: keep the refill in place
+    row.resize(v == cut || prev_edge(v) == cut ? 1 : 2);
+  }
+  std::uint64_t fp_edges = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (e == cut) continue;
+    const auto u = static_cast<NodeId>(e);
+    const auto w = static_cast<NodeId>((e + 1) % n);
+    // e is u's clockwise edge and w's counter-clockwise edge.
+    const Port pu = u != 0 && prev_edge(u) != cut ? 2 : 1;
+    const Port pw = w == 0 && w != cut ? 2 : 1;
+    out.assembly_row(u)[pu - 1] = HalfEdge{w, pw};
+    out.assembly_row(w)[pw - 1] = HalfEdge{u, pu};
+    fp_edges ^= fp_edge_term(u, w, pu, pw);
+  }
+  out.commit_assembly(cut == n ? n : n - 1, fp_edges);
+}
+
+}  // namespace
 
 RingAdversary::RingAdversary(std::size_t n, Strategy strategy,
                              std::uint64_t seed)
@@ -27,55 +98,27 @@ std::string RingAdversary::name() const {
   return "dynamic-ring";
 }
 
-Graph RingAdversary::ring_without(std::size_t missing_edge) const {
-  // Ring edges are (i, i+1 mod n), indexed by i. missing_edge == n_ keeps
-  // the full cycle.
-  Graph g(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (i == missing_edge) continue;
-    g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % n_));
-  }
+Graph RingAdversary::next_graph(Round r, const Configuration& conf) {
+  Graph g;
+  next_graph_into(r, conf, g);
   return g;
 }
 
-Graph RingAdversary::next_graph(Round, const Configuration& conf) {
+DYNDISP_HOT
+void RingAdversary::next_graph_into(Round, const Configuration& conf,
+                                    Graph& out) {
+  std::size_t cut = n_;
   switch (strategy_) {
     case Strategy::kFixedRing:
-      return ring_without(n_);
+      break;
     case Strategy::kRandomEdge:
-      return ring_without(rng_.below(n_));
+      cut = rng_.below(n_);
+      break;
     case Strategy::kWorstEdge:
+      cut = worst_edge(n_, conf);
       break;
   }
-  // Worst edge: for every candidate missing edge, the ring becomes a path;
-  // score a candidate by the hop distance from the heaviest multiplicity
-  // node to its nearest empty node on that path (robots must travel at
-  // least this far before anything new is occupied).
-  const auto occ = conf.occupancy();
-  NodeId heaviest = kInvalidNode;
-  std::size_t heaviest_count = 1;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (occ[v] > heaviest_count) {
-      heaviest_count = occ[v];
-      heaviest = v;
-    }
-  }
-  if (heaviest == kInvalidNode) return ring_without(n_);  // dispersed
-
-  std::size_t best_edge = n_;
-  std::size_t best_score = 0;
-  for (std::size_t missing = 0; missing < n_; ++missing) {
-    const Graph g = ring_without(missing);
-    const auto dist = bfs_distances(g, heaviest);
-    std::size_t nearest_empty = kUnreachable;
-    for (NodeId v = 0; v < n_; ++v)
-      if (occ[v] == 0) nearest_empty = std::min(nearest_empty, dist[v]);
-    if (nearest_empty != kUnreachable && nearest_empty > best_score) {
-      best_score = nearest_empty;
-      best_edge = missing;
-    }
-  }
-  return ring_without(best_edge);
+  emit_ring_without(n_, cut, out);
 }
 
 }  // namespace dyndisp

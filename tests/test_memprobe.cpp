@@ -12,6 +12,7 @@
 #include <numeric>
 #include <vector>
 
+#include "dynamic/ring_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "graph/builders.h"
 #include "robots/placement.h"
@@ -104,6 +105,31 @@ TEST(Memprobe, SteadyStateRoundsAreAllocationFree) {
   EXPECT_GT(res.allocs_per_round.front(), 0u);  // the hook is really live
   for (Round r = kWarmup; r < kRounds; ++r) {
     EXPECT_EQ(res.allocs_per_round[r], 0u) << "allocation in round " << r;
+  }
+}
+
+// Adversary-side twin of the steady-state pin: every ring strategy refills
+// a warmed-up Graph in place. One warm-up emission sizes the rows; the next
+// 100 emissions over changing configurations (cuts move, the worst-edge
+// scorer rescans) allocate nothing.
+TEST(Memprobe, RingAdversaryEmitsWithoutAllocating) {
+  constexpr std::size_t kNodes = 96;
+  std::vector<Configuration> confs;
+  Rng rng(5);
+  for (std::size_t i = 0; i < 8; ++i)
+    confs.push_back(placement::uniform_random(kNodes, 16 + 8 * i, rng));
+  confs.push_back(placement::rooted(kNodes, 64, 95));
+  confs.push_back(placement::rooted(kNodes, kNodes));
+  for (const auto strategy : {RingAdversary::Strategy::kRandomEdge,
+                              RingAdversary::Strategy::kWorstEdge,
+                              RingAdversary::Strategy::kFixedRing}) {
+    RingAdversary adv(kNodes, strategy, 9);
+    Graph out;
+    adv.next_graph_into(0, confs.front(), out);
+    memprobe::AllocGuard guard;
+    for (Round r = 1; r <= 100; ++r)
+      adv.next_graph_into(r, confs[r % confs.size()], out);
+    EXPECT_EQ(guard.delta(), 0u) << adv.name();
   }
 }
 
