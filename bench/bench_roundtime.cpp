@@ -11,7 +11,9 @@
 // The adversary set spans the reuse spectrum: `random` / `star-star` /
 // `ring-worst` rewire every round (cross-round reuse cannot fire there),
 // while `static`, `t-interval`, and `scripted` replay graphs across rounds,
-// which is where the delta-aware loop earns its keep. A mega-scale section
+// which is where the delta-aware loop earns its keep. `path-trap` and
+// `clique-trap` (Theorems 1 and 2) dry-run every robot on candidate graphs
+// each round, so their rows time the plan-probe path. A mega-scale section
 // (random adversary, random placement, k up to 10^6) exercises the regime
 // the struct-of-arrays round core and the packet arena were built for; heap
 // allocations are counted per row (a process-global operator-new counter).
@@ -21,7 +23,8 @@
 //
 // Each (adversary, k, threads) tuple is one row; the families sweep
 // k = 64..512, and `ring-worst`, whose adversary is O(n) per round, also
-// runs k = 1024 and 4096. The k=10^6 mega row runs
+// runs k = 1024 and 4096. The trap families, which probe O(alpha) or two
+// candidates per round, stop at k = 256. The k=10^6 mega row runs
 // a single rep (its minutes-long wall time dwarfs the scheduler jitter the
 // reps exist to smooth out). `--smoke` shrinks the sweep to
 // one tiny size per adversary plus the k=4096 mega row (CI-friendly:
@@ -127,6 +130,7 @@ struct AdversarySpec {
   std::size_t n_num, n_den;  // n = k * n_num / n_den
   bool reuse_heavy;       // replays graphs; reuse counters must be nonzero
   bool extended = false;  // also runs the kExtendedSizes rows (full sweep)
+  std::size_t max_k = 0;  // largest k of the full sweep (0: no cap)
 };
 
 /// Extra sizes for the families whose per-round adversary cost is O(n):
@@ -141,6 +145,8 @@ constexpr AdversarySpec kSpecs[] = {
     {"static", "rooted", 3, 1, true},
     {"t-interval", "rooted", 3, 1, true},
     {"scripted", "rooted", 3, 1, true},
+    {"path-trap", "rooted", 3, 2, false, false, /*max_k=*/256},
+    {"clique-trap", "rooted", 3, 2, false, false, /*max_k=*/256},
 };
 
 /// The mega-scale section: the random adversary rewires every round, the
@@ -523,6 +529,8 @@ int main(int argc, char** argv) try {
   };
   for (const AdversarySpec& spec : kSpecs) {
     std::vector<std::size_t> ks = sizes;
+    if (spec.max_k != 0)
+      std::erase_if(ks, [&](std::size_t k) { return k > spec.max_k; });
     if (spec.extended && !smoke)
       ks.insert(ks.end(), std::begin(kExtendedSizes),
                 std::end(kExtendedSizes));

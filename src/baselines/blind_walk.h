@@ -24,6 +24,9 @@ class BlindWalkRobot final : public RobotAlgorithm {
   std::unique_ptr<RobotAlgorithm> clone() const override {
     return std::make_unique<BlindWalkRobot>(*this);
   }
+  bool copy_into(RobotAlgorithm& target) const override {
+    return copy_assign_into(*this, target);
+  }
   Port step(const RobotView& view) override;
   void serialize(BitWriter& out) const override;
   std::string name() const override { return "blind-walk(global,no-1-nbhd)"; }

@@ -27,6 +27,9 @@ class DfsDispersionRobot final : public RobotAlgorithm {
   DfsDispersionRobot(RobotId id, std::size_t k);
 
   std::unique_ptr<RobotAlgorithm> clone() const override;
+  bool copy_into(RobotAlgorithm& target) const override {
+    return copy_assign_into(*this, target);
+  }
   Port step(const RobotView& view) override;
   void serialize(BitWriter& out) const override;
   std::string name() const override { return "DFS-dispersion(local,static)"; }

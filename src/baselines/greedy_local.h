@@ -19,6 +19,9 @@ class GreedyLocalRobot final : public RobotAlgorithm {
   std::unique_ptr<RobotAlgorithm> clone() const override {
     return std::make_unique<GreedyLocalRobot>(*this);
   }
+  bool copy_into(RobotAlgorithm& target) const override {
+    return copy_assign_into(*this, target);
+  }
   Port step(const RobotView& view) override;
   void serialize(BitWriter& out) const override;
   std::string name() const override { return "greedy(local+1-nbhd)"; }

@@ -23,6 +23,9 @@ class RandomWalkRobot final : public RobotAlgorithm {
   std::unique_ptr<RobotAlgorithm> clone() const override {
     return std::make_unique<RandomWalkRobot>(*this);
   }
+  bool copy_into(RobotAlgorithm& target) const override {
+    return copy_assign_into(*this, target);
+  }
   Port step(const RobotView& view) override;
   void serialize(BitWriter& out) const override;
   std::string name() const override { return "random-walk"; }

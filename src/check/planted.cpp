@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <typeinfo>
 #include <utility>
 
 #include "core/dispersion.h"
@@ -46,6 +47,12 @@ class LazyRobot final : public RobotAlgorithm {
 
   std::unique_ptr<RobotAlgorithm> clone() const override {
     return std::make_unique<LazyRobot>(inner_->clone());
+  }
+  bool copy_into(RobotAlgorithm& target) const override {
+    if (typeid(target) != typeid(LazyRobot)) return false;
+    auto& t = static_cast<LazyRobot&>(target);
+    if (!inner_->copy_into(*t.inner_)) t.inner_ = inner_->clone();
+    return true;
   }
 
   Port step(const RobotView& view) override {

@@ -1,6 +1,7 @@
 #include "core/dispersion.h"
 
 #include <cassert>
+#include <typeinfo>
 
 #include "core/structure_cache.h"
 #include "util/bits.h"
@@ -17,6 +18,18 @@ std::unique_ptr<RobotAlgorithm> DispersionRobot::clone() const {
   // Clones share the cache deliberately: plan_round is deterministic in the
   // packets, so dry-run probes hitting the cache see identical plans.
   return std::make_unique<DispersionRobot>(id_, k_, cache_, config_);
+}
+
+bool DispersionRobot::copy_into(RobotAlgorithm& target) const {
+  if (typeid(target) != typeid(DispersionRobot)) return false;
+  auto& t = static_cast<DispersionRobot&>(target);
+  t.id_ = id_;
+  t.k_ = k_;
+  t.config_ = config_;
+  // A probe arena refilled every probe already shares the cache; skipping
+  // the redundant assignment skips two atomic reference-count updates.
+  if (t.cache_ != cache_) t.cache_ = cache_;
+  return true;
 }
 
 DYNDISP_HOT

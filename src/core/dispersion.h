@@ -33,6 +33,7 @@ class DispersionRobot final : public RobotAlgorithm {
                   PlannerConfig config = {});
 
   std::unique_ptr<RobotAlgorithm> clone() const override;
+  bool copy_into(RobotAlgorithm& target) const override;
   Port step(const RobotView& view) override;
   void serialize(BitWriter& out) const override;
   std::string name() const override { return "Dispersion_Dynamic(Alg4)"; }

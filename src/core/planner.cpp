@@ -128,6 +128,11 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   // fresh-storage queries with identical content (trap-adversary probes).
   if (valid_ && config_ == config && key_ == packets) {
     ++hits_;
+    // Re-key on a content hit from different storage: the remaining steps
+    // of the round pass this same set, so they hit on identity instead of
+    // repeating the O(alpha^2) comparison, and the slot stops pinning the
+    // earlier (probe) arena.
+    if (key_.identity() != packets.identity()) key_ = packets;
     return *value_;
   }
   ++misses_;

@@ -211,7 +211,10 @@ class PlanCache {
   /// cache pins the set, so the address cannot be reused while it is the
   /// key). Falls back to content comparison -- trap-adversary probes
   /// produce byte-identical packet sets under fresh storage and must still
-  /// hit.
+  /// hit. A content hit re-keys the slot to the incoming set: after a
+  /// probe primed the slot with its candidate broadcast, the round's first
+  /// real step pays the deep comparison and the other k-1 hit on identity,
+  /// and the probe's arena is released back to its pool.
   const SlidePlan& get(const PacketSet& packets,
                        const PlannerConfig& config = {});
 

@@ -2,126 +2,141 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 
 namespace dyndisp {
 
 CliqueTrapAdversary::CliqueTrapAdversary(std::size_t n) : n_(n) {}
 
-Graph CliqueTrapAdversary::build_probe_graph(
-    const std::vector<NodeId>& occupied,
-    const std::vector<NodeId>& empty) const {
-  Graph g(n_);
-  const std::size_t alpha = occupied.size();
+void CliqueTrapAdversary::build_probe_graph(Graph& g) const {
+  g.reset_assembly(n_);
+  const std::size_t alpha = occupied_.size();
   // Clique over occupied nodes minus the pair (occupied[0], occupied[1]).
   for (std::size_t i = 0; i < alpha; ++i)
     for (std::size_t j = i + 1; j < alpha; ++j)
-      if (!(i == 0 && j == 1)) g.add_edge(occupied[i], occupied[j]);
+      if (!(i == 0 && j == 1)) g.add_edge(occupied_[i], occupied_[j]);
   // Path H over the empty nodes.
-  for (std::size_t i = 1; i < empty.size(); ++i)
-    g.add_edge(empty[i - 1], empty[i]);
+  for (std::size_t i = 1; i < empty_.size(); ++i)
+    g.add_edge(empty_[i - 1], empty_[i]);
   // The two replacement edges standing in for the removed clique edge.
-  if (!empty.empty() && alpha >= 2) {
-    g.add_edge(occupied[0], empty.front());
-    g.add_edge(occupied[1], empty.back());
-  } else if (!empty.empty()) {
-    g.add_edge(occupied[0], empty.front());
+  if (!empty_.empty() && alpha >= 2) {
+    g.add_edge(occupied_[0], empty_.front());
+    g.add_edge(occupied_[1], empty_.back());
+  } else if (!empty_.empty()) {
+    g.add_edge(occupied_[0], empty_.front());
   }
+}
+
+Port CliqueTrapAdversary::free_slot(NodeId v, std::size_t degree) const {
+  auto it = std::lower_bound(planned_.begin(), planned_.end(),
+                             std::pair<NodeId, Port>{v, 0});
+  // planned_ holds v's ports ascending and distinct: the first slot that is
+  // not the next of them is free.
+  for (Port s = 1; s <= degree; ++s) {
+    if (it == planned_.end() || it->first != v || it->second != s) return s;
+    ++it;
+  }
+  return kInvalidPort;
+}
+
+Graph CliqueTrapAdversary::next_graph(Round r, const Configuration& conf) {
+  Graph g;
+  next_graph_into(r, conf, g);
   return g;
 }
 
-Graph CliqueTrapAdversary::next_graph(Round, const Configuration& conf) {
+void CliqueTrapAdversary::next_graph_into(Round, const Configuration& conf,
+                                          Graph& out) {
   assert(conf.node_count() == n_);
-  const auto occupied = conf.occupied_nodes();
-  std::vector<NodeId> empty;
-  {
-    const auto occ = conf.occupancy();
-    for (NodeId v = 0; v < n_; ++v)
-      if (occ[v] == 0) empty.push_back(v);
-  }
+  occupied_.clear();
+  empty_.clear();
+  for (NodeId v = 0; v < n_; ++v)
+    (conf.count_at(v) == 0 ? empty_ : occupied_).push_back(v);
 
-  if (occupied.empty() || conf.multiplicity_nodes().empty() || empty.empty() ||
-      occupied.size() < 3) {
+  if (occupied_.empty() || conf.multiplicity_count() == 0 || empty_.empty() ||
+      occupied_.size() < 3) {
     // Dispersed, degenerate, or too few occupied nodes for a clique trap.
-    if (!conf.multiplicity_nodes().empty()) ++degenerate_;
-    Graph g(n_);
-    for (NodeId v = 1; v < n_; ++v) g.add_edge(0, v);
-    return g;
+    if (conf.multiplicity_count() != 0) ++degenerate_;
+    out.reset_assembly(n_);
+    for (NodeId v = 1; v < n_; ++v) out.add_edge(0, v);
+    return;
   }
 
-  const std::size_t alpha = occupied.size();
-  Graph b0 = build_probe_graph(occupied, empty);
-  if (!probe_) return b0;
+  const std::size_t alpha = occupied_.size();
+  build_probe_graph(probe_graph_);
+  if (!probe_) {
+    std::swap(out, probe_graph_);
+    return;
+  }
 
-  const MovePlan plan = probe_(b0);
+  const MovePlan plan = probe_(probe_graph_);
 
   // Which ports does each occupied node's robot population plan to use?
   // (A robot's observable inputs are identical on every candidate below, so
   // the same deterministic algorithm emits the same port numbers on each.)
-  std::map<NodeId, std::set<Port>> planned;
+  planned_.clear();
   for (RobotId id = 1; id <= conf.robot_count(); ++id) {
     if (!conf.alive(id)) continue;
     const Port p = plan[id - 1];
-    if (p != kInvalidPort) planned[conf.position(id)].insert(p);
+    if (p != kInvalidPort) planned_.emplace_back(conf.position(id), p);
   }
+  std::sort(planned_.begin(), planned_.end());
+  planned_.erase(std::unique(planned_.begin(), planned_.end()),
+                 planned_.end());
+  planned_count_.assign(n_, 0);
+  for (const auto& [v, p] : planned_) ++planned_count_[v];
 
   // Pick u*, v*: the two occupied nodes with the most free port slots.
   // Slots run over [1, alpha-1] (every occupied node has degree alpha-1).
   const std::size_t degree = alpha - 1;
-  std::vector<NodeId> by_free = occupied;
-  std::stable_sort(by_free.begin(), by_free.end(), [&](NodeId a, NodeId b) {
-    const auto fa = planned.count(a) ? planned.at(a).size() : 0;
-    const auto fb = planned.count(b) ? planned.at(b).size() : 0;
-    return fa < fb;
+  // Ties keep node order: a stable sort of the ascending occupied_ list,
+  // without its buffer.
+  by_free_ = occupied_;
+  std::sort(by_free_.begin(), by_free_.end(), [&](NodeId a, NodeId b) {
+    const std::size_t fa = planned_count_[a], fb = planned_count_[b];
+    return fa != fb ? fa < fb : a < b;
   });
-  auto free_slot = [&](NodeId v) -> Port {
-    const auto it = planned.find(v);
-    for (Port s = 1; s <= degree; ++s)
-      if (it == planned.end() || !it->second.count(s)) return s;
-    return kInvalidPort;
-  };
-  const NodeId u_star = by_free[0];
-  const NodeId v_star = by_free[1];
-  const Port su = free_slot(u_star);
-  const Port sv = free_slot(v_star);
+  const NodeId u_star = by_free_[0];
+  const NodeId v_star = by_free_[1];
+  const Port su = free_slot(u_star, degree);
+  const Port sv = free_slot(v_star, degree);
   if (su == kInvalidPort || sv == kInvalidPort) {
     // Every slot at the two freest nodes is in use: alpha is too small
     // relative to k for the paper's counting argument. Emit the probe graph.
     ++degenerate_;
-    return b0;
+    std::swap(out, probe_graph_);
+    return;
   }
 
   // Build the emitted graph: clique minus {u*, v*}, H, and the two
   // replacement edges placed exactly at the free slots su / sv.
-  Graph g(n_);
-  for (std::size_t i = 1; i < empty.size(); ++i)
-    g.add_edge(empty[i - 1], empty[i]);
+  Graph& g = emitted_;
+  g.reset_assembly(n_);
+  for (std::size_t i = 1; i < empty_.size(); ++i)
+    g.add_edge(empty_[i - 1], empty_[i]);
   for (std::size_t i = 0; i < alpha; ++i) {
     for (std::size_t j = i + 1; j < alpha; ++j) {
-      const NodeId a = occupied[i], b = occupied[j];
+      const NodeId a = occupied_[i], b = occupied_[j];
       if (a == u_star || a == v_star || b == u_star || b == v_star) continue;
       g.add_edge(a, b);
     }
   }
   auto add_constrained = [&](NodeId center, NodeId redirect_to, Port slot) {
-    std::vector<NodeId> targets;
-    for (const NodeId w : occupied)
-      if (w != center && w != u_star && w != v_star) targets.push_back(w);
-    targets.insert(targets.begin() + (slot - 1), redirect_to);
-    for (const NodeId t : targets) g.add_edge(center, t);
+    targets_.clear();
+    for (const NodeId w : occupied_)
+      if (w != center && w != u_star && w != v_star) targets_.push_back(w);
+    targets_.insert(targets_.begin() + (slot - 1), redirect_to);
+    for (const NodeId t : targets_) g.add_edge(center, t);
   };
-  add_constrained(u_star, empty.front(), su);
-  add_constrained(v_star, empty.back(), sv);
+  add_constrained(u_star, empty_.front(), su);
+  add_constrained(v_star, empty_.back(), sv);
 
   // Audit: re-probe on the graph actually emitted. For algorithms without
   // 1-neighborhood knowledge this equals `plan` (identical views); for
   // algorithms WITH it (e.g., Algorithm 4) the re-probe reveals the escape,
   // which failures() then records.
-  const MovePlan emitted_plan = probe_(g);
-  const std::size_t after = apply_plan(g, conf, emitted_plan).occupied_count();
-  if (after > alpha) ++failures_;
-  return g;
+  apply_plan(g, conf, probe_(g), after_);
+  if (after_.occupied_count() > alpha) ++failures_;
+  std::swap(out, g);
 }
 
 }  // namespace dyndisp

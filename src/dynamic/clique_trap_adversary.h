@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
@@ -34,6 +35,10 @@ class CliqueTrapAdversary final : public Adversary {
   std::size_t node_count() const override { return n_; }
   bool wants_plan_probe() const override { return true; }
   Graph next_graph(Round r, const Configuration& conf) override;
+  /// Builds the probe graph and the emitted graph into retained graphs and
+  /// swaps the emitted one into `out`.
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override;
 
   /// Rounds where the trap could not prevent a new node from being visited.
   std::size_t failures() const { return failures_; }
@@ -47,8 +52,23 @@ class CliqueTrapAdversary final : public Adversary {
   std::size_t failures_ = 0;
   std::size_t degenerate_ = 0;
 
-  Graph build_probe_graph(const std::vector<NodeId>& occupied,
-                          const std::vector<NodeId>& empty) const;
+  // Per-round scratch, retained so capacities survive across rounds.
+  std::vector<NodeId> occupied_, empty_;  ///< Both ascending.
+  /// Distinct (node, port) pairs the probed robots plan to use, sorted.
+  std::vector<std::pair<NodeId, Port>> planned_;
+  std::vector<std::size_t> planned_count_;  ///< Distinct ports per node.
+  std::vector<NodeId> by_free_;   ///< occupied_, fewest planned ports first.
+  std::vector<NodeId> targets_;   ///< add_constrained's port order.
+  Graph probe_graph_, emitted_;
+  Configuration after_;           ///< The audit probe's outcome.
+
+  /// Clique over occupied_ minus {occupied_[0], occupied_[1]}, a path over
+  /// empty_, and the two replacement edges, into `g`.
+  void build_probe_graph(Graph& g) const;
+
+  /// The first port slot in [1, degree] that no robot on `v` plans to use,
+  /// or kInvalidPort.
+  Port free_slot(NodeId v, std::size_t degree) const;
 };
 
 }  // namespace dyndisp

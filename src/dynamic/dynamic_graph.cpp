@@ -6,15 +6,15 @@
 
 namespace dyndisp {
 
-Configuration apply_plan(const Graph& g, Configuration conf,
-                         const MovePlan& plan) {
-  for (RobotId id = 1; id <= conf.robot_count(); ++id) {
-    if (!conf.alive(id)) continue;
+void apply_plan(const Graph& g, const Configuration& conf,
+                const MovePlan& plan, Configuration& out) {
+  out = conf;
+  for (RobotId id = 1; id <= out.robot_count(); ++id) {
+    if (!out.alive(id)) continue;
     const Port p = plan[id - 1];
     if (p == kInvalidPort) continue;
-    conf.set_position(id, g.neighbor(conf.position(id), p));
+    out.set_position(id, g.neighbor(out.position(id), p));
   }
-  return conf;
 }
 
 std::size_t DynamicGraphLog::dynamic_diameter() const {

@@ -90,11 +90,13 @@ class Adversary {
   PlanProbe probe_;
 };
 
-/// Applies a move plan to a configuration on graph `g`: every alive robot
-/// with a non-zero planned port moves across that port. Used by trap
-/// adversaries to evaluate what a candidate graph would lead to.
-Configuration apply_plan(const Graph& g, Configuration conf,
-                         const MovePlan& plan);
+/// Applies a move plan to a configuration on graph `g`: `out` becomes `conf`
+/// with every alive robot that has a non-zero planned port moved across
+/// that port. Used by trap adversaries to evaluate what a candidate graph
+/// would lead to; copy-assigning into a warm `out` reuses its buffers, so
+/// they score every candidate without allocating.
+void apply_plan(const Graph& g, const Configuration& conf,
+                const MovePlan& plan, Configuration& out);
 
 /// The dynamic graph as experienced by one execution: caches the per-round
 /// graphs an adversary emitted so traces, validators, and post-hoc metrics

@@ -35,6 +35,10 @@ class PathTrapAdversary final : public Adversary {
   std::size_t node_count() const override { return n_; }
   bool wants_plan_probe() const override { return true; }
   Graph next_graph(Round r, const Configuration& conf) override;
+  /// Builds every candidate into retained graphs and swaps the emitted one
+  /// into `out`: a warmed-up round allocates nothing adversary-side.
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override;
 
   /// Rounds in which no probed candidate prevented progress.
   std::size_t failures() const { return failures_; }
@@ -45,11 +49,24 @@ class PathTrapAdversary final : public Adversary {
   std::size_t random_candidates_;
   std::size_t failures_ = 0;
 
-  /// Builds path-over-occupied (in `order`) + empty star blob at the far
-  /// end; `flip[i]` swaps the two path ports of interior path node i.
-  Graph build_candidate(const std::vector<NodeId>& order,
-                        const std::vector<NodeId>& empty,
-                        const std::vector<bool>& flip) const;
+  // Per-round scratch, retained so capacities survive across rounds.
+  std::vector<NodeId> empty_;  ///< Empty nodes, ascending.
+  std::vector<NodeId> base_;   ///< Occupied nodes, multiplicity first.
+  std::vector<NodeId> tail_;   ///< Shuffle buffer for base_'s tail.
+  /// The random candidates' orderings and flip masks, alpha entries per
+  /// candidate, all drawn before the first probe.
+  std::vector<NodeId> random_orders_;
+  std::vector<bool> random_flips_;
+  std::vector<bool> flip_;     ///< The deterministic candidates' flip mask.
+  Graph candidate_, best_;
+  Configuration after_;        ///< A candidate's probed outcome.
+  std::vector<HalfEdge> port_scratch_;
+
+  /// Builds path-over-occupied (`order`, alpha nodes) + empty star blob at
+  /// the far end into `g`; `flip[i]` swaps the two path ports of interior
+  /// path node i.
+  void build_candidate(const NodeId* order, const std::vector<bool>& flip,
+                       std::size_t flip_offset, Graph& g);
 };
 
 }  // namespace dyndisp

@@ -159,11 +159,11 @@ void Graph::rewire_edge(NodeId u, NodeId v, NodeId x, NodeId y) {
 
 void Graph::permute_ports(NodeId v, const std::vector<std::size_t>& perm) {
   std::vector<HalfEdge> scratch;
-  permute_ports_impl(v, perm, scratch);
+  permute_ports(v, perm, scratch);
 }
 
-void Graph::permute_ports_impl(NodeId v, const std::vector<std::size_t>& perm,
-                               std::vector<HalfEdge>& scratch) {
+void Graph::permute_ports(NodeId v, const std::vector<std::size_t>& perm,
+                          std::vector<HalfEdge>& scratch) {
   assert(perm.size() == adj_[v].size());
   // Every incident edge's port at v changes, so retire all of v's terms and
   // re-add them after the permutation (reverse ports elsewhere included).
@@ -193,7 +193,7 @@ void Graph::shuffle_ports(Rng& rng) {
     perm.resize(adj_[v].size());
     std::iota(perm.begin(), perm.end(), std::size_t{0});
     rng.shuffle(perm);
-    permute_ports_impl(v, perm, scratch);
+    permute_ports(v, perm, scratch);
   }
 }
 

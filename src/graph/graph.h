@@ -123,14 +123,11 @@ class Graph {
   /// `perm` must be a permutation of [0, degree(v)).
   void permute_ports(NodeId v, const std::vector<std::size_t>& perm);
 
- private:
-  /// permute_ports with caller-owned scratch: shuffle_ports permutes every
-  /// node each round, so the rearrangement buffer is reused across nodes
-  /// instead of allocated per call.
-  void permute_ports_impl(NodeId v, const std::vector<std::size_t>& perm,
-                          std::vector<HalfEdge>& scratch);
-
- public:
+  /// permute_ports with caller-owned scratch: callers that permute many
+  /// nodes (shuffle_ports, the path-trap candidates) reuse the
+  /// rearrangement buffer instead of allocating one per call.
+  void permute_ports(NodeId v, const std::vector<std::size_t>& perm,
+                     std::vector<HalfEdge>& scratch);
 
   /// All edges as (u, v, port at u, port at v) with u < v, in port order at u.
   struct Edge {

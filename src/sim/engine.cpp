@@ -146,17 +146,22 @@ void Engine::plan_on(const Graph& g, const Configuration& conf,
 MovePlan Engine::probe_plan(const Graph& candidate) const {
   assert(round_ctx_ != nullptr &&
          "probes only run while the engine is constructing a round");
-  // Clone every robot so the dry run leaves persistent state untouched --
-  // the adversary predicts, it does not perturb. State snapshots and the
-  // node index are reused from the round context; only the candidate's own
-  // packet broadcast is assembled.
-  std::vector<std::unique_ptr<RobotAlgorithm>> clones;
-  clones.reserve(robots_.size());
-  std::vector<RobotAlgorithm*> raw;
-  raw.reserve(robots_.size());
-  for (const auto& r : robots_) {
-    clones.push_back(r->clone());
-    raw.push_back(clones.back().get());
+  // Dry-run copies of the robots so the probe leaves persistent state
+  // untouched -- the adversary predicts, it does not perturb. The copies
+  // live in a retained arena refilled in place each probe, so no state
+  // leaks from one probe into the next. State snapshots and the node index
+  // are reused from the round context; only the candidate's own packet
+  // broadcast is assembled.
+  const std::size_t k = robots_.size();
+  if (probe_robots_.size() != k) {
+    probe_robots_.resize(k);
+    probe_raw_.resize(k);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    std::unique_ptr<RobotAlgorithm>& copy = probe_robots_[i];
+    // clone() only on the first probe or when copy_into declines.
+    if (!copy || !robots_[i]->copy_into(*copy)) copy = robots_[i]->clone();
+    probe_raw_[i] = copy.get();
   }
   PacketSet packets;
   if (options_.comm == CommModel::kGlobal) {
@@ -171,7 +176,7 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
   // content compare, so probing can never leak a wrong plan.
   MovePlan plan;
   plan_on(candidate, conf_, probe_round_, options_, arrival_ports_, active_,
-          raw, *round_ctx_, std::move(packets), make_hints(candidate),
+          probe_raw_, *round_ctx_, std::move(packets), make_hints(candidate),
           pool_.get(), views_arena_, needs_, plan);
   return plan;
 }

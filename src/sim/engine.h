@@ -255,9 +255,15 @@ class Engine {
   std::vector<std::unique_ptr<RobotAlgorithm>> robots_;  // index id-1
   /// Non-owning view of robots_, built once: the compute phase hands
   /// plan_on a raw-pointer span every round, and rebuilding the vector per
-  /// round was a per-round allocation (probes still build their own from
-  /// clones).
+  /// round was a per-round allocation.
   std::vector<RobotAlgorithm*> raw_robots_;
+  /// Plan-probe robot arena (index id-1) and its raw-pointer span, created
+  /// by the first probe (engines whose adversary never probes never pay
+  /// for it) and refilled from robots_ through copy_into() on every probe;
+  /// clone() only fills empty slots and those whose copy_into declines.
+  /// Mutable for the same reason as views_arena_.
+  mutable std::vector<std::unique_ptr<RobotAlgorithm>> probe_robots_;
+  mutable std::vector<RobotAlgorithm*> probe_raw_;
   MemoryMeter meter_;
   Round probe_round_ = 0;  ///< Round whose graph the adversary is building.
 

@@ -53,10 +53,13 @@ TEST(ApplyPlan, MovesAliveRobotsOnly) {
   Configuration conf(4, {0, 0, 2});
   conf.kill(3);
   MovePlan plan{1, kInvalidPort, 1};  // robot1 via port1, robot3 (dead) via 1
-  const Configuration next = apply_plan(g, conf, plan);
+  // A warm target whose old contents must not survive the refill.
+  Configuration next(4, {3, 3, 3});
+  apply_plan(g, conf, plan, next);
   EXPECT_EQ(next.position(1), 1u);
   EXPECT_EQ(next.position(2), 0u);
   EXPECT_EQ(next.position(3), 2u);  // unchanged: dead robots never move
+  EXPECT_FALSE(next.alive(3));
 }
 
 // ---- generic adversary validity sweep ----

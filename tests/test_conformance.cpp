@@ -14,10 +14,13 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <typeinfo>
+#include <vector>
 
 #include "campaign/registry.h"
 #include "check/oracles.h"
 #include "dynamic/dynamic_graph.h"
+#include "dynamic/path_trap_adversary.h"
 #include "dynamic/scripted_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "dynamic/t_interval_adversary.h"
@@ -274,6 +277,196 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(id.begin(), id.end(), '-', '_');
       return id;
     });
+
+// -- Probe copies: copy_into for every registered algorithm -------------
+//
+// Plan probes refill one retained robot arena per engine through
+// RobotAlgorithm::copy_into instead of cloning k robots per probe. The
+// contract: a successful copy_into leaves the target indistinguishable from
+// clone(), and a target of another concrete type is declined untouched.
+
+std::vector<std::uint8_t> state_bytes(const RobotAlgorithm& robot) {
+  BitWriter w;
+  robot.serialize(w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+  bytes.push_back(static_cast<std::uint8_t>(w.bit_count() % 8));
+  return bytes;
+}
+
+/// The robots of one finished run of `name` (rooted, random adversary):
+/// `rounds` rounds of step history. The engine owns the robots.
+struct SteppedRobots {
+  std::unique_ptr<Adversary> adversary;
+  std::unique_ptr<Engine> engine;
+  std::vector<RobotAlgorithm*> robots;
+};
+
+SteppedRobots step_robots(const std::string& name, Round rounds) {
+  const auto& registry = campaign::Registry::instance();
+  const campaign::AlgorithmChoice algo = registry.algorithm(name, 4);
+  SteppedRobots out;
+  out.adversary = registry.adversary("random", "random", 16, 4);
+  const std::size_t n = out.adversary->node_count();
+  EngineOptions options;
+  options.comm = algo.needs_global ? CommModel::kGlobal : CommModel::kLocal;
+  options.neighborhood_knowledge = algo.needs_knowledge;
+  options.max_rounds = rounds;
+  std::vector<RobotAlgorithm*>& robots = out.robots;
+  out.engine = std::make_unique<Engine>(
+      *out.adversary, placement::rooted(n, 8, 0),
+      [&](RobotId id, std::size_t k) {
+        std::unique_ptr<RobotAlgorithm> robot = algo.factory(id, k);
+        robots.push_back(robot.get());
+        return robot;
+      },
+      options);
+  out.engine->run();
+  return out;
+}
+
+/// A robot type no registry algorithm uses, with visible state.
+class MarkerRobot final : public RobotAlgorithm {
+ public:
+  std::unique_ptr<RobotAlgorithm> clone() const override {
+    return std::make_unique<MarkerRobot>(*this);
+  }
+  Port step(const RobotView&) override { return kInvalidPort; }
+  void serialize(BitWriter& out) const override { out.write(0x5a5, 12); }
+  std::string name() const override { return "marker"; }
+  bool requires_global_comm() const override { return false; }
+  bool requires_neighborhood() const override { return false; }
+};
+
+class AlgorithmCopyConformance
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(AlgorithmCopyConformance, CopyIntoMatchesClone) {
+  const std::string& name = GetParam();
+  const std::vector<Round> histories = {1, 3, 6};
+  for (const Round a : histories) {
+    for (const Round b : histories) {
+      if (a == b) continue;
+      // Fresh runs per pair: a copied-over robot no longer has its history.
+      const SteppedRobots from = step_robots(name, a);
+      const SteppedRobots into = step_robots(name, b);
+      const auto& src = from.robots;
+      const auto& dst = into.robots;
+      ASSERT_EQ(src.size(), dst.size()) << name;
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        // Copy into ANOTHER robot (next ID, other history), so even a
+        // state that is only the robot's ID must really be overwritten.
+        RobotAlgorithm& target = *dst[(i + 1) % dst.size()];
+        const std::vector<std::uint8_t> expected =
+            state_bytes(*src[i]->clone());
+        ASSERT_TRUE(src[i]->copy_into(target))
+            << name << ": copy_into declined its own type";
+        EXPECT_EQ(state_bytes(target), expected)
+            << name << " robot " << i + 1 << " after " << a
+            << " rounds, copied over " << b;
+        EXPECT_EQ(target.name(), src[i]->name());
+      }
+    }
+  }
+}
+
+TEST_P(AlgorithmCopyConformance, CopyIntoDeclinesAnotherConcreteType) {
+  const std::string& name = GetParam();
+  const SteppedRobots run = step_robots(name, 3);
+  MarkerRobot marker;
+  const std::vector<std::uint8_t> before = state_bytes(marker);
+  for (const RobotAlgorithm* robot : run.robots) {
+    EXPECT_FALSE(robot->copy_into(marker)) << name;
+    EXPECT_EQ(state_bytes(marker), before) << name << " touched the target";
+  }
+  // Registry algorithms of another concrete type decline as well.
+  const auto& registry = campaign::Registry::instance();
+  for (const std::string& other : registry.algorithm_names()) {
+    const auto target = registry.algorithm(other, 4).factory(1, 8);
+    const RobotAlgorithm& source = *run.robots.front();
+    if (typeid(*target) == typeid(source)) continue;
+    const std::vector<std::uint8_t> target_before = state_bytes(*target);
+    EXPECT_FALSE(source.copy_into(*target)) << name << " into " << other;
+    EXPECT_EQ(state_bytes(*target), target_before) << name << " into " << other;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, AlgorithmCopyConformance,
+    ::testing::ValuesIn(campaign::Registry::instance().algorithm_names()),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string id = param_info.param;
+      std::replace(id.begin(), id.end(), '-', '_');
+      return id;
+    });
+
+/// The path-trap adversary with every plan probe run twice on the same
+/// candidate, counting the repeats that planned differently.
+class DoubleProbeTrap final : public Adversary {
+ public:
+  explicit DoubleProbeTrap(std::size_t n) : inner_(n) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t node_count() const override { return inner_.node_count(); }
+  bool wants_plan_probe() const override { return true; }
+  Graph next_graph(Round r, const Configuration& conf) override {
+    return inner_.next_graph(r, conf);
+  }
+  void set_plan_probe(PlanProbe probe) override {
+    inner_.set_plan_probe([this, probe = std::move(probe)](const Graph& g) {
+      MovePlan first = probe(g);
+      const MovePlan second = probe(g);
+      ++probes;
+      if (first != second) ++mismatches;
+      if (std::any_of(first.begin(), first.end(),
+                      [](Port p) { return p != kInvalidPort; }))
+        ++moving_probes;
+      return first;
+    });
+  }
+  std::size_t failures() const { return inner_.failures(); }
+
+  std::size_t probes = 0;
+  std::size_t mismatches = 0;
+  std::size_t moving_probes = 0;
+
+ private:
+  PathTrapAdversary inner_;
+};
+
+// The DFS baseline and the random walker carry state that step() mutates
+// (settled flags and rotors; a PRNG), so a probe arena that leaked one dry
+// run's state into the next would plan differently on the repeat. Doubling
+// every probe must also leave the run itself unchanged.
+TEST(ProbeArena, RepeatedProbeOfOneCandidateIsIdentical) {
+  constexpr std::size_t kNodes = 24, kRobots = 16;
+  Rng rng(3);
+  // Scattered robots put several multiplicity nodes inside the trap's path,
+  // where a robot has two ports to choose from.
+  const Configuration initial = placement::uniform_random(kNodes, kRobots, rng);
+  for (const char* name : {"dfs", "random-walk"}) {
+    const campaign::AlgorithmChoice algo =
+        campaign::Registry::instance().algorithm(name, 1);
+    EngineOptions options;
+    options.comm = CommModel::kLocal;
+    options.neighborhood_knowledge = false;
+    options.max_rounds = 40;
+
+    DoubleProbeTrap doubled(kNodes);
+    const RunResult twice =
+        Engine(doubled, initial, algo.factory, options)
+            .run();
+    PathTrapAdversary single(kNodes);
+    const RunResult once =
+        Engine(single, initial, algo.factory, options)
+            .run();
+
+    EXPECT_GT(doubled.moving_probes, 0u) << name;  // the dry runs step robots
+    EXPECT_EQ(doubled.mismatches, 0u)
+        << name << ": of " << doubled.probes << " probes";
+    EXPECT_EQ(twice.rounds, once.rounds) << name;
+    EXPECT_EQ(twice.final_config, once.final_config) << name;
+    EXPECT_EQ(doubled.failures(), single.failures()) << name;
+  }
+}
 
 TEST(AdversaryConformanceSuite, CoversTheWholeRegistry) {
   // Guard against the suite silently becoming vacuous: the registry ships

@@ -10,8 +10,12 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/dispersion.h"
+#include "dynamic/path_trap_adversary.h"
 #include "dynamic/ring_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "graph/builders.h"
@@ -131,6 +135,77 @@ TEST(Memprobe, RingAdversaryEmitsWithoutAllocating) {
       adv.next_graph_into(r, confs[r % confs.size()], out);
     EXPECT_EQ(guard.delta(), 0u) << adv.name();
   }
+}
+
+/// The path-trap adversary with every plan probe run twice on the same
+/// candidate, from round `warmup` on. The repeat's broadcast equals the
+/// first's, so the PlanCache serves its plan without a derivation: its
+/// allocations are the probe path's own (robot copies, views, broadcast
+/// assembly, the returned plan).
+class RepeatProbeTrap final : public Adversary {
+ public:
+  RepeatProbeTrap(std::size_t n, Round warmup) : inner_(n), warmup_(warmup) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t node_count() const override { return inner_.node_count(); }
+  bool wants_plan_probe() const override { return true; }
+  Graph next_graph(Round r, const Configuration& conf) override {
+    counting_ = r >= warmup_;
+    return inner_.next_graph(r, conf);
+  }
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override {
+    counting_ = r >= warmup_;
+    inner_.next_graph_into(r, conf, out);
+  }
+  void set_plan_probe(PlanProbe probe) override {
+    inner_.set_plan_probe([this, probe = std::move(probe)](const Graph& g) {
+      MovePlan plan = probe(g);
+      if (!counting_) return plan;
+      memprobe::AllocGuard guard;
+      const MovePlan repeat = probe(g);
+      repeat_allocations += guard.delta();
+      ++probes;
+      if (repeat != plan) ++mismatches;
+      return plan;
+    });
+  }
+
+  std::uint64_t repeat_allocations = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t mismatches = 0;
+
+ private:
+  PathTrapAdversary inner_;
+  Round warmup_;
+  bool counting_ = false;
+};
+
+// The probe-path twin of the pins above: a warmed-up plan probe refills a
+// retained robot arena through copy_into instead of cloning every robot, so
+// with Algorithm 4 at k = 32 under the path trap it makes fewer than k
+// allocations of its own. (A probe's plan derivation -- components,
+// spanning trees -- still allocates; the repeat probe keeps that out of
+// the count.) A reintroduced per-probe clone() alone costs k.
+TEST(Memprobe, TrapProbeReusesRobots) {
+  constexpr std::size_t kRobots = 32;
+  constexpr std::size_t kNodes = 48;
+  constexpr Round kWarmup = 2;
+  RepeatProbeTrap adv(kNodes, kWarmup);
+  EngineOptions opt;
+  opt.max_rounds = 24;
+  opt.threads = 1;
+  Engine engine(adv, placement::rooted(kNodes, kRobots, 0),
+                core::dispersion_factory_memoized(), opt);
+  const RunResult res = engine.run();
+  ASSERT_GT(res.rounds, kWarmup);
+  ASSERT_GT(adv.probes, res.rounds - kWarmup);  // several probes per round
+  EXPECT_EQ(adv.mismatches, 0u);
+  const double per_probe = static_cast<double>(adv.repeat_allocations) /
+                           static_cast<double>(adv.probes);
+  RecordProperty("allocs_per_probe", std::to_string(per_probe));
+  EXPECT_LT(per_probe, static_cast<double>(kRobots))
+      << adv.repeat_allocations << " allocations over " << adv.probes
+      << " probes";
 }
 
 // Without the option the probe records nothing (and the golden suites pin

@@ -2,6 +2,8 @@
 // the plan cache.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/planner.h"
 #include "graph/builders.h"
 #include "robots/configuration.h"
@@ -148,6 +150,30 @@ TEST(PlanCache, InvalidatesOnDifferentPackets) {
   const SlidePlan p2 = cache.get(make_all_packets(g, c2, true));
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_FALSE(p1 == p2);  // different movers (different sliding ports)
+}
+
+// A content-equal set in fresh storage hits, and the slot re-keys to it:
+// it stops pinning the first set's arena, which dies with its last outside
+// handle.
+TEST(PlanCache, ContentHitRekeysToNewStorage) {
+  const Worked w;
+  PlanCache cache;
+  PacketSet first(w.packets);
+  const std::weak_ptr<const PacketArena> first_arena = first.arena_handle();
+  const SlidePlan planned = cache.get(first);
+  ASSERT_EQ(cache.misses(), 1u);
+
+  const PacketSet second(w.packets);
+  ASSERT_NE(second.identity(), first.identity());
+  EXPECT_TRUE(cache.get(second) == planned);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  first.reset();
+  EXPECT_TRUE(first_arena.expired());
+  EXPECT_TRUE(cache.get(second) == planned);  // identity hit on the new key
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 // Property sweep: the plan always respects the paper's structural rules.
