@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -58,9 +57,6 @@ struct CoordinatorOptions {
   /// dropped (>= 1).
   std::size_t max_attempts = 2;
   std::ostream* progress = nullptr;  ///< Per-job progress lines.
-  /// Called after every completion with (completed-of-expansion, total);
-  /// the serve queue uses it for status reporting.
-  std::function<void(std::size_t, std::size_t)> on_progress;
 };
 
 struct ServiceOutcome {

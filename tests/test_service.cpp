@@ -1,7 +1,7 @@
 // Campaign service: the worker protocol, the coordinator's multi-process
 // scheduling (bitwise-identical merged stores at any worker count, crash
-// recovery, shard resume, poisoned-job handling), the durable store, the
-// auto-thread manifest echo, and the serve queue's spool contract.
+// recovery, shard resume, poisoned-job handling), the durable store, and
+// the auto-thread manifest echo.
 //
 // Process-spawning cases exec the real dyndisp_campaign binary; its path
 // arrives via the DYNDISP_CAMPAIGN_BIN compile definition and the cases
@@ -18,7 +18,6 @@
 
 #include "campaign/scheduler.h"
 #include "campaign/service/coordinator.h"
-#include "campaign/service/queue.h"
 #include "campaign/service/shard.h"
 #include "campaign/service/worker.h"
 #include "campaign/spec.h"
@@ -29,7 +28,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using service::CoordinatorOptions;
-using service::ServeOptions;
 using service::ServiceOutcome;
 using service::WorkerOptions;
 
@@ -319,95 +317,6 @@ TEST(ServiceCoordinator, JobThatCrashesTwiceIsPoisonedOthersComplete) {
   EXPECT_EQ(healed.campaign.skipped, spec.job_count() - 1);
   EXPECT_EQ(healed.campaign.executed, 1u);
   EXPECT_EQ(read_file(store.results_path()), reference_results(spec, dir));
-}
-
-// ---------------------------------------------------------------------------
-// Serve queue mode: spool contract, admission control, backpressure
-
-TEST(ServiceQueue, DrainsSpoolRejectsBadSpecsWritesStatus) {
-  if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_spool");
-  const std::string spool = dir + "/spool";
-  fs::create_directories(spool + "/incoming");
-  {
-    std::ofstream good(spool + "/incoming/good.json");
-    good << kSpec;
-    std::ofstream bad(spool + "/incoming/zbad.json");
-    bad << "{ not json";
-  }
-
-  ServeOptions opts;
-  opts.spool_dir = spool;
-  opts.workers = 2;
-  opts.once = true;
-  opts.record_timing = false;
-  opts.worker_binary = campaign_binary();
-  const service::ServeReport report = service::run_serve(opts);
-  EXPECT_EQ(report.specs_completed, 1u);
-  EXPECT_EQ(report.specs_failed, 0u);
-  EXPECT_EQ(report.specs_rejected, 1u);
-
-  EXPECT_TRUE(fs::exists(spool + "/done/good.json"));
-  EXPECT_TRUE(fs::exists(spool + "/rejected/zbad.json"));
-  EXPECT_TRUE(fs::exists(spool + "/rejected/zbad.json.error"));
-  EXPECT_TRUE(fs::exists(spool + "/status.json"));
-
-  // The result store is the coordinator merge: bitwise reference bytes.
-  const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
-  EXPECT_EQ(read_file(spool + "/out/good/results.jsonl"),
-            reference_results(spec, dir));
-
-  const std::string status = service::render_spool_status(spool);
-  EXPECT_NE(status.find("done: 1"), std::string::npos);
-  EXPECT_NE(status.find("rejected: 1"), std::string::npos);
-}
-
-TEST(ServiceQueue, BackpressureDefersUntilBudgetFrees) {
-  if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_backpressure");
-  const std::string spool = dir + "/spool";
-  fs::create_directories(spool + "/incoming");
-  {
-    std::ofstream a(spool + "/incoming/a.json");
-    a << kSpec;
-    std::ofstream b(spool + "/incoming/b.json");
-    b << kSpec;
-  }
-
-  ServeOptions opts;
-  opts.spool_dir = spool;
-  opts.workers = 2;
-  opts.once = true;
-  opts.record_timing = false;
-  opts.worker_binary = campaign_binary();
-  // Budget fits exactly one spec (8 jobs each): b must defer, then run.
-  opts.max_queued_jobs = 10;
-  const service::ServeReport report = service::run_serve(opts);
-  EXPECT_EQ(report.specs_completed, 2u);
-  EXPECT_GE(report.deferrals, 1u);
-  EXPECT_TRUE(fs::exists(spool + "/done/a.json"));
-  EXPECT_TRUE(fs::exists(spool + "/done/b.json"));
-}
-
-TEST(ServiceQueue, OverBudgetSpecIsRejectedNotDeferred) {
-  if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_overbudget");
-  const std::string spool = dir + "/spool";
-  fs::create_directories(spool + "/incoming");
-  {
-    std::ofstream a(spool + "/incoming/huge.json");
-    a << kSpec;  // 8 jobs > budget of 4: can never fit
-  }
-  ServeOptions opts;
-  opts.spool_dir = spool;
-  opts.once = true;
-  opts.record_timing = false;
-  opts.worker_binary = campaign_binary();
-  opts.max_queued_jobs = 4;
-  const service::ServeReport report = service::run_serve(opts);
-  EXPECT_EQ(report.specs_completed, 0u);
-  EXPECT_EQ(report.specs_rejected, 1u);
-  EXPECT_TRUE(fs::exists(spool + "/rejected/huge.json.error"));
 }
 
 }  // namespace

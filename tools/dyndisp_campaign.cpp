@@ -10,13 +10,10 @@
 //   dyndisp_campaign run campaigns/table1.json --workers 4   # process fleet
 //   dyndisp_campaign resume campaign_out/table1
 //   dyndisp_campaign report campaign_out/table1 --csv table1.csv
-//   dyndisp_campaign serve spool --workers 4                 # queue mode
-//   dyndisp_campaign status spool
 //   dyndisp_campaign list
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +21,6 @@
 #include "campaign/registry.h"
 #include "campaign/scheduler.h"
 #include "campaign/service/coordinator.h"
-#include "campaign/service/queue.h"
 #include "campaign/service/worker.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
@@ -61,16 +57,6 @@ commands:
       --threads N, --workers N, --quiet, --no-timing   as for run
   report <store-dir>   aggregate the JSONL records into the tuple table
       --csv FILE       also export the aggregate as CSV
-  serve <spool-dir>    queue mode: watch <spool>/incoming/ for specs,
-                       admit under a job budget, run each through the
-                       coordinator, report progress in <spool>/status.json
-      --out DIR        result stores (default <spool>/out)
-      --workers N      coordinator fleet per spec (0 = auto)
-      --max-queued-jobs J   admission budget (backpressure)
-      --poll-ms M      idle rescan interval (default 500)
-      --once           drain what is there and exit (CI / cron mode)
-      --quiet, --no-timing   as for run
-  status <spool-dir>   print a spool snapshot (status.json + counts)
   worker               internal: service worker (spawned by the
                        coordinator; reads job indices from stdin)
       --spec F --store DIR [--seeds S] [--no-timing]
@@ -221,34 +207,6 @@ int cmd_worker(const CliArgs& args) {
   return service::run_worker(opts, std::cin, std::cout);
 }
 
-int cmd_serve(const std::string& spool_dir, const CliArgs& args) {
-  service::ServeOptions opts;
-  opts.spool_dir = spool_dir;
-  opts.out_dir = args.get("out", "");
-  opts.workers = static_cast<std::size_t>(args.get_uint("workers", 0));
-  opts.max_queued_jobs =
-      static_cast<std::size_t>(args.get_uint("max-queued-jobs", 1000000));
-  opts.poll_ms = static_cast<std::size_t>(args.get_uint("poll-ms", 500));
-  opts.once = args.has("once");
-  opts.record_timing = !args.has("no-timing");
-  const bool quiet = args.has("quiet");
-  if (!quiet) opts.log = &std::cout;
-  if (const int rc = check_unused(args)) return rc;
-
-  const service::ServeReport report = service::run_serve(opts);
-  std::printf(
-      "serve %s: %zu completed, %zu failed, %zu rejected, %zu deferrals\n",
-      spool_dir.c_str(), report.specs_completed, report.specs_failed,
-      report.specs_rejected, report.deferrals);
-  return report.specs_failed == 0 && report.specs_rejected == 0 ? 0 : 1;
-}
-
-int cmd_status(const std::string& spool_dir, const CliArgs& args) {
-  if (const int rc = check_unused(args)) return rc;
-  std::fputs(service::render_spool_status(spool_dir).c_str(), stdout);
-  return 0;
-}
-
 int cmd_report(const std::string& store_dir, const CliArgs& args) {
   const std::string csv_path = args.get("csv", "");
   if (const int rc = check_unused(args)) return rc;
@@ -313,16 +271,11 @@ int main(int argc, char** argv) {
       const CliArgs args(argc - 1, argv + 1);
       return cmd_worker(args);
     }
-    if (command == "run" || command == "resume" || command == "report" ||
-        command == "serve" || command == "status") {
+    if (command == "run" || command == "resume" || command == "report") {
       if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
         std::fprintf(stderr, "%s needs a %s argument (see --help)\n",
                      command.c_str(),
-                     command == "run"
-                         ? "<spec.json>"
-                         : (command == "serve" || command == "status")
-                               ? "<spool-dir>"
-                               : "<store-dir>");
+                     command == "run" ? "<spec.json>" : "<store-dir>");
         return 2;
       }
       // argv[2] is the positional path; CliArgs treats it as the program
@@ -331,8 +284,6 @@ int main(int argc, char** argv) {
       const std::string path = argv[2];
       if (command == "run") return cmd_run(path, args);
       if (command == "resume") return cmd_resume(path, args);
-      if (command == "serve") return cmd_serve(path, args);
-      if (command == "status") return cmd_status(path, args);
       return cmd_report(path, args);
     }
     std::fprintf(stderr, "unknown command '%s' (see --help)\n",
