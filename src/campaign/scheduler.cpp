@@ -10,22 +10,45 @@
 #include <unordered_set>
 #include <vector>
 
+#include "campaign/registry.h"
 #include "util/parallel.h"
 
 namespace dyndisp::campaign {
 
-namespace {
-
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              // NOLINTNEXTLINE-dyndisp(determinism-wallclock): feeds only
-             // wall_ms, which check_determinism.sh zeroes via --no-timing
-             // before any byte comparison; never part of a result digest.
+             // wall_ms, which --no-timing zeroes in records before any byte
+             // comparison; never part of a result digest.
              std::chrono::steady_clock::now() - start)
       .count();
 }
 
-}  // namespace
+TrialRecord run_job(const JobSpec& job, const std::string& spec_hash,
+                    bool record_timing) {
+  TrialRecord record;
+  record.job = job;
+  record.spec_hash = spec_hash;
+  // NOLINTNEXTLINE-dyndisp(determinism-wallclock): per-job wall_ms only;
+  // record_timing=false (--no-timing) zeroes it for byte-exact compares.
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    const analysis::TrialSpec trial = make_trial_spec(
+        job, Registry::instance().algorithm(job.algorithm, job.seed));
+    const RunResult result = analysis::run_trial(trial, job.seed);
+    record.dispersed = result.dispersed;
+    record.rounds = result.rounds;
+    record.moves = result.total_moves;
+    record.memory_bits = result.max_memory_bits;
+    record.max_occupied = result.max_occupied;
+    record.crashed = result.crashed;
+  } catch (const std::exception& e) {
+    record.ok = false;
+    record.error = e.what();
+  }
+  record.wall_ms = record_timing ? ms_since(start) : 0.0;
+  return record;
+}
 
 std::size_t resolve_auto_threads(std::size_t threads) {
   if (threads != 0) return threads;
@@ -81,27 +104,8 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, ResultStore& store,
 
   parallel_for(pool.get(), pending.size(), [&](std::size_t i) {
     const JobSpec& job = *pending[i];
-    TrialRecord record;
-    record.job = job;
-    record.spec_hash = spec_hash;
-    // NOLINTNEXTLINE-dyndisp(determinism-wallclock): per-job wall_ms only;
-    // record_timing=false (--no-timing) zeroes it for byte-exact compares.
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      const analysis::TrialSpec trial = make_trial_spec(job);
-      const RunResult result = analysis::run_trial(trial, job.seed);
-      record.dispersed = result.dispersed;
-      record.rounds = result.rounds;
-      record.moves = result.total_moves;
-      record.memory_bits = result.max_memory_bits;
-      record.max_occupied = result.max_occupied;
-      record.crashed = result.crashed;
-    } catch (const std::exception& e) {
-      record.ok = false;
-      record.error = e.what();
-      failed.fetch_add(1, std::memory_order_relaxed);
-    }
-    record.wall_ms = record_timing ? ms_since(start) : 0.0;
+    const TrialRecord record = run_job(job, spec_hash, record_timing);
+    if (!record.ok) failed.fetch_add(1, std::memory_order_relaxed);
     store.append(record);
     // Progress is monotonic: the counter only grows, and each line is
     // emitted under the lock with the value it claimed.

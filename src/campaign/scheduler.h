@@ -7,8 +7,10 @@
 // count produces the identical report.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <ostream>
+#include <string>
 
 #include "campaign/spec.h"
 #include "campaign/store.h"
@@ -26,6 +28,19 @@ struct CampaignOutcome {
   double wall_ms = 0.0;      ///< Wall time of this invocation only.
   std::size_t threads = 0;   ///< Worker lanes actually used (auto resolved).
 };
+
+/// Milliseconds of wall time since `start`. Feeds only the reporting
+/// fields (a record's wall_ms, a run's manifest counters), never a result.
+double ms_since(std::chrono::steady_clock::time_point start);
+
+/// Runs one job to its record: builds it with make_trial_spec (the
+/// algorithm resolved from the registry for the job's own seed), runs it,
+/// and copies the result fields. A trial that throws becomes a record with
+/// ok = false and the message, never an escaped exception. wall_ms is the
+/// job's wall time, or 0 when `record_timing` is false (--no-timing). The
+/// in-process scheduler and the service worker both run jobs through it.
+TrialRecord run_job(const JobSpec& job, const std::string& spec_hash,
+                    bool record_timing);
 
 /// Worker-lane count for `threads == 0` ("auto"): the machine's hardware
 /// concurrency, with a floor of 1 when it cannot be determined. Shared by

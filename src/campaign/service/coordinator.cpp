@@ -27,15 +27,6 @@ namespace {
 
 constexpr long kNoJob = -1;
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             // NOLINTNEXTLINE-dyndisp(determinism-wallclock): feeds only
-             // the manifest's reporting-only wall_ms counter, never a
-             // result digest or record field.
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// Restores the previous SIGPIPE disposition on scope exit. A worker dying
 /// between poll() and our write() to its stdin must surface as EPIPE, not
 /// kill the coordinator.

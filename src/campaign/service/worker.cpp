@@ -2,29 +2,15 @@
 
 #include <csignal>
 
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/experiment.h"
+#include "campaign/scheduler.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
 
 namespace dyndisp::campaign::service {
-
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             // NOLINTNEXTLINE-dyndisp(determinism-wallclock): feeds only
-             // wall_ms, zeroed by --no-timing before byte comparisons;
-             // never part of a result digest.
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int run_worker(const WorkerOptions& opts, std::istream& in,
                std::ostream& out) {
@@ -52,27 +38,8 @@ int run_worker(const WorkerOptions& opts, std::istream& in,
                                std::to_string(jobs.size()) + " jobs)");
     if (index == opts.die_on_index) raise(SIGKILL);
 
-    const JobSpec& job = jobs[index];
-    TrialRecord record;
-    record.job = job;
-    record.spec_hash = spec_hash;
-    // NOLINTNEXTLINE-dyndisp(determinism-wallclock): per-record wall_ms
-    // only; --no-timing zeroes it for byte-exact store comparisons.
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      const analysis::TrialSpec trial = make_trial_spec(job);
-      const RunResult result = analysis::run_trial(trial, job.seed);
-      record.dispersed = result.dispersed;
-      record.rounds = result.rounds;
-      record.moves = result.total_moves;
-      record.memory_bits = result.max_memory_bits;
-      record.max_occupied = result.max_occupied;
-      record.crashed = result.crashed;
-    } catch (const std::exception& e) {
-      record.ok = false;
-      record.error = e.what();
-    }
-    record.wall_ms = opts.record_timing ? ms_since(start) : 0.0;
+    const TrialRecord record =
+        run_job(jobs[index], spec_hash, opts.record_timing);
     store.append(record);
     ++appended;
     // Crash window under test: the record is durable but unacked; the

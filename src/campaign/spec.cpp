@@ -63,9 +63,15 @@ std::string JobSpec::id() const {
   return out.str();
 }
 
-analysis::TrialSpec make_trial_spec(const JobSpec& job) {
-  const Registry& registry = Registry::instance();
-  const AlgorithmChoice algo = registry.algorithm(job.algorithm, job.seed);
+void check_comm_name(const std::string& comm) {
+  if (comm != "default" && comm != "global" && comm != "local")
+    throw std::invalid_argument("unknown comm model '" + comm +
+                                "' (default|global|local)");
+}
+
+analysis::TrialSpec make_trial_spec(const JobSpec& job,
+                                    const AlgorithmChoice& algo) {
+  check_comm_name(job.comm);
 
   analysis::TrialSpec spec;
   spec.algorithm = algo.factory;
@@ -79,7 +85,6 @@ analysis::TrialSpec make_trial_spec(const JobSpec& job) {
   };
   if (job.faults > 0) {
     spec.faults = [job](std::uint64_t seed) {
-      // Same derived stream dyndisp_sim uses, so records are comparable.
       Rng rng(seed * 17 + 5);
       return FaultSchedule::random(job.k, job.faults, job.k, rng);
     };
@@ -87,10 +92,9 @@ analysis::TrialSpec make_trial_spec(const JobSpec& job) {
 
   EngineOptions options;
   options.max_rounds = job.effective_max_rounds();
-  const std::string comm =
-      job.comm == "default" ? (algo.needs_global ? "global" : "local")
-                            : job.comm;
-  options.comm = comm == "global" ? CommModel::kGlobal : CommModel::kLocal;
+  const bool global =
+      job.comm == "default" ? algo.needs_global : job.comm == "global";
+  options.comm = global ? CommModel::kGlobal : CommModel::kLocal;
   options.neighborhood_knowledge = algo.needs_knowledge;
   options.allow_model_mismatch = true;
   options.threads = 1;  // campaign parallelism is across jobs, not robots
@@ -163,10 +167,7 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
   for (const std::string& a : spec.adversaries_)
     if (!registry.has_adversary(a))
       throw std::invalid_argument("unknown adversary '" + a + "'");
-  for (const std::string& c : spec.comms_)
-    if (c != "default" && c != "global" && c != "local")
-      throw std::invalid_argument("unknown comm model '" + c +
-                                  "' (default|global|local)");
+  for (const std::string& c : spec.comms_) check_comm_name(c);
   if (!registry.has_family(spec.family_))
     throw std::invalid_argument("unknown family '" + spec.family_ + "'");
   if (!registry.has_placement(spec.placement_))

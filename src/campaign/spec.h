@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "campaign/registry.h"
 #include "util/types.h"
 
 namespace dyndisp {
@@ -78,11 +79,23 @@ struct JobSpec {
   Round effective_max_rounds() const { return max_rounds ? max_rounds : 100 * k; }
 };
 
-/// Builds the runnable analysis::TrialSpec for a job by resolving its names
-/// through the registry, mirroring dyndisp_sim's construction exactly (same
-/// adversary/placement/fault seeds, same engine defaults) so campaign
-/// records match one-off sim runs on the same tuple and seed.
-analysis::TrialSpec make_trial_spec(const JobSpec& job);
+/// Throws std::invalid_argument unless `comm` is "default", "global" or
+/// "local". The spec parser, make_trial_spec and repro artifacts share it.
+void check_comm_name(const std::string& comm);
+
+/// The one construction of engine inputs from a named tuple. `algo` is the
+/// job's algorithm, resolved for the job's own seed (campaigns and
+/// dyndisp_sim ask the registry, the check harness its Toolbox). Resolves
+/// the adversary and placement through the registry, derives the fault
+/// schedule's own stream from the seed, applies the 100*k budget, and picks
+/// the comm model ("default" = what `algo` needs) and 1-neighborhood
+/// knowledge. Callers may then layer their own options (threads, progress,
+/// activation) or replace the adversary, but nothing else builds a trial,
+/// so a dyndisp_sim row, a campaign record and a checked run of the same
+/// tuple and seed are the same run. Throws std::invalid_argument on an
+/// unknown comm name.
+analysis::TrialSpec make_trial_spec(const JobSpec& job,
+                                    const AlgorithmChoice& algo);
 
 class CampaignSpec {
  public:

@@ -78,15 +78,6 @@ FuzzReport fuzz(const FuzzOptions& options, const Toolbox& toolbox) {
                               threads.detail};
         from_differential = true;
       }
-      if (!violation && !toolbox.is_extension(config.algorithm) &&
-          !toolbox.is_extension(config.adversary)) {
-        const DiffReport construction = diff_construction(config);
-        if (!construction.ok) {
-          violation = Violation{"differential-construction",
-                                out.result.rounds, construction.detail};
-          from_differential = true;
-        }
-      }
     }
     if (!violation) continue;
 

@@ -1,7 +1,7 @@
 // The fuzz driver: generate random trial configs over everything the
 // registry (or a restricted toolbox) offers, run each with the full oracle
-// set, differential-check the clean ones, and shrink + dump an artifact for
-// every failure.
+// set, check the clean ones with the threads differential, and shrink + dump
+// an artifact for every failure.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +27,8 @@ struct FuzzOptions {
   std::size_t max_n = 24;
   /// Fraction of trials that get a random fault schedule.
   double fault_probability = 0.3;
-  /// Run the differential oracles on trials that pass the invariant
-  /// oracles (threads and, for pure-registry configs, construction).
+  /// Run the threads differential on trials that pass the invariant
+  /// oracles.
   bool differential = true;
   std::size_t diff_threads = 4;
   /// Shrink failures and write one repro artifact per failure here; empty =

@@ -175,7 +175,7 @@ class Shrinker {
   /// what they assert).
   void tighten_max_rounds() {
     const Round horizon = violation_.round + 1;
-    if (horizon >= current_.effective_max_rounds()) return;
+    if (horizon >= current_.job().effective_max_rounds()) return;
     TrialConfig candidate = current_;
     candidate.max_rounds = horizon;
     accept(candidate);

@@ -4,11 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/experiment.h"
 #include "campaign/spec.h"
 #include "check/oracles.h"
 #include "dynamic/scripted_adversary.h"
 #include "sim/fault.h"
-#include "util/rng.h"
 
 namespace dyndisp::check {
 
@@ -58,7 +58,10 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
     else if (key == "adversary") c.adversary = value.as_string();
     else if (key == "family") c.family = value.as_string();
     else if (key == "placement") c.placement = value.as_string();
-    else if (key == "comm") c.comm = value.as_string();
+    else if (key == "comm") {
+      c.comm = value.as_string();
+      campaign::check_comm_name(c.comm);
+    }
     else if (key == "n") c.n = static_cast<std::size_t>(value.as_uint());
     else if (key == "k") c.k = static_cast<std::size_t>(value.as_uint());
     else if (key == "groups") c.groups = static_cast<std::size_t>(value.as_uint());
@@ -78,6 +81,22 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
 
 TrialConfig TrialConfig::parse_json(const std::string& text) {
   return from_json(JsonValue::parse(text));
+}
+
+campaign::JobSpec TrialConfig::job() const {
+  campaign::JobSpec job;
+  job.algorithm = algorithm;
+  job.adversary = adversary;
+  job.family = family;
+  job.placement = placement;
+  job.comm = comm;
+  job.n = n;
+  job.k = k;
+  job.groups = groups;
+  job.faults = faults;
+  job.max_rounds = max_rounds;
+  job.seed = seed;
+  return job;
 }
 
 void Toolbox::add_algorithm(const std::string& name, AlgorithmFn fn,
@@ -108,9 +127,15 @@ std::unique_ptr<Adversary> Toolbox::adversary(const std::string& name,
                                               const std::string& family,
                                               std::size_t n,
                                               std::uint64_t seed) const {
-  if (auto it = extra_adversaries_.find(name); it != extra_adversaries_.end())
-    return it->second(family, n, seed);
+  if (const AdversaryFn* fn = extension_adversary(name))
+    return (*fn)(family, n, seed);
   return campaign::Registry::instance().adversary(name, family, n, seed);
+}
+
+const Toolbox::AdversaryFn* Toolbox::extension_adversary(
+    const std::string& name) const {
+  const auto it = extra_adversaries_.find(name);
+  return it == extra_adversaries_.end() ? nullptr : &it->second;
 }
 
 bool Toolbox::claims_lemmas(const std::string& algorithm) const {
@@ -118,10 +143,6 @@ bool Toolbox::claims_lemmas(const std::string& algorithm) const {
       it != extra_algorithms_.end())
     return it->second.second;
   return algorithm.rfind("alg4", 0) == 0;
-}
-
-bool Toolbox::is_extension(const std::string& name) const {
-  return extra_algorithms_.count(name) > 0 || extra_adversaries_.count(name) > 0;
 }
 
 std::vector<std::string> Toolbox::algorithm_names() const {
@@ -142,65 +163,50 @@ std::vector<std::string> Toolbox::adversary_names() const {
 
 namespace {
 
-/// Everything needed to hand a trial to the Engine. Construction follows
-/// the dyndisp_sim / campaign convention exactly (placement on the
-/// requested n, fault stream Rng(seed*17+5), comm "default" resolved from
-/// the algorithm's declared needs) so a checked run IS the run those tools
-/// would perform.
-struct BuiltTrial {
-  campaign::AlgorithmChoice algo;
-  std::unique_ptr<Adversary> adversary;  ///< Null when an override is used.
-  Configuration initial;
-  FaultSchedule faults;
-  EngineOptions options;
-};
-
-BuiltTrial build_trial(const TrialConfig& c, const Toolbox& tb,
-                       bool need_adversary, std::size_t threads) {
-  BuiltTrial b;
-  b.algo = tb.algorithm(c.algorithm, c.seed);
-  if (need_adversary) {
-    if (!c.script.empty())
-      b.adversary = std::make_unique<ScriptedAdversary>(c.script);
-    else
-      b.adversary = tb.adversary(c.adversary, c.family, c.n, c.seed);
+/// The trial as dyndisp_sim and campaigns build it, by
+/// campaign::make_trial_spec with the Toolbox's algorithm, so a checked run
+/// IS the run those tools perform. Only a script or a planted adversary
+/// replaces the registry's. The returned spec may refer to `c` and `tb`.
+analysis::TrialSpec build_trial(const TrialConfig& c, const Toolbox& tb,
+                                std::size_t threads) {
+  analysis::TrialSpec spec = campaign::make_trial_spec(
+      c.job(), tb.algorithm(c.algorithm, c.seed));
+  if (!c.script.empty()) {
+    spec.adversary = [&c](std::uint64_t) -> std::unique_ptr<Adversary> {
+      return std::make_unique<ScriptedAdversary>(c.script);
+    };
+  } else if (const Toolbox::AdversaryFn* planted =
+                 tb.extension_adversary(c.adversary)) {
+    spec.adversary = [&c, planted](std::uint64_t seed) {
+      return (*planted)(c.family, c.n, seed);
+    };
   }
-  b.initial = campaign::Registry::instance().placement(c.placement, c.n, c.k,
-                                                       c.groups, c.seed);
-  if (c.faults > 0) {
-    Rng rng(c.seed * 17 + 5);
-    b.faults = FaultSchedule::random(c.k, c.faults, c.k, rng);
-  }
-  b.options.max_rounds = c.effective_max_rounds();
-  const std::string comm =
-      c.comm == "default" ? (b.algo.needs_global ? "global" : "local") : c.comm;
-  b.options.comm = comm == "global" ? CommModel::kGlobal : CommModel::kLocal;
-  b.options.neighborhood_knowledge = b.algo.needs_knowledge;
-  b.options.allow_model_mismatch = true;
-  b.options.record_progress = true;
-  b.options.threads = threads;
-  return b;
+  spec.options.record_progress = true;
+  spec.options.threads = threads;
+  return spec;
 }
 
 }  // namespace
 
 CheckedOutcome run_checked(const TrialConfig& config, const Toolbox& toolbox,
                            Adversary* override_adversary) {
-  BuiltTrial b = build_trial(config, toolbox,
-                             /*need_adversary=*/override_adversary == nullptr,
-                             config.threads);
+  analysis::TrialSpec spec = build_trial(config, toolbox, config.threads);
+  std::unique_ptr<Adversary> owned;
+  if (override_adversary == nullptr) owned = spec.adversary(config.seed);
+  Configuration initial = spec.placement(config.seed);
+  FaultSchedule faults =
+      spec.faults ? spec.faults(config.seed) : FaultSchedule::none();
   const OracleProfile profile =
       oracle_profile(config, toolbox.claims_lemmas(config.algorithm));
-  b.options.invariant_checker = make_invariant_checker(profile, config.k);
+  spec.options.invariant_checker = make_invariant_checker(profile, config.k);
   const std::shared_ptr<const std::size_t> reference_rounds =
-      install_broadcast_reference(b.options, b.faults);
+      install_broadcast_reference(spec.options, faults);
 
-  Adversary& adversary =
-      override_adversary ? *override_adversary : *b.adversary;
+  Adversary& adversary = override_adversary ? *override_adversary : *owned;
   CheckedOutcome out;
   try {
-    Engine engine(adversary, std::move(b.initial), b.algo.factory, b.options,
-                  std::move(b.faults));
+    Engine engine(adversary, std::move(initial), spec.algorithm, spec.options,
+                  std::move(faults));
     out.result = engine.run();
     out.completed = true;
     out.violation = post_run_violation(profile, out.result);
@@ -213,10 +219,8 @@ CheckedOutcome run_checked(const TrialConfig& config, const Toolbox& toolbox,
 
 RunResult run_plain(const TrialConfig& config, const Toolbox& toolbox,
                     std::size_t threads) {
-  BuiltTrial b = build_trial(config, toolbox, /*need_adversary=*/true, threads);
-  Engine engine(*b.adversary, std::move(b.initial), b.algo.factory, b.options,
-                std::move(b.faults));
-  return engine.run();
+  return analysis::run_trial(build_trial(config, toolbox, threads),
+                             config.seed);
 }
 
 std::size_t minimum_n(const TrialConfig& config) {

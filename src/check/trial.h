@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "campaign/registry.h"
+#include "campaign/spec.h"
 #include "dynamic/dynamic_graph.h"
 #include "graph/graph.h"
 #include "sim/engine.h"
@@ -44,9 +45,9 @@ struct TrialConfig {
   std::uint64_t seed = 1;
   std::vector<Graph> script;        ///< Non-empty: scripted replay.
 
-  Round effective_max_rounds() const {
-    return max_rounds ? max_rounds : 100 * static_cast<Round>(k);
-  }
+  /// The campaign job with the same tuple and seed; every checked run is
+  /// built from it by campaign::make_trial_spec.
+  campaign::JobSpec job() const;
 
   /// One-line id, e.g. "alg4|random|n=12|k=8|f=0|seed=3" (+ "|script=5").
   std::string summary() const;
@@ -55,6 +56,7 @@ struct TrialConfig {
   /// format, ports preserved exactly).
   void write_json(JsonWriter& w) const;
   std::string to_json() const;
+  /// Throws std::invalid_argument on an unknown key or comm name.
   static TrialConfig from_json(const JsonValue& doc);
   static TrialConfig parse_json(const std::string& text);
 };
@@ -86,14 +88,13 @@ class Toolbox {
   std::unique_ptr<Adversary> adversary(const std::string& name,
                                        const std::string& family,
                                        std::size_t n, std::uint64_t seed) const;
+  /// The test-local adversary registered as `name`, or null for a registry
+  /// name.
+  const AdversaryFn* extension_adversary(const std::string& name) const;
 
   /// Registry algorithms claim the lemmas iff their name starts with "alg4";
   /// extensions declare it at registration.
   bool claims_lemmas(const std::string& algorithm) const;
-
-  /// True when the name is a test-local extension (such configs are skipped
-  /// by the registry-construction differential).
-  bool is_extension(const std::string& name) const;
 
   /// Fuzzable name pools: the restriction when set, else registry + extras.
   std::vector<std::string> algorithm_names() const;

@@ -1,6 +1,5 @@
 #include "core/dispersion.h"
 
-#include <cassert>
 #include <typeinfo>
 
 #include "core/structure_cache.h"
@@ -34,10 +33,11 @@ bool DispersionRobot::copy_into(RobotAlgorithm& target) const {
 
 DYNDISP_HOT
 Port DispersionRobot::step(const RobotView& view) {
-  assert(view.global_comm &&
-         "Algorithm 4 is defined in the global communication model");
-  assert(view.neighborhood_knowledge &&
-         "Algorithm 4 requires 1-neighborhood knowledge");
+  // Algorithm 4 is defined only with global communication and
+  // 1-neighborhood knowledge. Outside that model the robot stays put, as
+  // it does when lying packets leave no valid move, so a mismatched run
+  // ends undispersed at its budget.
+  if (!view.global_comm || !view.neighborhood_knowledge) return kInvalidPort;
 
   const SlidePlan* plan;
   SlidePlan local_plan;

@@ -313,8 +313,10 @@ TEST(Campaign, RecordsMatchDirectTrialRuns) {
   ResultStore store(scratch_dir("direct"));
   run_campaign(spec, store, 2);
   for (const TrialRecord& r : store.load()) {
-    const RunResult direct =
-        analysis::run_trial(make_trial_spec(r.job), r.job.seed);
+    const RunResult direct = analysis::run_trial(
+        make_trial_spec(r.job, Registry::instance().algorithm(r.job.algorithm,
+                                                              r.job.seed)),
+        r.job.seed);
     EXPECT_EQ(r.dispersed, direct.dispersed) << r.job.id();
     EXPECT_EQ(r.rounds, direct.rounds) << r.job.id();
     EXPECT_EQ(r.moves, direct.total_moves) << r.job.id();
@@ -567,6 +569,61 @@ TEST(Campaign, OversizedKOrFaultsAreRecordedNotFatal) {
     EXPECT_NE(records[0].error.find(error), std::string::npos)
         << records[0].error;
   }
+}
+
+TEST(Campaign, Alg4OutsideItsModelIsRecordedNotFatal) {
+  // The parser accepts Algorithm 4 under local communication; its robots
+  // then stay put, so the job records "NOT dispersed" at its 100*k budget
+  // instead of aborting the process.
+  const CampaignSpec spec = CampaignSpec::parse_json(R"({
+    "name": "alg4-local",
+    "axes": {"algorithms": ["alg4"], "comm": ["local"], "n": [8], "k": [5]}
+  })");
+  ResultStore store(scratch_dir("alg4_local"));
+  const CampaignOutcome outcome = run_campaign(spec, store, 1);
+  EXPECT_EQ(outcome.failed, 0u);
+  const std::vector<TrialRecord> records = store.load();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].ok) << records[0].error;
+  EXPECT_FALSE(records[0].dispersed);
+  EXPECT_EQ(records[0].rounds, 100u * 5u);
+  EXPECT_EQ(records[0].moves, 0u);
+
+  // Without 1-neighborhood knowledge (dyndisp_sim --knowledge 0) likewise.
+  JobSpec job = spec.expand()[0];
+  job.comm = "global";
+  analysis::TrialSpec trial = make_trial_spec(
+      job, Registry::instance().algorithm(job.algorithm, job.seed));
+  trial.options.neighborhood_knowledge = false;
+  const RunResult blind = analysis::run_trial(trial, job.seed);
+  EXPECT_FALSE(blind.dispersed);
+  EXPECT_EQ(blind.total_moves, 0u);
+}
+
+TEST(Campaign, RunJobRecordsOneJob) {
+  const std::vector<JobSpec> jobs =
+      CampaignSpec::parse_json(kSmallSpec).expand();
+  const TrialRecord record = run_job(jobs[1], "hash", /*record_timing=*/false);
+  EXPECT_TRUE(record.ok);
+  EXPECT_EQ(record.job.id(), jobs[1].id());
+  EXPECT_EQ(record.spec_hash, "hash");
+  EXPECT_EQ(record.wall_ms, 0.0);
+  const RunResult direct = analysis::run_trial(
+      make_trial_spec(jobs[1], Registry::instance().algorithm("alg4", 2)), 2);
+  EXPECT_EQ(record.dispersed, direct.dispersed);
+  EXPECT_EQ(record.rounds, direct.rounds);
+  EXPECT_EQ(record.moves, direct.total_moves);
+  EXPECT_EQ(record.memory_bits, direct.max_memory_bits);
+  EXPECT_EQ(record.max_occupied, direct.max_occupied);
+  EXPECT_EQ(record.crashed, direct.crashed);
+
+  // A throwing trial is a failure record, never an escaped exception.
+  JobSpec bad = jobs[0];
+  bad.k = 20;  // more robots than the 12 nodes
+  const TrialRecord failed = run_job(bad, "hash", /*record_timing=*/true);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_NE(failed.error.find("k <= n"), std::string::npos) << failed.error;
+  EXPECT_GE(failed.wall_ms, 0.0);
 }
 
 TEST(Campaign, RefusesStoreOfDifferentCampaign) {

@@ -1,5 +1,5 @@
 // The correctness harness's own test suite (src/check): config round-trips,
-// oracle gating, the differential oracles, and -- the load-bearing part --
+// oracle gating, the threads differential, and -- the load-bearing part --
 // proof that the harness catches what it claims to catch: each planted bug
 // (check/planted.h) is convicted by the right oracle at the right round,
 // shrunk to a strictly smaller scripted repro, and the dumped artifact
@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "campaign/scheduler.h"
 #include "check/differential.h"
 #include "check/fuzzer.h"
 #include "check/oracles.h"
@@ -58,6 +59,23 @@ TEST(TrialConfig, ParseRejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(TrialConfig::parse_json("{\"algorithm\": \"alg4\", \"nope\": 1}"),
                std::exception);
   EXPECT_THROW(TrialConfig::parse_json("not json at all"), std::exception);
+}
+
+TEST(TrialConfig, ParseRejectsUnknownCommName) {
+  // The spec parser's check: a typo is a typed error, not a local run.
+  try {
+    (void)TrialConfig::parse_json(R"({"algorithm": "alg4", "comm": "glboal"})");
+    ADD_FAILURE() << "unknown comm name accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown comm model 'glboal'"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const char* comm : {"default", "global", "local"})
+    EXPECT_EQ(TrialConfig::parse_json(std::string(R"({"comm": ")") + comm +
+                                      "\"}")
+                  .comm,
+              comm);
 }
 
 // Repro artifacts written while the engine still had the soa /
@@ -127,8 +145,6 @@ TEST(Oracles, LemmaClaimsFollowNamesAndRegistrations) {
 
   const Toolbox lazy = planted_toolbox("lazy");
   EXPECT_TRUE(lazy.claims_lemmas(kPlantedLazyAlgorithm));
-  EXPECT_TRUE(lazy.is_extension(kPlantedLazyAlgorithm));
-  EXPECT_FALSE(lazy.is_extension("alg4"));
 }
 
 TEST(Oracles, ProfileGatesOnClaimsCommAndFaults) {
@@ -320,6 +336,27 @@ TEST(Repro, ParseRejectsMalformedArtifacts) {
 
 // ---- differential oracles ----
 
+TEST(RunChecked, IsTheCampaignRunOfEachSeed) {
+  // The harness builds through make_trial_spec like campaigns do, so a
+  // plain harness run of a seeded algorithm equals the campaign record of
+  // the same tuple and seed.
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    TrialConfig c;
+    c.algorithm = "random-walk";
+    c.n = 14;
+    c.k = 9;
+    c.faults = 2;
+    c.seed = seed;
+    const RunResult plain = run_plain(c, Toolbox{}, 1);
+    const campaign::TrialRecord record =
+        campaign::run_job(c.job(), "", /*record_timing=*/false);
+    ASSERT_TRUE(record.ok) << record.error;
+    EXPECT_EQ(plain.rounds, record.rounds) << c.summary();
+    EXPECT_EQ(plain.total_moves, record.moves) << c.summary();
+    EXPECT_EQ(plain.crashed, record.crashed) << c.summary();
+  }
+}
+
 TEST(Differential, DigestIsDeterministicAndDiscriminating) {
   TrialConfig c;
   c.algorithm = "alg4";
@@ -335,7 +372,7 @@ TEST(Differential, DigestIsDeterministicAndDiscriminating) {
   EXPECT_NE(digest_run(run_plain(c, toolbox, 1)), a);  // different run
 }
 
-TEST(Differential, ThreadsAndConstructionAgreeOnTypicalTrials) {
+TEST(Differential, ThreadsAgreeOnTypicalTrials) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     TrialConfig c;
     c.algorithm = "alg4";
@@ -347,8 +384,6 @@ TEST(Differential, ThreadsAndConstructionAgreeOnTypicalTrials) {
     c.seed = seed;
     const DiffReport threads = diff_threads(c, Toolbox{}, 4);
     EXPECT_TRUE(threads.ok) << threads.detail;
-    const DiffReport construction = diff_construction(c);
-    EXPECT_TRUE(construction.ok) << construction.detail;
   }
 }
 
@@ -375,11 +410,11 @@ TEST(Fuzzer, RandomTrialsAreWellFormed) {
   }
 }
 
-TEST(Fuzzer, HundredRegistryTrialsAreCleanUnderBothDifferentials) {
+TEST(Fuzzer, HundredRegistryTrialsAreCleanUnderTheThreadsDifferential) {
   // The acceptance run: >= 100 fuzzed trials over the real registry, every
-  // clean trial differential-checked (threads 1 vs 4, and campaign-path vs
-  // sim-path construction). Any oracle or differential failure here is a
-  // real bug in the library, not in the harness.
+  // clean trial differential-checked (threads 1 vs 4). Any oracle or
+  // differential failure here is a real bug in the library, not in the
+  // harness.
   FuzzOptions options;
   options.trials = 100;
   options.max_n = 16;

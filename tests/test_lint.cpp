@@ -604,7 +604,7 @@ TEST(LintDriver, JustifiedSuppressionTotalIsPinned) {
   options.paths = {repo_root() + "/src", repo_root() + "/tests",
                    repo_root() + "/tools"};
   const LintReport report = lint_paths(options);
-  EXPECT_EQ(report.suppressed, 30u)
+  EXPECT_EQ(report.suppressed, 27u)
       << "justified-suppression total changed; re-audit the directives and "
          "update the pin";
 }

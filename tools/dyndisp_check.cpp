@@ -2,7 +2,7 @@
 //
 // fuzz:   generate random trials over everything the campaign registry
 //         offers, run each with the paper's invariant oracles installed
-//         (plus the differential oracles), shrink every failure, and dump
+//         (plus the threads differential), shrink every failure, and dump
 //         self-contained repro artifacts.
 // replay: re-run a repro artifact deterministically and confirm it still
 //         violates the oracle it was recorded against.
@@ -33,14 +33,15 @@ using namespace dyndisp::check;
 constexpr const char* kUsage = R"(dyndisp_check -- property-based trial fuzzer
 
 commands:
-  fuzz                 random trials x invariant + differential oracles
+  fuzz                 random trials x invariant oracles + the threads
+                       differential (threads=1 vs --diff-threads)
       --trials N       trial budget (default 100)
       --budget-s S     wall-clock budget in seconds, 0 = none (default 0)
       --seed S         base seed for the trial stream (default 1)
       --max-n N        largest requested node count (default 24)
       --fault-prob P   fraction of trials with crash faults (default 0.3)
       --diff-threads N parallel leg of the threads differential (default 4)
-      --no-differential  skip the differential oracles
+      --no-differential  skip the threads differential
       --artifacts DIR  write one repro artifact per failure into DIR
       --max-failures N stop after N failures (default 5)
       --plant NAME     fuzz a deliberately broken component instead of the

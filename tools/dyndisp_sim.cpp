@@ -3,9 +3,10 @@
 // Runs any (algorithm x adversary x placement x fault/activation model)
 // combination from the library over one or many seeds and reports rounds,
 // moves, metered memory, and progress; optionally dumps a full JSON trace
-// or a per-seed CSV. All names resolve through the shared campaign
-// registry, so a tuple run here is bit-identical to the same tuple inside a
-// dyndisp_campaign sweep.
+// or a per-seed CSV. Each trial is built by campaign::make_trial_spec from
+// the tuple and that trial's own seed, the one construction campaigns and
+// dyndisp_check use too, so every row of a --trials sweep is bit-identical
+// to the same seed run alone and to its dyndisp_campaign record.
 //
 // Examples:
 //   dyndisp_sim --n 20 --k 14                          # Alg4, random dynamic
@@ -22,14 +23,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/experiment.h"
 #include "campaign/registry.h"
-#include "robots/configuration.h"
+#include "campaign/spec.h"
 #include "sim/byzantine.h"
 #include "sim/engine.h"
 #include "util/cli.h"
 #include "viz/svg.h"
 #include "util/csv.h"
-#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -42,9 +43,9 @@ constexpr const char* kUsage = R"(dyndisp_sim -- dispersion on dynamic graphs
 flags (all optional):
   --n N                nodes (default 20)
   --k K                robots (default 2n/3)
-  --trials T           seeds to sweep (default 1)
+  --trials T           seeds to sweep, at least 1 (default 1)
   --seed S             base seed (default 1)
-  --max-rounds R       round budget (default 100k)
+  --max-rounds R       round budget (default and 0: 100k)
   --algorithm A        alg4 | alg4-bfs | alg4-1path | dfs | greedy |
                        random-walk | blind-walk           (default alg4)
   --adversary ADV      random | tree | churn | star-star | ring |
@@ -54,7 +55,8 @@ flags (all optional):
                        hypercube btree lollipop random    (default random)
   --placement P        rooted | random | grouped | figure1 (default rooted)
   --groups G           groups for grouped placement (default 3)
-  --comm C             global | local (default: what the algorithm needs)
+  --comm C             default | global | local (default: what the
+                       algorithm needs)
   --knowledge B        1-neighborhood knowledge on/off (default: as needed)
   --activation P       semi-synchronous activation probability (default 1.0)
   --scheduler S        sync | round-robin (default sync; round-robin
@@ -100,42 +102,37 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const std::size_t n = args.get_uint("n", 20);
-    const std::size_t k = args.get_uint("k", std::max<std::size_t>(2, 2 * n / 3));
+    // The named tuple, built per seed by campaign::make_trial_spec exactly as
+    // a campaign job; the remaining flags layer engine options on top.
+    campaign::JobSpec job;
+    job.n = args.get_uint("n", 20);
+    job.k = args.get_uint("k", std::max<std::size_t>(2, 2 * job.n / 3));
+    job.algorithm = args.get("algorithm", "alg4");
+    job.adversary = args.get("adversary", "random");
+    job.family = args.get("family", "random");
+    job.placement = args.get("placement", "rooted");
+    job.groups = args.get_uint("groups", 3);
+    job.comm = args.get("comm", "default");
+    job.faults = args.get_uint("faults", 0);
+    job.max_rounds = args.get_uint("max-rounds", 0);
     const std::size_t trials = args.get_uint("trials", 1);
     const std::uint64_t base_seed = args.get_uint("seed", 1);
-    const std::string algorithm = args.get("algorithm", "alg4");
-    const std::string adversary = args.get("adversary", "random");
-    const std::string family = args.get("family", "random");
-    const std::string placement_name = args.get("placement", "rooted");
-    const std::size_t groups = args.get_uint("groups", 3);
+    const std::size_t threads = args.get_uint("threads", 1);
+    // -1 (unset): the knowledge the algorithm needs, make_trial_spec's pick.
+    const int knowledge = args.get("knowledge", "").empty()
+                              ? -1
+                              : args.get_bool("knowledge", false);
     const double activation = args.get_double("activation", 1.0);
-    const std::size_t faults = args.get_uint("faults", 0);
     const std::size_t liars = args.get_uint("liars", 0);
     const std::string lie_kind = args.get("lie", "hide-multiplicity");
+    const std::string scheduler = args.get("scheduler", "sync");
     const std::string trace_path = args.get("trace-json", "");
     const std::string svg_path = args.get("svg", "");
     const std::string csv_path = args.get("csv", "");
 
-    const campaign::Registry& registry = campaign::Registry::instance();
-    const campaign::AlgorithmChoice algo =
-        registry.algorithm(algorithm, base_seed);
-
-    EngineOptions options;
-    options.max_rounds = args.get_uint("max-rounds", 100 * k);
-    options.threads = args.get_uint("threads", 1);
-    const std::string comm =
-        args.get("comm", algo.needs_global ? "global" : "local");
-    options.comm = comm == "global" ? CommModel::kGlobal : CommModel::kLocal;
-    options.neighborhood_knowledge =
-        args.get_bool("knowledge", algo.needs_knowledge);
-    options.allow_model_mismatch = true;
-    options.record_progress = true;
-    if (activation < 1.0) {
-      options.activation = Activation::kRandomSubset;
-      options.activation_probability = activation;
-      options.activation_seed = base_seed;
-    }
+    if (trials == 0)
+      throw std::invalid_argument("--trials must be at least 1");
+    std::shared_ptr<ByzantineModel> byzantine;
     if (liars > 0) {
       ByzantineLie lie = ByzantineLie::kHideMultiplicity;
       if (lie_kind == "hide-empty") lie = ByzantineLie::kHideEmptyNeighbors;
@@ -145,14 +142,10 @@ int main(int argc, char** argv) {
       std::set<RobotId> ids;
       for (std::size_t i = 0; i < liars; ++i)
         ids.insert(static_cast<RobotId>(i + 1));
-      options.byzantine = std::make_shared<ByzantineModel>(std::move(ids), lie);
+      byzantine = std::make_shared<ByzantineModel>(std::move(ids), lie);
     }
-    const std::string scheduler = args.get("scheduler", "sync");
-    if (scheduler == "round-robin") {
-      options.activation = Activation::kRoundRobin;
-    } else if (scheduler != "sync") {
+    if (scheduler != "sync" && scheduler != "round-robin")
       throw std::invalid_argument("unknown --scheduler " + scheduler);
-    }
 
     if (const auto unknown = args.unused(); !unknown.empty()) {
       std::fprintf(stderr, "unknown flag --%s (see --help)\n",
@@ -160,6 +153,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    const campaign::Registry& registry = campaign::Registry::instance();
     std::unique_ptr<CsvWriter> csv;
     if (!csv_path.empty()) {
       csv = std::make_unique<CsvWriter>(
@@ -171,39 +165,42 @@ int main(int argc, char** argv) {
     Summary rounds, moves, memory;
     std::size_t dispersed = 0;
     for (std::size_t t = 0; t < trials; ++t) {
-      const std::uint64_t seed = base_seed + t;
-      auto adv = registry.adversary(adversary, family, n, seed);
-      Configuration initial =
-          registry.placement(placement_name, n, k, groups, seed);
-      FaultSchedule schedule = FaultSchedule::none();
-      if (faults > 0) {
-        Rng rng(seed * 17 + 5);
-        schedule = FaultSchedule::random(k, faults, k, rng);
+      job.seed = base_seed + t;
+      analysis::TrialSpec spec = campaign::make_trial_spec(
+          job, registry.algorithm(job.algorithm, job.seed));
+      EngineOptions& options = spec.options;
+      options.threads = threads;
+      options.record_progress = true;
+      if (knowledge >= 0) options.neighborhood_knowledge = knowledge == 1;
+      if (activation < 1.0) {
+        options.activation = Activation::kRandomSubset;
+        options.activation_probability = activation;
+        options.activation_seed = job.seed;
       }
-      EngineOptions trial_options = options;
-      trial_options.record_trace =
+      if (scheduler == "round-robin")
+        options.activation = Activation::kRoundRobin;
+      options.byzantine = byzantine;
+      options.record_trace =
           t == 0 && (!trace_path.empty() || !svg_path.empty());
-      Engine engine(*adv, std::move(initial), algo.factory, trial_options,
-                    std::move(schedule));
-      const RunResult r = engine.run();
+      const RunResult r = analysis::run_trial(spec, job.seed);
       if (r.dispersed) ++dispersed;
       rounds.add(static_cast<double>(r.rounds));
       moves.add(static_cast<double>(r.total_moves));
       memory.add(static_cast<double>(r.max_memory_bits));
       if (csv) {
-        csv->add_row({std::to_string(seed), r.dispersed ? "1" : "0",
+        csv->add_row({std::to_string(job.seed), r.dispersed ? "1" : "0",
                       std::to_string(r.rounds), std::to_string(r.total_moves),
                       std::to_string(r.max_memory_bits),
                       std::to_string(r.max_occupied),
                       std::to_string(r.crashed)});
       }
-      if (trial_options.record_trace && !trace_path.empty()) {
+      if (options.record_trace && !trace_path.empty()) {
         std::ofstream out(trace_path);
         out << trace_to_json(r.trace);
         std::printf("trace written to %s (%zu rounds)\n", trace_path.c_str(),
                     r.trace.size());
       }
-      if (trial_options.record_trace && !svg_path.empty()) {
+      if (options.record_trace && !svg_path.empty()) {
         std::ofstream out(svg_path);
         out << viz::render_animation(r.trace);
         std::printf("animation written to %s (%zu rounds)\n",
@@ -212,8 +209,9 @@ int main(int argc, char** argv) {
     }
 
     AsciiTable table({"metric", "value"});
-    table.set_title("dyndisp_sim: " + algorithm + " vs " + adversary +
-                    " (n=" + std::to_string(n) + ", k=" + std::to_string(k) +
+    table.set_title("dyndisp_sim: " + job.algorithm + " vs " + job.adversary +
+                    " (n=" + std::to_string(job.n) +
+                    ", k=" + std::to_string(job.k) +
                     ", trials=" + std::to_string(trials) + ")");
     table.add_row({"dispersed", std::to_string(dispersed) + "/" +
                                     std::to_string(trials)});
