@@ -3,7 +3,8 @@
 // graph. Sweeps k over multiple adversaries, graph densities, and initial
 // configurations; reports measured rounds (always <= k), the fitted slope
 // of rounds vs k (linear scaling), and the audited per-robot memory
-// (== ceil(log2(k+1)) bits, robot ID only).
+// (== ceil(log2(k+1)) bits, robot ID only). Scale rows then take the
+// rooted random-connected and star-star runs to k = 512 on one seed each.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -74,7 +75,8 @@ const AdversaryKind kAdversaries[] = {
 };
 
 analysis::SweepSummary sweep(const AdversaryKind& kind, std::size_t n,
-                             std::size_t k, bool rooted) {
+                             std::size_t k, bool rooted,
+                             std::size_t trials = kTrials) {
   analysis::TrialSpec spec;
   spec.adversary = [&kind, n](std::uint64_t seed) {
     return kind.make(n, seed);
@@ -86,7 +88,7 @@ analysis::SweepSummary sweep(const AdversaryKind& kind, std::size_t n,
   };
   spec.algorithm = core::dispersion_factory_memoized();
   spec.options.max_rounds = 10 * k + 10;
-  return analysis::run_sweep(spec, kTrials, 1000 + k);
+  return analysis::run_sweep(spec, trials, 1000 + k);
 }
 
 }  // namespace
@@ -145,6 +147,35 @@ int main() {
     std::fputs(table.render().c_str(), stdout);
     std::printf("\n");
   }
+
+  // Scale: Theorem 4 at k = 256 and 512, one seed each. Star-star admits
+  // exactly one new node per round (Theorem 3), so rooted runs take exactly
+  // k - 1 rounds; memory stays the robot ID alone.
+  std::printf("-- scale: rooted, one seed, k up to 512 --\n");
+  AsciiTable scale({"adversary", "k", "n", "rounds", "bound", "mem bits",
+                    "log2 bound"});
+  // kAdversaries[0] is random-connected, kAdversaries[3] star-star.
+  for (const AdversaryKind* kind : {&kAdversaries[0], &kAdversaries[3]}) {
+    const bool exact = kind->make == make_star_star;
+    for (const std::size_t k : {256u, 512u}) {
+      const std::size_t n = k + k / 2;
+      const analysis::SweepSummary s =
+          sweep(*kind, n, k, /*rooted=*/true, /*trials=*/1);
+      const auto rounds = static_cast<std::size_t>(s.rounds.max());
+      all_ok &= s.dispersed_count == 1 &&
+                (exact ? rounds == k - 1 : rounds <= k) &&
+                s.memory_bits.max() ==
+                    static_cast<double>(bit_width_for(k + 1));
+      scale.add_row({kind->name, std::to_string(k), std::to_string(n),
+                     std::to_string(rounds),
+                     exact ? "= " + std::to_string(k - 1)
+                           : "<= " + std::to_string(k),
+                     fmt_double(s.memory_bits.max(), 0),
+                     std::to_string(bit_width_for(k + 1))});
+    }
+  }
+  std::fputs(scale.render().c_str(), stdout);
+  std::printf("\n");
 
   std::printf("%s\nseries written to bench_theorem4.csv\n",
               all_ok ? "All sweeps within Theorem 4's bounds: rounds <= k, "

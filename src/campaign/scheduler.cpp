@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -99,10 +98,11 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, ResultStore& store,
   std::atomic<std::size_t> reported{0};
   std::mutex progress_mu;
 
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  parallel_for(pool.get(), pending.size(), [&](std::size_t i) {
+  // Jobs fan out through ThreadPool::for_each directly, never parallel_for:
+  // its serial cutoff sizes the engine's O(1)-per-index bodies, and would
+  // run a campaign of fewer than 192 whole trials on one lane.
+  ThreadPool pool(threads);
+  pool.for_each(pending.size(), [&](std::size_t i) {
     const JobSpec& job = *pending[i];
     const TrialRecord record = run_job(job, spec_hash, record_timing);
     if (!record.ok) failed.fetch_add(1, std::memory_order_relaxed);

@@ -23,13 +23,16 @@ class PlantedDisconnectAdversary final : public Adversary {
   std::string name() const override { return "planted-disconnect"; }
   std::size_t node_count() const override { return n_; }
 
-  Graph next_graph(Round r, const Configuration& conf) override {
-    if (r < kDisconnectRound) return inner_.next_graph(r, conf);
-    std::vector<std::pair<NodeId, NodeId>> edges;
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override {
+    if (r < kDisconnectRound) {
+      inner_.next_graph_into(r, conf, out);
+      return;
+    }
+    out.reset_assembly(n_);
     const std::size_t half = n_ / 2;
-    for (NodeId v = 1; v < half; ++v) edges.emplace_back(v - 1, v);
-    for (NodeId v = half + 1; v < n_; ++v) edges.emplace_back(v - 1, v);
-    return Graph::from_edges(n_, edges);
+    for (NodeId v = 1; v < half; ++v) out.add_edge(v - 1, v);
+    for (NodeId v = half + 1; v < n_; ++v) out.add_edge(v - 1, v);
   }
 
  private:

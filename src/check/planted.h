@@ -5,7 +5,7 @@
 //
 // Plants:
 //   disconnect -- an adversary that behaves like the random adversary until
-//                 round 6, then emits a two-component graph every round
+//                 round 1, then emits a two-component graph every round
 //                 (ports stay valid; only 1-interval connectivity breaks).
 //                 The engine's "round-graph" oracle must catch it at the
 //                 exact round, and the shrinker must script it down.
@@ -27,7 +27,7 @@ inline constexpr const char* kPlantedDisconnectAdversary =
 inline constexpr const char* kPlantedLazyAlgorithm = "planted-lazy";
 
 /// Round from which the disconnect plant splits the graph.
-inline constexpr Round kDisconnectRound = 6;
+inline constexpr Round kDisconnectRound = 1;
 /// Round from which the lazy plant's robots refuse to move.
 inline constexpr Round kLazyRound = 3;
 

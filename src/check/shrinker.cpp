@@ -22,10 +22,10 @@ class RecordingAdversary final : public Adversary {
   std::string name() const override { return inner_.name(); }
   std::size_t node_count() const override { return inner_.node_count(); }
 
-  Graph next_graph(Round r, const Configuration& conf) override {
-    Graph g = inner_.next_graph(r, conf);
-    recorded_.push_back(g);
-    return g;
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override {
+    inner_.next_graph_into(r, conf, out);
+    recorded_.push_back(out);
   }
 
   bool wants_plan_probe() const override { return inner_.wants_plan_probe(); }
@@ -161,8 +161,21 @@ class Shrinker {
   }
 
   /// Drops graphs from the front, pulling a late violation toward round 0
-  /// (the dropped prefix is usually irrelevant warm-up).
+  /// (the dropped prefix is usually irrelevant warm-up). The first candidate
+  /// starts the script at the violating round's graph, which convicts at
+  /// round 0 whenever the graph alone is the bug (a round-graph violation
+  /// does not depend on where the robots stand); one graph at a time is the
+  /// fallback.
   void shrink_script_front() {
+    const std::size_t jump = std::min<std::size_t>(violation_.round,
+                                                   current_.script.size() - 1);
+    if (jump > 1) {
+      TrialConfig candidate = current_;
+      candidate.script.erase(candidate.script.begin(),
+                             candidate.script.begin() +
+                                 static_cast<std::ptrdiff_t>(jump));
+      accept(candidate);
+    }
     while (current_.script.size() > 1) {
       TrialConfig candidate = current_;
       candidate.script.erase(candidate.script.begin());

@@ -11,7 +11,8 @@
 //      plan-probing) adversary into an explicit graph sequence;
 //   3. script shrink -- truncate the tail (ScriptedAdversary repeats the
 //      last graph forever, so every non-empty prefix is a complete
-//      execution), then drop graphs from the front (pulling a late
+//      execution), then drop graphs from the front (first straight to the
+//      violating round's graph, then one at a time, pulling a late
 //      violation toward round 0), then tighten max_rounds.
 //
 // Every run is deterministic, so "same oracle" is a faithful notion of

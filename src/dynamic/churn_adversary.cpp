@@ -4,17 +4,12 @@
 #include <utility>
 
 #include "graph/algorithms.h"
-#include "graph/builders.h"
 
 namespace dyndisp {
 
 ChurnAdversary::ChurnAdversary(Graph initial, std::size_t churn,
-                               std::uint64_t seed, bool reshuffle_ports)
-    : graph_(std::move(initial)),
-      churn_(churn),
-      seed_(seed),
-      rng_(seed),
-      reshuffle_ports_(reshuffle_ports) {
+                               std::uint64_t seed)
+    : graph_(std::move(initial)), churn_(churn), rng_(seed) {
   assert(is_connected(graph_));
 }
 
@@ -51,19 +46,6 @@ void ChurnAdversary::mutate() {
     graph_.add_edge(u, v);
     ++added;
   }
-  if (reshuffle_ports_) {
-    if (n >= builders::kCounterBuilderMinNodes)
-      graph_.shuffle_ports_counter(seed_, emissions_, pool_);
-    else
-      graph_.shuffle_ports(rng_);
-  }
-  ++emissions_;
-}
-
-Graph ChurnAdversary::next_graph(Round r, const Configuration& conf) {
-  Graph g;
-  next_graph_into(r, conf, g);
-  return g;
 }
 
 void ChurnAdversary::next_graph_into(Round, const Configuration&, Graph& out) {

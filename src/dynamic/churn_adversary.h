@@ -17,21 +17,16 @@ namespace dyndisp {
 class ChurnAdversary final : public Adversary {
  public:
   /// `initial` must be connected; `churn` edges are replaced per round.
-  ChurnAdversary(Graph initial, std::size_t churn, std::uint64_t seed,
-                 bool reshuffle_ports = false);
+  ChurnAdversary(Graph initial, std::size_t churn, std::uint64_t seed);
 
   std::string name() const override { return "edge-churn"; }
   std::size_t node_count() const override { return graph_.node_count(); }
-  Graph next_graph(Round r, const Configuration& conf) override;
 
   /// Mutates the evolving graph in place (the churn itself is inherently
   /// sequential state evolution), then copy-assigns it into `out` --
-  /// recycling out's row capacities round over round. The per-round
-  /// reshuffle variant switches to counter port streams (optionally over
-  /// the pool) at n >= builders::kCounterBuilderMinNodes.
+  /// recycling out's row capacities round over round.
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override;
-  void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
 
  private:
   /// Advances the evolving graph by one round of churn.
@@ -39,11 +34,7 @@ class ChurnAdversary final : public Adversary {
 
   Graph graph_;
   std::size_t churn_;
-  std::uint64_t seed_;
   Rng rng_;
-  bool reshuffle_ports_;
-  std::uint64_t emissions_ = 0;  ///< Counter-shuffle draw index (large n).
-  ThreadPool* pool_ = nullptr;
   /// Edge-list scratch for the removal draws, reused across rounds (the
   /// seed re-materialized the full edge list per removal attempt).
   std::vector<Graph::Edge> edges_scratch_;

@@ -38,12 +38,6 @@ Port CliqueTrapAdversary::free_slot(NodeId v, std::size_t degree) const {
   return kInvalidPort;
 }
 
-Graph CliqueTrapAdversary::next_graph(Round r, const Configuration& conf) {
-  Graph g;
-  next_graph_into(r, conf, g);
-  return g;
-}
-
 void CliqueTrapAdversary::next_graph_into(Round, const Configuration& conf,
                                           Graph& out) {
   assert(conf.node_count() == n_);

@@ -34,7 +34,6 @@ class CliqueTrapAdversary final : public Adversary {
   std::string name() const override { return "clique-trap(Thm2)"; }
   std::size_t node_count() const override { return n_; }
   bool wants_plan_probe() const override { return true; }
-  Graph next_graph(Round r, const Configuration& conf) override;
   /// Builds the probe graph and the emitted graph into retained graphs and
   /// swaps the emitted one into `out`.
   void next_graph_into(Round r, const Configuration& conf,

@@ -29,8 +29,16 @@ using MovePlan = std::vector<Port>;
 using PlanProbe = std::function<MovePlan(const Graph&)>;
 
 /// Produces G_r each round. Implementations must keep |V| fixed and every
-/// emitted graph connected; dynamic::validate_graph enforces this in tests
-/// and (optionally) inside the engine.
+/// emitted graph connected; the engine validates every emitted graph
+/// (validate_round_graph, dynamic/validator.h) and aborts the run at the
+/// first bad one.
+///
+/// An adversary emits through exactly one override, next_graph_into. The
+/// engine double-buffers graphs and hands the round-before-last's Graph back
+/// in, so regenerating adversaries refill its adjacency rows in place
+/// instead of allocating n fresh rows per round; copy-assigning a fixed
+/// graph into a warm `out` already recycles row capacity. next_graph is the
+/// by-value convenience over it for tests and tools.
 class Adversary {
  public:
   virtual ~Adversary() = default;
@@ -41,19 +49,18 @@ class Adversary {
   /// Number of nodes of every emitted graph.
   virtual std::size_t node_count() const = 0;
 
-  /// Emits G_r given the configuration at the start of round r.
-  virtual Graph next_graph(Round r, const Configuration& conf) = 0;
-
-  /// next_graph into caller-owned storage: must leave `out` exactly equal
-  /// to what next_graph(r, conf) would have returned (same RNG stream
-  /// advancement included). The engine double-buffers graphs and hands the
-  /// round-before-last's Graph back in, so regenerating adversaries can
-  /// refill its adjacency rows in place instead of allocating n fresh rows
-  /// per round. The default simply assigns the fresh value -- copy-assign
-  /// into a warm vector-of-vectors already recycles row capacity.
+  /// Emits G_r, given the configuration at the start of round r, into
+  /// caller-owned storage: `out` is overwritten whatever it held before.
   virtual void next_graph_into(Round r, const Configuration& conf,
-                               Graph& out) {
-    out = next_graph(r, conf);
+                               Graph& out) = 0;
+
+  /// Emits G_r by value: next_graph_into on a fresh Graph. Virtual only so
+  /// wrappers can observe by-value calls too; emission logic belongs in
+  /// next_graph_into.
+  virtual Graph next_graph(Round r, const Configuration& conf) {
+    Graph g;
+    next_graph_into(r, conf, g);
+    return g;
   }
 
   /// Installs the engine's compute pool for parallel graph construction

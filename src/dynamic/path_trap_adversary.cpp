@@ -40,12 +40,6 @@ void PathTrapAdversary::build_candidate(const NodeId* order,
   }
 }
 
-Graph PathTrapAdversary::next_graph(Round r, const Configuration& conf) {
-  Graph g;
-  next_graph_into(r, conf, g);
-  return g;
-}
-
 void PathTrapAdversary::next_graph_into(Round, const Configuration& conf,
                                         Graph& out) {
   assert(conf.node_count() == n_);

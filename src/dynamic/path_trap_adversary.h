@@ -34,7 +34,6 @@ class PathTrapAdversary final : public Adversary {
   std::string name() const override { return "path-trap(Thm1)"; }
   std::size_t node_count() const override { return n_; }
   bool wants_plan_probe() const override { return true; }
-  Graph next_graph(Round r, const Configuration& conf) override;
   /// Builds every candidate into retained graphs and swaps the emitted one
   /// into `out`: a warmed-up round allocates nothing adversary-side.
   void next_graph_into(Round r, const Configuration& conf,

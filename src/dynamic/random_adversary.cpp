@@ -6,23 +6,12 @@ namespace dyndisp {
 
 RandomAdversary::RandomAdversary(std::size_t n, std::size_t extra_edges,
                                  std::uint64_t seed)
-    : n_(n), extra_edges_(extra_edges), seed_(seed), rng_(seed) {}
-
-Graph RandomAdversary::next_graph(Round r, const Configuration& conf) {
-  Graph g;
-  next_graph_into(r, conf, g);
-  return g;
-}
+    : n_(n), extra_edges_(extra_edges), seed_(seed) {}
 
 void RandomAdversary::next_graph_into(Round, const Configuration&,
                                       Graph& out) {
-  if (n_ >= builders::kCounterBuilderMinNodes) {
-    builders::random_connected_counter(n_, extra_edges_, seed_, emissions_++,
-                                       pool_, scratch_, out);
-    return;
-  }
-  out = builders::random_connected(n_, extra_edges_, rng_);
-  out.shuffle_ports(rng_);
+  builders::random_connected_counter(n_, extra_edges_, seed_, emissions_++,
+                                     pool_, scratch_, out);
 }
 
 }  // namespace dyndisp

@@ -8,7 +8,6 @@
 
 #include "dynamic/dynamic_graph.h"
 #include "graph/builders.h"
-#include "util/rng.h"
 
 namespace dyndisp {
 
@@ -18,13 +17,11 @@ class RandomAdversary final : public Adversary {
 
   std::string name() const override { return "random-connected"; }
   std::size_t node_count() const override { return n_; }
-  Graph next_graph(Round r, const Configuration& conf) override;
 
-  /// Large n (>= builders::kCounterBuilderMinNodes) regenerates through the
-  /// counter-based flat builder: per-emission (seed, emission#) streams,
-  /// recycled scratch and rows, and optional parallel_for fan-out -- same
-  /// distribution as the legacy path, byte-identical at any thread count.
-  /// Small n keeps the legacy sequential Rng draws the golden digests pin.
+  /// Regenerates through the counter-based flat builder at every n: the
+  /// round's graph is keyed by (seed, emission#), built into recycled
+  /// scratch and rows, optionally fanned out over the pool, and
+  /// byte-identical at any thread count.
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override;
   void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
@@ -33,8 +30,7 @@ class RandomAdversary final : public Adversary {
   std::size_t n_;
   std::size_t extra_edges_;
   std::uint64_t seed_;
-  Rng rng_;                  ///< Legacy sequential stream (small n only).
-  std::uint64_t emissions_ = 0;  ///< Counter-path draw index (large n only).
+  std::uint64_t emissions_ = 0;  ///< Draw index of the next emission.
   ThreadPool* pool_ = nullptr;
   builders::CounterBuildScratch scratch_;
 };

@@ -98,12 +98,6 @@ std::string RingAdversary::name() const {
   return "dynamic-ring";
 }
 
-Graph RingAdversary::next_graph(Round r, const Configuration& conf) {
-  Graph g;
-  next_graph_into(r, conf, g);
-  return g;
-}
-
 DYNDISP_HOT
 void RingAdversary::next_graph_into(Round, const Configuration& conf,
                                     Graph& out) {

@@ -49,7 +49,6 @@ class RingAdversary final : public Adversary {
 
   std::string name() const override;
   std::size_t node_count() const override { return n_; }
-  Graph next_graph(Round r, const Configuration& conf) override;
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override;
 

@@ -17,13 +17,14 @@ ScriptedAdversary::ScriptedAdversary(std::vector<Graph> script)
   }
 }
 
-Graph ScriptedAdversary::next_graph(Round r, const Configuration&) {
+void ScriptedAdversary::next_graph_into(Round r, const Configuration&,
+                                        Graph& out) {
   // Repeat-last-graph past the end of the script (see header contract).
   const std::size_t idx =
       r < script_.size() ? static_cast<std::size_t>(r) : script_.size() - 1;
   last_idx_ = idx;
   has_emitted_ = true;
-  return script_[idx];
+  out = script_[idx];
 }
 
 bool ScriptedAdversary::same_as_last(Round r, const Configuration&) const {

@@ -27,12 +27,13 @@ class ScriptedAdversary final : public Adversary {
 
   std::string name() const override { return "scripted"; }
   std::size_t node_count() const override { return script_.front().node_count(); }
-  Graph next_graph(Round r, const Configuration& conf) override;
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override;
 
   /// True past the repeat-last horizon and on script lines whose graph
   /// equals the previously emitted one. Compares CONTENT, not just indices,
-  /// so the promise survives the engine skipping next_graph calls while the
-  /// hint was true (last_idx_ goes stale but only onto an equal graph).
+  /// so the promise survives the engine skipping next_graph_into calls while
+  /// the hint was true (last_idx_ goes stale but only onto an equal graph).
   bool same_as_last(Round r, const Configuration& conf) const override;
 
   std::size_t script_length() const { return script_.size(); }

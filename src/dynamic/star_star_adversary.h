@@ -26,7 +26,8 @@ class StarStarAdversary final : public Adversary {
 
   std::string name() const override { return "star-star-lower-bound"; }
   std::size_t node_count() const override { return n_; }
-  Graph next_graph(Round r, const Configuration& conf) override;
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override;
 
  private:
   std::size_t n_;

@@ -2,39 +2,22 @@
 
 #include <utility>
 
-#include "graph/builders.h"
-
 namespace dyndisp {
 
 StaticAdversary::StaticAdversary(Graph g, bool reshuffle_ports,
                                  std::uint64_t seed)
     : graph_(std::move(g)),
       reshuffle_ports_(reshuffle_ports),
-      seed_(seed),
-      rng_(seed) {}
+      seed_(seed) {}
 
 std::string StaticAdversary::name() const {
   return reshuffle_ports_ ? "static+port-shuffle" : "static";
 }
 
-void StaticAdversary::refresh() {
-  if (!reshuffle_ports_) return;
-  if (graph_.node_count() >= builders::kCounterBuilderMinNodes)
-    graph_.shuffle_ports_counter(seed_, emissions_, pool_);
-  else
-    graph_.shuffle_ports(rng_);
-  ++emissions_;
-}
-
-Graph StaticAdversary::next_graph(Round, const Configuration&) {
-  refresh();
-  has_emitted_ = true;
-  return graph_;
-}
-
 void StaticAdversary::next_graph_into(Round, const Configuration&,
                                       Graph& out) {
-  refresh();
+  if (reshuffle_ports_)
+    graph_.shuffle_ports_counter(seed_, emissions_++, pool_);
   has_emitted_ = true;
   out = graph_;
 }

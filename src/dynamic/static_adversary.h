@@ -7,7 +7,6 @@
 #include <string>
 
 #include "dynamic/dynamic_graph.h"
-#include "util/rng.h"
 
 namespace dyndisp {
 
@@ -18,7 +17,6 @@ class StaticAdversary final : public Adversary {
 
   std::string name() const override;
   std::size_t node_count() const override { return graph_.node_count(); }
-  Graph next_graph(Round r, const Configuration& conf) override;
 
   /// Static graphs never change once emitted; the port-shuffling variant
   /// relabels every round, so it never claims reuse.
@@ -29,21 +27,17 @@ class StaticAdversary final : public Adversary {
   }
 
   /// Copy-assigns the (possibly reshuffled) fixed graph into recycled
-  /// storage; the reshuffle variant goes through counter port streams at
-  /// n >= builders::kCounterBuilderMinNodes.
+  /// storage; the reshuffle variant relabels through (seed, emission#)
+  /// counter port streams.
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override;
   void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
 
  private:
-  /// Applies the per-round port relabeling (reshuffle variant only).
-  void refresh();
-
   Graph graph_;
   bool reshuffle_ports_;
   std::uint64_t seed_;
-  Rng rng_;
-  std::uint64_t emissions_ = 0;  ///< Counter-shuffle draw index (large n).
+  std::uint64_t emissions_ = 0;  ///< Draw index of the next relabeling.
   ThreadPool* pool_ = nullptr;
   bool has_emitted_ = false;
 };

@@ -19,14 +19,6 @@ std::string TIntervalAdversary::name() const {
   return os.str();
 }
 
-Graph TIntervalAdversary::next_graph(Round r, const Configuration& conf) {
-  if (!have_current_ || r % t_ == 0) {
-    inner_->next_graph_into(r, conf, current_);
-    have_current_ = true;
-  }
-  return current_;
-}
-
 void TIntervalAdversary::next_graph_into(Round r, const Configuration& conf,
                                          Graph& out) {
   if (!have_current_ || r % t_ == 0) {

@@ -20,7 +20,6 @@ class TIntervalAdversary final : public Adversary {
 
   std::string name() const override;
   std::size_t node_count() const override { return inner_->node_count(); }
-  Graph next_graph(Round r, const Configuration& conf) override;
 
   /// Stable within each T-round window: rounds with r % t != 0 replay the
   /// window's graph verbatim. Safe under skipped next_graph calls because

@@ -208,7 +208,12 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
                               std::uint64_t seed, std::uint64_t draw,
                               ThreadPool* pool, CounterBuildScratch& s,
                               Graph& out) {
-  assert(n >= 3 && "counter builder serves the large-n adversary path");
+  assert(n >= 1);
+  if (n == 1) {
+    // No Prüfer sequence and no edge: the lone node is the whole graph.
+    out.reset_assembly(1);
+    return;
+  }
   const CounterRng base(seed, draw);
   const CounterRng prufer_rng = base.fork(0);
   const CounterRng chord_rng = base.fork(1);

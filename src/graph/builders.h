@@ -73,13 +73,6 @@ struct CounterBuildScratch {
   std::vector<std::uint64_t> table;    ///< Open-addressing edge membership.
 };
 
-/// Node-count floor for the counter-based builder in the regenerating
-/// adversaries: below it they keep the legacy sequential Rng path (whose
-/// exact draw sequences the golden small-n digests pin), above it they
-/// switch to counter streams. Chosen under kParallelForSerialCutoff so
-/// conformance sizes can straddle BOTH thresholds.
-inline constexpr std::size_t kCounterBuilderMinNodes = 128;
-
 /// Connected random graph with shuffled ports from counter-based RNG
 /// streams: a uniform random tree (parallel Prüfer fill, linear smallest-
 /// leaf decode) plus `extra_edges` distinct chords, with every node's port
@@ -88,7 +81,9 @@ inline constexpr std::size_t kCounterBuilderMinNodes = 128;
 /// (the draw sequences differ, so the sampled graph differs for a given
 /// seed). (seed, draw) keys the graph: the same pair always yields the same
 /// bytes, at any thread count of `pool` (or pool == nullptr), which is the
-/// identity the adversary conformance suite pins. Requires n >= 3.
+/// identity the adversary conformance suite pins. This is the one random
+/// graph generator of the regenerating adversaries at every n. Requires
+/// n >= 1 (n = 1 yields the single node, n = 2 the single edge).
 void random_connected_counter(std::size_t n, std::size_t extra_edges,
                               std::uint64_t seed, std::uint64_t draw,
                               ThreadPool* pool, CounterBuildScratch& scratch,

@@ -54,7 +54,7 @@ class SourceFile {
   bool suppressed(const std::string& rule, int line) const;
 
   /// True when the path has `dir` as one of its directory components
-  /// (e.g. in_dir("bench") for "bench/bench_scale.cpp").
+  /// (e.g. in_dir("bench") for "bench/bench_table1.cpp").
   bool in_dir(const std::string& dir) const;
 
  private:

@@ -346,24 +346,22 @@ RunResult Engine::run() {
                     : small_delta ? GraphChange::kSmallDelta
                                   : GraphChange::kFullChurn;
 
-    if (options_.validate_graphs) {
-      const std::uint64_t fp = graph_.fingerprint();
-      if (same_graph && graph_validated_ && validated_fp_ == fp) {
-        // The identical graph already passed validation; re-running it
-        // would re-derive the same verdict.
-        ++res.stats.validations_skipped;
-      } else if (std::string err =
-                     validate_round_graph(graph_, conf_.node_count());
-                 !err.empty()) {
-        round_ctx_ = nullptr;
-        throw InvariantViolation(r, "round-graph",
-                                 "adversary " + adversary_.name() +
-                                     " emitted invalid graph in round " +
-                                     std::to_string(r) + ": " + err);
-      } else {
-        graph_validated_ = true;
-        validated_fp_ = fp;
-      }
+    const std::uint64_t fp = graph_.fingerprint();
+    if (same_graph && graph_validated_ && validated_fp_ == fp) {
+      // The identical graph already passed validation; re-running it would
+      // re-derive the same verdict.
+      ++res.stats.validations_skipped;
+    } else if (std::string err =
+                   validate_round_graph(graph_, conf_.node_count());
+               !err.empty()) {
+      round_ctx_ = nullptr;
+      throw InvariantViolation(r, "round-graph",
+                               "adversary " + adversary_.name() +
+                                   " emitted invalid graph in round " +
+                                   std::to_string(r) + ": " + err);
+    } else {
+      graph_validated_ = true;
+      validated_fp_ = fp;
     }
     const std::uint64_t ph_t1 = phase_clock_ns();
     res.stats.phase_graph_build_ms += phase_ns_to_ms(ph_t1 - ph_t0);

@@ -107,8 +107,6 @@ struct EngineOptions {
   std::uint64_t activation_seed = 1;
   /// Hard stop; impossibility benches use this as the containment horizon.
   Round max_rounds = 100000;
-  /// Validate every adversary-emitted graph (connectivity, ports, |V|).
-  bool validate_graphs = true;
   /// Record a full per-round trace (heavy).
   bool record_trace = false;
   /// Record per-round heap-allocation counts into

@@ -377,11 +377,10 @@ TEST_P(CounterBuilderDifferential, MatchesReferenceByteForByte) {
   }
 }
 
-// Sizes bracket both thresholds: the adversaries' legacy/counter cutoff
-// (kCounterBuilderMinNodes = 128 -- the builder itself works below it) and
-// the parallel_for serial cutoff (192), plus small/degenerate shapes.
+// Sizes bracket the parallel_for serial cutoff (192), plus small and
+// degenerate shapes down to the single edge.
 INSTANTIATE_TEST_SUITE_P(Sizes, CounterBuilderDifferential,
-                         ::testing::Values(3, 4, 9, 40, 130, 200, 450));
+                         ::testing::Values(2, 3, 4, 9, 40, 130, 200, 450));
 
 TEST(CounterBuilder, PoolAndSerialOutputsAreByteIdentical) {
   ThreadPool pool(3);

@@ -1,11 +1,16 @@
 // Campaign engine: spec parsing/validation, deterministic expansion, the
 // registry, the JSONL result store (resume + torn lines), the scheduler's
 // per-job isolation, and thread-count-independent aggregation.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,6 +358,65 @@ TEST(Campaign, AggregateIsIdenticalAtAnyThreadCount) {
     EXPECT_EQ(groups1[g].moves.samples(), groups4[g].moves.samples());
     EXPECT_EQ(groups1[g].dispersed, groups4[g].dispersed);
   }
+}
+
+/// A streambuf that records the id of every thread that writes to it.
+class ThreadRecordingBuf final : public std::streambuf {
+ public:
+  std::set<std::thread::id> writers() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return writers_;
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    note();
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char*, std::streamsize count) override {
+    note();
+    return count;
+  }
+
+ private:
+  void note() {
+    std::lock_guard<std::mutex> lock(mu_);
+    writers_.insert(std::this_thread::get_id());
+  }
+  mutable std::mutex mu_;
+  std::set<std::thread::id> writers_;
+};
+
+/// The store's records as sorted JSONL lines (timing off, so byte-exact).
+std::vector<std::string> sorted_record_lines(const std::string& dir) {
+  std::ifstream in(dir + "/results.jsonl");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(Campaign, SmallCampaignsUseEveryLane) {
+  // Fewer jobs than parallel_for's serial cutoff must still fan out: a
+  // 12-job run at 4 threads is written from more than one thread, with the
+  // record set of the one-lane run.
+  CampaignSpec spec = CampaignSpec::parse_json(kSmallSpec);
+  spec.set_seeds(12);
+  const std::string one_dir = scratch_dir("lanes1");
+  const std::string four_dir = scratch_dir("lanes4");
+  ResultStore one(one_dir);
+  ResultStore four(four_dir);
+  run_campaign(spec, one, 1, nullptr, /*record_timing=*/false);
+  ThreadRecordingBuf buf;
+  std::ostream progress(&buf);
+  const CampaignOutcome outcome =
+      run_campaign(spec, four, 4, &progress, /*record_timing=*/false);
+  EXPECT_EQ(outcome.executed, 12u);
+  EXPECT_EQ(outcome.threads, 4u);
+  EXPECT_GE(buf.writers().size(), 2u);
+  const std::vector<std::string> lines = sorted_record_lines(one_dir);
+  EXPECT_EQ(lines.size(), 12u);
+  EXPECT_EQ(lines, sorted_record_lines(four_dir));
 }
 
 TEST(Campaign, ResumeSkipsCompletedRecords) {

@@ -6,6 +6,7 @@
 // replays to the same violation.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "check/repro.h"
 #include "check/shrinker.h"
 #include "check/trial.h"
+#include "dynamic/random_adversary.h"
 #include "graph/builders.h"
 #include "util/rng.h"
 
@@ -235,46 +237,102 @@ TEST(RunChecked, DispersalOracleFiresWhenTheHorizonIsTooShort) {
 
 TEST(PlantedDisconnect, CaughtAtTheExactRoundShrunkAndReplayed) {
   const Toolbox toolbox = planted_toolbox("disconnect");
-  TrialConfig c;
-  c.algorithm = "random-walk";  // never disperses this fast: the run is
-  c.adversary = kPlantedDisconnectAdversary;  // guaranteed alive at round 6
-  c.placement = "rooted";
-  c.n = 14;
-  c.k = 14;
-  c.seed = 5;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TrialConfig c;
+    c.algorithm = "random-walk";  // never disperses this fast: the run is
+    c.adversary = kPlantedDisconnectAdversary;  // alive at kDisconnectRound
+    c.placement = "rooted";
+    c.n = 14;
+    c.k = 14;
+    c.seed = seed;
 
-  const CheckedOutcome out = run_checked(c, toolbox);
-  ASSERT_TRUE(out.violation.has_value());
-  EXPECT_EQ(out.violation->oracle, "round-graph");
-  EXPECT_EQ(out.violation->round, kDisconnectRound);
-  EXPECT_NE(out.violation->message.find("not connected"), std::string::npos)
-      << out.violation->message;
+    const CheckedOutcome out = run_checked(c, toolbox);
+    ASSERT_TRUE(out.violation.has_value());
+    EXPECT_EQ(out.violation->oracle, "round-graph");
+    EXPECT_EQ(out.violation->round, kDisconnectRound);
+    EXPECT_NE(out.violation->message.find("not connected"), std::string::npos)
+        << out.violation->message;
 
-  const ShrinkResult shrunk = shrink(c, *out.violation, toolbox);
-  EXPECT_EQ(shrunk.violation.oracle, "round-graph");
-  // The shrinker must strictly reduce n and capture + strictly reduce the
-  // adversary's round script.
-  EXPECT_LT(shrunk.config.n, c.n);
-  ASSERT_GT(shrunk.captured_script_length, 0u);
-  ASSERT_FALSE(shrunk.config.script.empty());
-  EXPECT_LT(shrunk.config.script.size(), shrunk.captured_script_length);
-  // Dropping script prefixes pulls the violation toward round 0.
-  EXPECT_LE(shrunk.violation.round, out.violation->round);
+    const ShrinkResult shrunk = shrink(c, *out.violation, toolbox);
+    EXPECT_EQ(shrunk.violation.oracle, "round-graph");
+    // The shrinker must strictly reduce n and capture + strictly reduce the
+    // adversary's round script.
+    EXPECT_LT(shrunk.config.n, c.n);
+    ASSERT_GT(shrunk.captured_script_length, 0u);
+    ASSERT_FALSE(shrunk.config.script.empty());
+    EXPECT_LT(shrunk.config.script.size(), shrunk.captured_script_length);
+    // Dropping script prefixes pulls the violation toward round 0.
+    EXPECT_LE(shrunk.violation.round, out.violation->round);
 
-  // The artifact must replay to the same violation after a disk round-trip.
-  ReproArtifact artifact;
-  artifact.config = shrunk.config;
-  artifact.expected = shrunk.violation;
-  artifact.note = "planted disconnect (test)";
-  const std::string path =
-      ::testing::TempDir() + "dyndisp_planted_disconnect_repro.json";
-  write_artifact(artifact, path);
-  const ReproArtifact loaded = load_artifact(path);
-  EXPECT_EQ(loaded.config.summary(), shrunk.config.summary());
-  const ReplayOutcome replayed = replay(loaded, toolbox);
-  EXPECT_TRUE(replayed.reproduced);
-  ASSERT_TRUE(replayed.violation.has_value());
-  EXPECT_EQ(replayed.violation->oracle, "round-graph");
+    // The artifact must replay to the same violation after a disk
+    // round-trip.
+    ReproArtifact artifact;
+    artifact.config = shrunk.config;
+    artifact.expected = shrunk.violation;
+    artifact.note = "planted disconnect (test)";
+    const std::string path =
+        ::testing::TempDir() + "dyndisp_planted_disconnect_repro.json";
+    write_artifact(artifact, path);
+    const ReproArtifact loaded = load_artifact(path);
+    EXPECT_EQ(loaded.config.summary(), shrunk.config.summary());
+    const ReplayOutcome replayed = replay(loaded, toolbox);
+    EXPECT_TRUE(replayed.reproduced);
+    ASSERT_TRUE(replayed.violation.has_value());
+    EXPECT_EQ(replayed.violation->oracle, "round-graph");
+  }
+}
+
+/// Random graphs until round 4, then two disjoint paths: a late
+/// round-graph violation for the shrinker's jump.
+class LateDisconnectAdversary final : public Adversary {
+ public:
+  LateDisconnectAdversary(std::size_t n, std::uint64_t seed)
+      : inner_(n, n / 3, seed) {}
+  std::string name() const override { return "late-disconnect"; }
+  std::size_t node_count() const override { return inner_.node_count(); }
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override {
+    if (r < 4) {
+      inner_.next_graph_into(r, conf, out);
+      return;
+    }
+    const std::size_t n = node_count();
+    out.reset_assembly(n);
+    for (NodeId v = 1; v < n / 2; ++v) out.add_edge(v - 1, v);
+    for (NodeId v = n / 2 + 1; v < n; ++v) out.add_edge(v - 1, v);
+  }
+
+ private:
+  RandomAdversary inner_;
+};
+
+TEST(Shrinker, ScriptJumpsStraightToTheViolatingGraph) {
+  Toolbox toolbox;
+  toolbox.add_adversary(
+      "late-disconnect",
+      [](const std::string&, std::size_t n, std::uint64_t seed) {
+        return std::make_unique<LateDisconnectAdversary>(n, seed);
+      });
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TrialConfig c;
+    c.algorithm = "random-walk";
+    c.adversary = "late-disconnect";
+    c.placement = "rooted";
+    c.n = 14;
+    c.k = 14;
+    c.seed = seed;
+    const CheckedOutcome out = run_checked(c, toolbox);
+    ASSERT_TRUE(out.violation.has_value());
+    ASSERT_EQ(out.violation->round, 4u);
+
+    const ShrinkResult shrunk = shrink(c, *out.violation, toolbox);
+    EXPECT_EQ(shrunk.violation.oracle, "round-graph");
+    // The bad graph alone is the repro: one graph, convicted at round 0.
+    EXPECT_EQ(shrunk.config.script.size(), 1u);
+    EXPECT_EQ(shrunk.violation.round, 0u);
+  }
 }
 
 TEST(PlantedLazy, ProgressOracleConvictsAtTheLazyRound) {

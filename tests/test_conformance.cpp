@@ -177,31 +177,28 @@ TEST(SameAsLast, ScriptedHonorsRepeatedLinesAndHorizon) {
 // Pins the set_thread_pool()/next_graph_into() contract for every
 // registered adversary: the emitted graph sequence must be byte-identical
 // (operator== compares full port-labeled adjacency) across
-//  - the legacy next_graph() path with no pool,
-//  - next_graph_into() with no pool, and
-//  - next_graph_into() with a multi-lane ThreadPool attached,
-// at sizes straddling both the adversaries' counter-builder cutoff
-// (kCounterBuilderMinNodes = 128) and parallel_for's serial cutoff (192):
-// n=96 exercises the legacy small-n generators, n=150 the counter path run
-// serially even under a pool, n=400 the genuinely fanned-out path. Every
-// emission is also structurally validated -- the small-n EveryEmittedGraphIsValid
-// sweep never reaches the counter builders.
+//  - next_graph() into a fresh Graph with no pool,
+//  - next_graph_into() recycling one Graph with no pool, and
+//  - next_graph_into() recycling one Graph with a multi-lane ThreadPool,
+// at sizes straddling parallel_for's serial cutoff (192): n=96 and n=150 run
+// serially even under a pool, n=400 is the genuinely fanned-out path. Every
+// emission is also structurally validated at these larger sizes.
 TEST_P(AdversaryConformance, SerialAndParallelEmissionsAreByteIdentical) {
   const auto& registry = campaign::Registry::instance();
   const std::string& name = GetParam();
 
   for (const std::size_t requested : {96u, 150u, 400u}) {
     const std::uint64_t seed = 21 + requested;
-    auto legacy = registry.adversary(name, "random", requested, seed);
+    auto fresh = registry.adversary(name, "random", requested, seed);
     auto serial = registry.adversary(name, "random", requested, seed);
     auto threaded = registry.adversary(name, "random", requested, seed);
-    const std::size_t n = legacy->node_count();
+    const std::size_t n = fresh->node_count();
     const std::size_t k = std::max<std::size_t>(2, n / 2);
     Rng rng(seed * 13 + 1);
     const Configuration conf = placement::uniform_random(n, k, rng);
     ThreadPool pool(3);
     threaded->set_thread_pool(&pool);
-    for (Adversary* adv : {legacy.get(), serial.get(), threaded.get()}) {
+    for (Adversary* adv : {fresh.get(), serial.get(), threaded.get()}) {
       if (adv->wants_plan_probe()) {
         adv->set_plan_probe(
             [k](const Graph&) { return MovePlan(k, kInvalidPort); });
@@ -210,7 +207,7 @@ TEST_P(AdversaryConformance, SerialAndParallelEmissionsAreByteIdentical) {
 
     Graph from_serial, from_pool;
     for (Round r = 0; r < 8; ++r) {
-      const Graph reference = legacy->next_graph(r, conf);
+      const Graph reference = fresh->next_graph(r, conf);
       serial->next_graph_into(r, conf, from_serial);
       threaded->next_graph_into(r, conf, from_pool);
       ASSERT_EQ(reference.fingerprint(), from_serial.fingerprint())
@@ -267,6 +264,34 @@ TEST_P(AdversaryConformance, EveryBroadcastMatchesAFreshAssembly) {
                 0u);
     }
   }
+}
+
+// The regenerating adversaries draw from one counter-stream builder at every
+// n, down to the single node and the single edge: every emission is a valid
+// round graph, and a lone robot on a lone node is dispersed before round 0.
+TEST(EdgeSizes, RandomAdversariesServeOneTwoAndThreeNodes) {
+  const auto& registry = campaign::Registry::instance();
+  for (const char* name : {"random", "tree", "t-interval"}) {
+    for (const std::size_t n : {1u, 2u, 3u}) {
+      auto adversary = registry.adversary(name, "random", n, 7);
+      ASSERT_EQ(adversary->node_count(), n) << name;
+      const Configuration conf = placement::rooted(n, 1);
+      Graph recycled;
+      for (Round r = 0; r < 6; ++r) {
+        adversary->next_graph_into(r, conf, recycled);
+        const std::string diag = validate_round_graph(recycled, n);
+        ASSERT_TRUE(diag.empty())
+            << name << " n=" << n << " round " << r << ": " << diag;
+      }
+    }
+  }
+
+  auto adversary = registry.adversary("random", "random", 1, 7);
+  Engine engine(*adversary, placement::rooted(1, 1),
+                registry.algorithm("alg4", 7).factory, EngineOptions{});
+  const RunResult result = engine.run();
+  EXPECT_TRUE(result.dispersed);
+  EXPECT_EQ(result.rounds, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -407,8 +432,9 @@ class DoubleProbeTrap final : public Adversary {
   std::string name() const override { return inner_.name(); }
   std::size_t node_count() const override { return inner_.node_count(); }
   bool wants_plan_probe() const override { return true; }
-  Graph next_graph(Round r, const Configuration& conf) override {
-    return inner_.next_graph(r, conf);
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override {
+    inner_.next_graph_into(r, conf, out);
   }
   void set_plan_probe(PlanProbe probe) override {
     inner_.set_plan_probe([this, probe = std::move(probe)](const Graph& g) {

@@ -221,8 +221,9 @@ class ReferenceWorstEdgeRing final : public Adversary {
   explicit ReferenceWorstEdgeRing(std::size_t n) : n_(n) {}
   std::string name() const override { return "reference-worst-edge-ring"; }
   std::size_t node_count() const override { return n_; }
-  Graph next_graph(Round, const Configuration& conf) override {
-    return reference_worst_edge_graph(n_, conf);
+  void next_graph_into(Round, const Configuration& conf,
+                       Graph& out) override {
+    out = reference_worst_edge_graph(n_, conf);
   }
 
  private:

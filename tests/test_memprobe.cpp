@@ -148,10 +148,6 @@ class RepeatProbeTrap final : public Adversary {
   std::string name() const override { return inner_.name(); }
   std::size_t node_count() const override { return inner_.node_count(); }
   bool wants_plan_probe() const override { return true; }
-  Graph next_graph(Round r, const Configuration& conf) override {
-    counting_ = r >= warmup_;
-    return inner_.next_graph(r, conf);
-  }
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override {
     counting_ = r >= warmup_;

@@ -158,16 +158,15 @@ TEST(Engine, StarStarPacketBitsGrowQuadraticallyInK) {
 }
 
 TEST(Engine, ValidatorOptionCatchesBadAdversary) {
-  // An adversary emitting a disconnected graph must be rejected when
-  // validation is on (the default).
+  // An adversary emitting a disconnected graph must be rejected: the
+  // engine validates every round graph.
   class BadAdversary final : public Adversary {
    public:
     std::string name() const override { return "bad"; }
     std::size_t node_count() const override { return 4; }
-    Graph next_graph(Round, const Configuration&) override {
-      Graph g(4);
-      g.add_edge(0, 1);  // nodes 2, 3 disconnected
-      return g;
+    void next_graph_into(Round, const Configuration&, Graph& out) override {
+      out = Graph(4);
+      out.add_edge(0, 1);  // nodes 2, 3 disconnected
     }
   };
   BadAdversary adv;
