@@ -26,6 +26,7 @@
 #include "robots/configuration.h"
 #include "sim/engine.h"
 #include "sim/sensing.h"
+#include "sim/trace.h"
 
 namespace {
 
@@ -161,12 +162,13 @@ int main() {
   StaticAdversary adv(g);
   EngineOptions opt;
   opt.max_rounds = 100;
-  opt.record_trace = true;
+  Trace trace;
+  opt.on_round = record_into(trace);
   opt.record_progress = true;
   Engine engine(adv, conf, core::dispersion_factory(), opt);
   const RunResult r = engine.run();
-  for (std::size_t i = 0; i < r.trace.size(); ++i)
-    std::fputs(r.trace.describe_round(i).c_str(), stdout);
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    std::fputs(trace.describe_round(i).c_str(), stdout);
   std::printf("dispersed=%s in %llu rounds (occupied %zu -> %zu of k=%zu); "
               "progress per round: ",
               r.dispersed ? "yes" : "NO",
@@ -191,7 +193,7 @@ int main() {
     std::ofstream dot("fig3_graph.dot");
     dot << to_dot(g, conf.occupancy(), "Fig3");
     std::ofstream svg("fig34_run.svg");
-    svg << viz::render_animation(r.trace);
+    svg << viz::render_animation(trace);
   }
   std::printf("\nartifacts: fig3_graph.dot, fig34_run.svg\n");
 

@@ -66,6 +66,7 @@
 
 #include "campaign/registry.h"
 #include "core/dispersion.h"
+#include "core/structure_cache.h"
 #include "dynamic/random_adversary.h"
 #include "dynamic/scripted_adversary.h"
 #include "dynamic/t_interval_adversary.h"
@@ -117,6 +118,7 @@ struct Row {
   double peak_rss_mb = 0;
   std::uint64_t heap_allocs = 0;
   RoundLoopStats stats;
+  core::StructureCacheStats sc;
 };
 
 /// One bench row family: which adversary, how robots are placed, and how the
@@ -203,8 +205,16 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
     EngineOptions opt;
     opt.max_rounds = 10 * k;
     opt.threads = threads;
+    // dispersion_factory_memoized()'s construction, with the caches held
+    // here so the structure-cache counters are this run's alone.
+    auto cache = std::make_shared<core::PlanCache>();
+    cache->set_structure_cache(std::make_shared<core::StructureCache>());
     Engine engine(*adv, std::move(initial),
-                  core::dispersion_factory_memoized(), opt);
+                  [cache](RobotId id, std::size_t robots) {
+                    return std::make_unique<core::DispersionRobot>(id, robots,
+                                                                   cache);
+                  },
+                  opt);
     const std::uint64_t allocs_before = dyndisp::memprobe::allocation_count();
     const auto t0 = std::chrono::steady_clock::now();
     const RunResult r = engine.run();
@@ -218,6 +228,7 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
     if (rep == 0 || ms < row.wall_ms) {
       row.wall_ms = ms;
       row.stats = r.stats;
+      row.sc = cache->structure_cache()->stats();
     }
     // The round loop is deterministic, so rep 0 already warmed every
     // process-global cache; take the min so one-time warmup allocations do
@@ -292,8 +303,8 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
              static_cast<std::uint64_t>(r.stats.packets_copied));
     w.member("packets_rebuilt",
              static_cast<std::uint64_t>(r.stats.packets_rebuilt));
-    w.member("sc_exact_hits", r.stats.sc_exact_hits);
-    w.member("sc_components_reused", r.stats.sc_components_reused);
+    w.member("sc_exact_hits", r.sc.exact_hits);
+    w.member("sc_components_reused", r.sc.components_reused);
     w.member("state_list_rounds_skipped",
              static_cast<std::uint64_t>(r.stats.state_list_rounds_skipped));
     w.member("before_copies_skipped",

@@ -13,6 +13,7 @@
 #include "dynamic/star_star_adversary.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 
 int main() {
   using namespace dyndisp;
@@ -22,7 +23,8 @@ int main() {
 
   EngineOptions options;
   options.max_rounds = 10 * k;
-  options.record_trace = true;
+  Trace trace;
+  options.on_round = record_into(trace);
 
   Engine engine(adversary, placement::rooted(n, k),
                 core::dispersion_factory(), options);
@@ -30,8 +32,8 @@ int main() {
 
   std::printf("star-star adversary vs Algorithm 4: n=%zu, k=%zu, rooted\n\n",
               n, k);
-  for (std::size_t i = 0; i < result.trace.size(); ++i) {
-    const auto& rec = result.trace.at(i);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& rec = trace.at(i);
     // Render the two stars: occupied nodes (count in brackets) | empty.
     std::string occupied_side, empty_side;
     const auto occ = rec.before.occupancy();

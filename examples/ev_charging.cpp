@@ -15,6 +15,7 @@
 #include "graph/builders.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 
 int main() {
   using namespace dyndisp;
@@ -34,7 +35,8 @@ int main() {
 
   EngineOptions options;
   options.max_rounds = 10 * k;
-  options.record_trace = true;
+  Trace trace;
+  options.on_round = record_into(trace);
 
   Engine engine(roads, std::move(initial), core::dispersion_factory(),
                 options);
@@ -45,8 +47,8 @@ int main() {
               "(Theorem 4 guarantees <= %zu)\n\n",
               static_cast<unsigned long long>(result.rounds), k);
 
-  for (std::size_t i = 0; i < result.trace.size(); ++i) {
-    const auto& rec = result.trace.at(i);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& rec = trace.at(i);
     std::size_t moved = 0;
     for (const Port p : rec.moves)
       if (p != kInvalidPort) ++moved;

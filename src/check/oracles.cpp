@@ -1,6 +1,5 @@
 #include "check/oracles.h"
 
-#include <set>
 #include <string>
 
 #include "analysis/verify.h"
@@ -26,8 +25,8 @@ OracleProfile oracle_profile(const TrialConfig& config, bool claims_lemmas) {
   return p;
 }
 
-InvariantChecker make_invariant_checker(const OracleProfile& profile,
-                                        std::size_t k) {
+RoundObserver make_invariant_checker(const OracleProfile& profile,
+                                     std::size_t k) {
   if (!profile.occupied_monotone && !profile.progress && !profile.memory)
     return nullptr;
   const OracleProfile p = profile;
@@ -66,57 +65,38 @@ InvariantChecker make_invariant_checker(const OracleProfile& profile,
 
 namespace {
 
-/// One round's broadcast as the wire sees it: what packet_observer reports.
-std::string wire_record(Round round, std::size_t count, std::size_t bits,
-                        std::uint64_t digest) {
-  return "round " + std::to_string(round) + ": count=" +
-         std::to_string(count) + " bits=" + std::to_string(bits) +
-         " digest=" + std::to_string(digest);
+/// One broadcast as the wire sees it, for the oracle's diagnostic.
+std::string describe_broadcast(const PacketSet& packets, std::size_t bits) {
+  return "count=" + std::to_string(packets.size()) +
+         " bits=" + std::to_string(bits) +
+         " digest=" + std::to_string(packet_set_digest(packets));
 }
 
 }  // namespace
 
 std::shared_ptr<const std::size_t> install_broadcast_reference(
-    EngineOptions& options, const FaultSchedule& faults) {
+    EngineOptions& options) {
   if (options.comm != CommModel::kGlobal || options.byzantine) return nullptr;
-  struct State {
-    std::string published;  ///< wire_record of the last broadcast.
-    std::size_t compared = 0;
+  auto compared = std::make_shared<std::size_t>(0);
+  options.on_round = [compared, observer = std::move(options.on_round),
+                      neighborhood = options.neighborhood_knowledge](
+                         const RoundSnapshot& s) {
+    const PacketSet fresh(make_all_packets(s.graph, s.before, neighborhood));
+    std::size_t bits = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      bits += packet_bit_size(fresh[i], s.before.robot_count(),
+                              s.before.node_count());
+    if (!(fresh == s.packets) || bits != s.packet_bits)
+      throw InvariantViolation(
+          s.round, "broadcast-reference",
+          "[broadcast-reference] round " + std::to_string(s.round) +
+              " published " + describe_broadcast(s.packets, s.packet_bits) +
+              ", but a fresh make_all_packets gives " +
+              describe_broadcast(fresh, bits));
+    ++*compared;
+    if (observer) observer(s);
   };
-  auto state = std::make_shared<State>();
-  std::set<Round> skipped;
-  for (const CrashEvent& e : faults.events())
-    if (e.phase == CrashPhase::kAfterCommunicate) skipped.insert(e.round);
-
-  options.packet_observer =
-      [state, observer = std::move(options.packet_observer)](
-          Round r, std::size_t count, std::size_t bits, std::uint64_t digest) {
-        state->published = wire_record(r, count, bits, digest);
-        if (observer) observer(r, count, bits, digest);
-      };
-  options.invariant_checker =
-      [state, checker = std::move(options.invariant_checker),
-       neighborhood = options.neighborhood_knowledge,
-       skipped = std::move(skipped)](const RoundSnapshot& s) {
-        if (!skipped.count(s.round)) {
-          const PacketSet fresh(
-              make_all_packets(s.graph, s.before, neighborhood));
-          std::size_t bits = 0;
-          for (std::size_t i = 0; i < fresh.size(); ++i)
-            bits += packet_bit_size(fresh[i], s.before.robot_count(),
-                                    s.before.node_count());
-          const std::string expected = wire_record(
-              s.round, fresh.size(), bits, packet_set_digest(fresh));
-          if (state->published != expected)
-            throw InvariantViolation(
-                s.round, "broadcast-reference",
-                "[broadcast-reference] published " + state->published +
-                    ", but a fresh make_all_packets gives " + expected);
-          ++state->compared;
-        }
-        if (checker) checker(s);
-      };
-  return {state, &state->compared};
+  return compared;
 }
 
 std::optional<Violation> post_run_violation(const OracleProfile& profile,

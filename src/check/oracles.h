@@ -48,23 +48,22 @@ struct OracleProfile {
 /// oracles additionally require faults == 0.
 OracleProfile oracle_profile(const TrialConfig& config, bool claims_lemmas);
 
-/// Builds the per-round engine hook for the profile's in-engine oracles
-/// (occupied-monotone, progress, memory). Returns a null function when none
-/// of them bind, so the engine hot path stays untouched.
-InvariantChecker make_invariant_checker(const OracleProfile& profile,
-                                        std::size_t k);
+/// Builds the per-round engine observer for the profile's in-engine
+/// oracles (occupied-monotone, progress, memory). Returns a null function
+/// when none of them bind, so the engine hot path stays untouched.
+RoundObserver make_invariant_checker(const OracleProfile& profile,
+                                     std::size_t k);
 
 /// Installs the broadcast-reference oracle (see the key table above) into
-/// `options`: packet_observer records each round's packet count, wire bits
-/// and packet_set_digest, and the invariant checker compares them with a
-/// fresh make_all_packets(snapshot.graph, snapshot.before, neighborhood).
-/// Rounds with a kAfterCommunicate crash in `faults` are skipped: the
-/// snapshot's start-of-round configuration is copied after those kills.
-/// Chains onto any observer/checker already installed. Returns null (and
-/// installs nothing) unless communication is global with no Byzantine
-/// model; otherwise the count of rounds compared, read after the run.
+/// `options.on_round`: every executed round's published broadcast and its
+/// metered wire bits must equal a fresh make_all_packets(snapshot.graph,
+/// snapshot.before, neighborhood) and its bit total, crash rounds
+/// included. Chains onto any observer already installed (which runs
+/// after the comparison). Returns null (and installs nothing) unless
+/// communication is global with no Byzantine model; otherwise the count
+/// of rounds compared, read after the run.
 std::shared_ptr<const std::size_t> install_broadcast_reference(
-    EngineOptions& options, const FaultSchedule& faults);
+    EngineOptions& options);
 
 /// Runs the profile's post-run oracles (dispersal, round-bound,
 /// faulty-round-bound) against a completed result, reusing the

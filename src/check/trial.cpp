@@ -198,9 +198,9 @@ CheckedOutcome run_checked(const TrialConfig& config, const Toolbox& toolbox,
       spec.faults ? spec.faults(config.seed) : FaultSchedule::none();
   const OracleProfile profile =
       oracle_profile(config, toolbox.claims_lemmas(config.algorithm));
-  spec.options.invariant_checker = make_invariant_checker(profile, config.k);
+  spec.options.on_round = make_invariant_checker(profile, config.k);
   const std::shared_ptr<const std::size_t> reference_rounds =
-      install_broadcast_reference(spec.options, faults);
+      install_broadcast_reference(spec.options);
 
   Adversary& adversary = override_adversary ? *override_adversary : *owned;
   CheckedOutcome out;

@@ -190,7 +190,7 @@ SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config = {})
 /// around its compute phase to split the compute bucket into "planning" vs
 /// "robot steps" (RoundLoopStats::phase_plan_ms), and nothing else reads
 /// it. Monotone; exact when one run executes at a time, advisory under
-/// concurrent runs (same contract as StructureCache::global_stats()).
+/// concurrent runs.
 std::uint64_t planner_time_ns();
 
 /// Adds `ns` to the accumulator (PlanCache's miss path; relaxed atomic).

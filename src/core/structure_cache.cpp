@@ -1,25 +1,12 @@
 #include "core/structure_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <utility>
 
 namespace dyndisp::core {
 
 namespace {
-
-// Process-wide counters (relaxed: they are statistics, not synchronization).
-std::atomic<std::uint64_t> g_exact_hits{0};
-std::atomic<std::uint64_t> g_delta_rounds{0};
-std::atomic<std::uint64_t> g_full_builds{0};
-std::atomic<std::uint64_t> g_components_reused{0};
-std::atomic<std::uint64_t> g_components_rebuilt{0};
-std::atomic<std::uint64_t> g_evictions{0};
-
-void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
-  counter.fetch_add(by, std::memory_order_relaxed);
-}
 
 /// Builds `comp`'s spanning tree per the config's tree choice -- the same
 /// dispatch plan_round performs.
@@ -192,8 +179,6 @@ bool StructureCache::try_delta(const Entry& prev, const PacketSet& packets,
 
   stats_.components_reused += reused;
   stats_.components_rebuilt += rebuilt;
-  bump(g_components_reused, reused);
-  bump(g_components_rebuilt, rebuilt);
   return true;
 }
 
@@ -244,7 +229,6 @@ std::shared_ptr<const SlidePlan> StructureCache::plan(
                   entries_.begin() + idx + 1);
     }
     ++stats_.exact_hits;
-    bump(g_exact_hits);
     return entries_.front().merged;
   }
 
@@ -266,18 +250,15 @@ std::shared_ptr<const SlidePlan> StructureCache::plan(
   }
   if (candidate != nullptr && try_delta(*candidate, packets, config, fresh)) {
     ++stats_.delta_rounds;
-    bump(g_delta_rounds);
   } else {
     full_build(packets, config, fresh);
     ++stats_.full_builds;
-    bump(g_full_builds);
   }
 
   entries_.insert(entries_.begin(), std::move(fresh));
   if (entries_.size() > capacity_) {
     entries_.pop_back();
     ++stats_.evictions;
-    bump(g_evictions);
   }
   return entries_.front().merged;
 }
@@ -285,17 +266,6 @@ std::shared_ptr<const SlidePlan> StructureCache::plan(
 StructureCacheStats StructureCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-StructureCacheStats StructureCache::global_stats() {
-  StructureCacheStats s;
-  s.exact_hits = g_exact_hits.load(std::memory_order_relaxed);
-  s.delta_rounds = g_delta_rounds.load(std::memory_order_relaxed);
-  s.full_builds = g_full_builds.load(std::memory_order_relaxed);
-  s.components_reused = g_components_reused.load(std::memory_order_relaxed);
-  s.components_rebuilt = g_components_rebuilt.load(std::memory_order_relaxed);
-  s.evictions = g_evictions.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace dyndisp::core

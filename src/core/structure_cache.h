@@ -51,9 +51,9 @@
 
 namespace dyndisp::core {
 
-/// Counters describing how the cache served its plan() calls. Exposed per
-/// instance (exact, for tests) and process-wide (see global_stats) for
-/// RunResult reporting. Observability only (DYNDISP_STATS): the
+/// Counters describing how the cache served its plan() calls, per instance:
+/// a caller that wants one run's counts holds that run's cache (see
+/// PlanCache::structure_cache). Observability only (DYNDISP_STATS): the
 /// digest-exclusion lint rule keeps these out of result digests.
 struct DYNDISP_STATS StructureCacheStats {
   std::uint64_t exact_hits = 0;        ///< Rounds served without any rebuild.
@@ -84,12 +84,6 @@ class StructureCache {
 
   /// This instance's counters (snapshot under the lock).
   StructureCacheStats stats() const;
-
-  /// Process-wide counters aggregated over every StructureCache. The engine
-  /// reports per-run deltas of these; exact for single-run processes, and
-  /// only advisory when runs execute concurrently (campaign mode, which
-  /// deliberately does not record them).
-  static StructureCacheStats global_stats();
 
  private:
   /// One component's cached products. `tree`/`movers` are null for

@@ -281,42 +281,6 @@ void Graph::commit_assembly(std::size_t edge_count, std::uint64_t fp_edges) {
   assert(validate().empty() && "bulk assembly produced an invalid graph");
 }
 
-Graph::Delta Graph::delta(const Graph& prev) const {
-  Delta out;
-  delta_into(prev, out);
-  return out;
-}
-
-void Graph::delta_into(const Graph& prev, Delta& out) const {
-  out.changed_nodes.clear();
-  out.added.clear();
-  out.removed.clear();
-  out.node_count_changed = adj_.size() != prev.adj_.size();
-  if (out.node_count_changed) return;
-  for (NodeId v = 0; v < adj_.size(); ++v)
-    if (adj_[v] != prev.adj_[v]) out.changed_nodes.push_back(v);
-  // Edge-level diff only needs the changed nodes: a port-labeled edge that
-  // appears or disappears (or is relabeled) changes the adjacency of BOTH
-  // endpoints, so scanning changed nodes and emitting at the lower endpoint
-  // sees every difference exactly once.
-  auto collect = [&](const Graph& g, const Graph& other,
-                     std::vector<Edge>& sink) {
-    for (NodeId v : out.changed_nodes) {
-      for (std::size_t i = 0; i < g.adj_[v].size(); ++i) {
-        const HalfEdge& he = g.adj_[v][i];
-        if (v >= he.to) continue;
-        const bool present_in_other =
-            i < other.adj_[v].size() && other.adj_[v][i] == he;
-        if (!present_in_other)
-          sink.push_back(Edge{v, he.to, static_cast<Port>(i + 1),
-                              he.reverse_port});
-      }
-    }
-  };
-  collect(*this, prev, out.added);
-  collect(prev, *this, out.removed);
-}
-
 bool Graph::changed_nodes_into(const Graph& prev, std::vector<NodeId>& out,
                                std::size_t cap) const {
   out.clear();

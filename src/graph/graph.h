@@ -169,36 +169,14 @@ class Graph {
   }
 
   /// The structural difference against `prev` (typically last round's
-  /// graph): which nodes' adjacency changed, and the port-labeled edges
-  /// added/removed. A port relabeling of a surviving edge reports as one
-  /// removed + one added edge -- port identity is part of edge identity
-  /// here, because packets and plans depend on it. Cost: O(n + changed
-  /// adjacency); unchanged nodes are compared vector-wise.
-  struct Delta {
-    /// Nodes whose incident half-edge list differs, ascending. When
-    /// node_count_changed is true this list is empty (no meaningful diff).
-    std::vector<NodeId> changed_nodes;
-    std::vector<Edge> added;    ///< In this graph, not (identically) in prev.
-    std::vector<Edge> removed;  ///< In prev, not (identically) in this graph.
-    bool node_count_changed = false;
-
-    bool empty() const {
-      return !node_count_changed && changed_nodes.empty();
-    }
-  };
-  Delta delta(const Graph& prev) const;
-
-  /// delta() into caller-owned storage (cleared first) so the round loop
-  /// can reuse the vectors' capacity across rounds.
-  void delta_into(const Graph& prev, Delta& out) const;
-
-  /// The changed-nodes part of delta() alone, abandoned early: fills `out`
-  /// (cleared first) with the nodes whose adjacency differs from `prev`,
-  /// ascending, and returns true -- unless more than `cap` nodes differ or
-  /// the node counts differ, in which case it returns false with `out` in
-  /// an unspecified partial state. The round loop's small-delta probe uses
-  /// this so churn-heavy rounds pay for a prefix of the comparison, not a
-  /// full edge-level diff they will immediately discard.
+  /// graph), abandoned early: fills `out` (cleared first) with the nodes
+  /// whose incident half-edge list differs from `prev`, ascending, and
+  /// returns true -- unless more than `cap` nodes differ or the node counts
+  /// differ, in which case it returns false with `out` in an unspecified
+  /// partial state. A port relabeling changes both endpoints' lists, since
+  /// packets and plans depend on port identity. The round loop's
+  /// small-delta probe uses this so churn-heavy rounds pay for a prefix of
+  /// the comparison only.
   bool changed_nodes_into(const Graph& prev, std::vector<NodeId>& out,
                           std::size_t cap) const;
 

@@ -8,9 +8,7 @@
 #include <utility>
 
 #include "core/planner.h"
-#include "core/structure_cache.h"
 #include "dynamic/validator.h"
-#include "util/memprobe.h"
 #include "util/parallel.h"
 #include "util/phase_clock.h"
 
@@ -76,10 +74,7 @@ void Engine::refresh_state(RobotId id) {
   // state lists, and through them whole views) fires. Byte-compare decides
   // -- a changed state always gets a fresh handle.
   const StateHandle& slot = states_[id - 1];
-  if (slot && *slot == w.bytes()) {
-    ++state_handles_reused_;
-    return;
-  }
+  if (slot && *slot == w.bytes()) return;
   states_[id - 1] = std::make_shared<const std::vector<std::uint8_t>>(w.bytes());
 }
 
@@ -231,27 +226,10 @@ RunResult Engine::run() {
   res.initial_occupied = conf_.occupied_count();
   res.max_occupied = res.initial_occupied;
 
-  // StructureCache counters are process-wide; a start-of-run snapshot turns
-  // them into per-run deltas (exact when runs execute one at a time).
-  const core::StructureCacheStats sc_before =
-      core::StructureCache::global_stats();
   const auto finalize_stats = [&]() {
     const RoundContext::Counters& rc = ctx_.counters();
     res.stats.packets_copied = rc.packets_copied;
     res.stats.packets_rebuilt = rc.packets_rebuilt;
-    res.stats.node_state_lists_reused = rc.node_state_lists_reused;
-    res.stats.scratch_reuses = rc.scratch_reuses;
-    res.stats.state_handles_reused = state_handles_reused_;
-    const core::StructureCacheStats sc_after =
-        core::StructureCache::global_stats();
-    res.stats.sc_exact_hits = sc_after.exact_hits - sc_before.exact_hits;
-    res.stats.sc_delta_rounds = sc_after.delta_rounds - sc_before.delta_rounds;
-    res.stats.sc_full_builds = sc_after.full_builds - sc_before.full_builds;
-    res.stats.sc_components_reused =
-        sc_after.components_reused - sc_before.components_reused;
-    res.stats.sc_components_rebuilt =
-        sc_after.components_rebuilt - sc_before.components_rebuilt;
-    res.stats.sc_evictions = sc_after.evictions - sc_before.evictions;
   };
 
   // Exploration tracking on occupancy bitset words: ever-occupied is the
@@ -260,7 +238,6 @@ RunResult Engine::run() {
   // allocation.
   std::vector<std::uint64_t> ever_words = conf_.occupied_words();
   std::size_t explored = conf_.occupied_count();
-  res.stats.occupancy_words = ever_words.size();
   if (explored == conf_.node_count()) res.exploration_round = 0;
 
   if (options_.record_progress)
@@ -271,10 +248,6 @@ RunResult Engine::run() {
     if (conf_.alive(id)) refresh_state(id);
 
   for (Round r = 0; r < options_.max_rounds; ++r) {
-    // Allocation window: opened as the loop body's first statement and
-    // closed (with its push_back) as the last, so the probe's own recording
-    // never lands inside any measured round.
-    const std::uint64_t round_allocs_start = memprobe::allocation_count();
     for (const RobotId id : faults_.crashes_at(r, CrashPhase::kBeforeCommunicate)) {
       if (conf_.alive(id)) {
         conf_.kill(id);
@@ -312,7 +285,7 @@ RunResult Engine::run() {
     // and the remainder, move = [t3,t4).
     const std::uint64_t ph_t0 = phase_clock_ns();
     bool same_graph = false;   // G_r provably operator== G_{r-1}
-    bool small_delta = false;  // G_r near G_{r-1}; graph_delta_ holds the diff
+    bool small_delta = false;  // G_r near G_{r-1}; graph_changed_ holds the diff
     if (have_graph_ && adversary_.same_as_last(r, conf_)) {
       // Honest hint (conformance-tested per adversary): the graph the
       // adversary would emit equals the one it last emitted, which is
@@ -333,7 +306,7 @@ RunResult Engine::run() {
           // (beyond that full reassembly is cheaper), so churn-heavy rounds
           // abandon the comparison as soon as that is certain instead of
           // paying for a full edge-level diff.
-          small_delta = g.changed_nodes_into(graph_, graph_delta_.changed_nodes,
+          small_delta = g.changed_nodes_into(graph_, graph_changed_,
                                              conf_.node_count() / 4);
         }
       }
@@ -341,7 +314,6 @@ RunResult Engine::run() {
       have_graph_ = true;
       if (!same_graph) graph_validated_ = false;
     }
-    if (same_graph) ++res.stats.same_graph_rounds;
     round_change_ = same_graph    ? GraphChange::kSame
                     : small_delta ? GraphChange::kSmallDelta
                                   : GraphChange::kFullChurn;
@@ -388,7 +360,7 @@ RunResult Engine::run() {
             dirty_nodes_.push_back(graph_.neighbor(v, p));
         }
         if (!same_graph)
-          for (const NodeId v : graph_delta_.changed_nodes)
+          for (const NodeId v : graph_changed_)
             dirty_nodes_.push_back(v);
         std::sort(dirty_nodes_.begin(), dirty_nodes_.end());
         dirty_nodes_.erase(
@@ -405,10 +377,6 @@ RunResult Engine::run() {
       }
       res.packets_sent += ctx_.packet_count();
       res.packet_bits_sent += ctx_.packet_bits();
-      if (options_.packet_observer) {
-        options_.packet_observer(r, ctx_.packet_count(), ctx_.packet_bits(),
-                                 packet_set_digest(ctx_.packets()));
-      }
     }
 
     const std::uint64_t ph_t2 = phase_clock_ns();
@@ -430,6 +398,16 @@ RunResult Engine::run() {
         compute_wall_ms > plan_ms ? compute_wall_ms - plan_ms : 0.0;
     round_ctx_ = nullptr;
 
+    // The start-of-round configuration exists solely for observers: the
+    // Move phase reads each robot's source node from conf_ BEFORE its own
+    // write, and no robot reads another robot's position. It is taken
+    // before the kAfterCommunicate crashes, so it is the configuration the
+    // broadcast was built from.
+    if (options_.on_round)
+      before_ = conf_;
+    else
+      ++res.stats.before_copies_skipped;
+
     bool crashed_this_round =
         !faults_.crashes_at(r, CrashPhase::kBeforeCommunicate).empty();
     for (const RobotId id : faults_.crashes_at(r, CrashPhase::kAfterCommunicate)) {
@@ -441,17 +419,6 @@ RunResult Engine::run() {
       }
     }
 
-    // The Move phase needs no start-of-round snapshot: each robot's source
-    // node is read from conf_ BEFORE its own write, and no robot reads
-    // another robot's position. The full copy exists solely for observers
-    // (invariant checkers, traces) and is elided when nothing observes it.
-    const bool need_before =
-        options_.invariant_checker || options_.record_trace;
-    Configuration before;
-    if (need_before)
-      before = conf_;
-    else
-      ++res.stats.before_copies_skipped;
     for (RobotId id = 1; id <= conf_.robot_count(); ++id) {
       if (!conf_.alive(id)) continue;
       const Port p = plan[id - 1];
@@ -489,27 +456,13 @@ RunResult Engine::run() {
     res.max_occupied = std::max(res.max_occupied, conf_.occupied_count());
     if (options_.record_progress)
       res.occupied_per_round.push_back(conf_.occupied_count());
-    if (options_.invariant_checker) {
-      // Oracles see the round exactly as executed: the emitted graph, both
-      // configurations, the chosen plan, and the metered memory peak.
-      options_.invariant_checker(RoundSnapshot{
-          r, graph_, before, conf_, plan, newly, crashed_this_round,
-          meter_.max_bits()});
-    }
-    if (options_.record_trace) {
-      RoundRecord rec;
-      rec.round = r;
-      // Copy, not move: graph_ persists as the next round's G_{r-1}.
-      rec.graph = graph_;
-      rec.before = before;
-      rec.moves = plan;  // Copy: plan_buf_ persists across rounds.
-      rec.after = conf_;
-      rec.newly_occupied = newly;
-      res.trace.add(std::move(rec));
-    }
-    if (options_.alloc_probe) {
-      res.allocs_per_round.push_back(memprobe::allocation_count() -
-                                     round_allocs_start);
+    if (options_.on_round) {
+      // Observers see the round exactly as executed: the emitted graph,
+      // both configurations, the chosen plan, the published broadcast and
+      // the metered memory peak.
+      options_.on_round(RoundSnapshot{
+          r, graph_, before_, conf_, plan, ctx_.packets(), ctx_.packet_bits(),
+          newly, crashed_this_round, meter_.max_bits()});
     }
   }
 

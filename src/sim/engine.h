@@ -34,7 +34,6 @@
 #include "sim/memory_meter.h"
 #include "sim/round_context.h"
 #include "sim/sensing.h"
-#include "sim/trace.h"
 #include "util/contract.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -59,15 +58,22 @@ enum class Activation {
   kRoundRobin,
 };
 
-/// Everything an in-engine invariant oracle may inspect about one executed
-/// round, assembled after the Move phase and before the round's artifacts
-/// are recycled. All references are valid only during the checker call.
+/// Everything an observer may inspect about one executed round, assembled
+/// after the Move phase and before the round's artifacts are recycled. All
+/// references are valid only during the observer call.
 struct RoundSnapshot {
   Round round = 0;
   const Graph& graph;           ///< G_r as emitted by the adversary.
-  const Configuration& before;  ///< Configuration at the start of the round.
+  /// Configuration at the start of the round: after the round's
+  /// kBeforeCommunicate crashes and before its kAfterCommunicate ones, so
+  /// it is the configuration the broadcast was built from.
+  const Configuration& before;
   const Configuration& after;   ///< Configuration after the Move phase.
   const MovePlan& plan;         ///< Exit ports chosen (id-1 indexed).
+  /// The round's published broadcast, exactly as the robots received it
+  /// (after any Byzantine tampering); falsy under local communication.
+  const PacketSet& packets;
+  std::size_t packet_bits = 0;  ///< Metered wire bits of `packets`.
   /// Nodes occupied this round that had never been occupied before.
   std::size_t newly_occupied = 0;
   bool crashed_this_round = false;
@@ -77,7 +83,7 @@ struct RoundSnapshot {
 
 /// Raised by the engine when a per-round invariant fails: either its own
 /// round-graph validation (oracle "round-graph") or a user-installed
-/// invariant_checker. Derives std::runtime_error so existing catch sites
+/// on_round observer. Derives std::runtime_error so existing catch sites
 /// keep working; carries the round and the oracle name so a fuzzer can
 /// shrink toward the exact violation it first observed.
 class InvariantViolation : public std::runtime_error {
@@ -93,10 +99,10 @@ class InvariantViolation : public std::runtime_error {
   std::string oracle_;
 };
 
-/// Per-round invariant hook: inspect the snapshot and throw
-/// InvariantViolation to abort the run at the offending round. Returning
-/// normally means the round passed.
-using InvariantChecker = std::function<void(const RoundSnapshot&)>;
+/// Per-round hook: inspect the snapshot, and throw InvariantViolation to
+/// abort the run at the offending round. Returning normally means the
+/// round passed.
+using RoundObserver = std::function<void(const RoundSnapshot&)>;
 
 struct EngineOptions {
   CommModel comm = CommModel::kGlobal;
@@ -107,17 +113,6 @@ struct EngineOptions {
   std::uint64_t activation_seed = 1;
   /// Hard stop; impossibility benches use this as the containment horizon.
   Round max_rounds = 100000;
-  /// Record a full per-round trace (heavy).
-  bool record_trace = false;
-  /// Record per-round heap-allocation counts into
-  /// RunResult::allocs_per_round, windowed so the recording itself never
-  /// lands inside a measured round. Counts are real only in binaries that
-  /// install the util/memprobe.h operator-new hook
-  /// (DYNDISP_MEMPROBE_DEFINE_GLOBAL_NEW); elsewhere every entry is 0.
-  /// This is the runtime twin of the hotpath-alloc lint rule: the
-  /// steady-state zero-allocation test pins warmed-up rounds to exactly 0
-  /// through this option.
-  bool alloc_probe = false;
   /// Record per-round occupied counts (cheap) for progress plots.
   bool record_progress = false;
   /// Allow running an algorithm whose declared requirements exceed what the
@@ -126,19 +121,13 @@ struct EngineOptions {
   /// Byzantine liars (future-work exploration): tampers the packet layer
   /// and/or overrides the liars' moves. Null = all robots honest.
   std::shared_ptr<const ByzantineModel> byzantine;
-  /// Per-round invariant oracle (src/check wires the lemma oracles through
-  /// this). Called after every executed round's Move phase; throws
-  /// InvariantViolation to stop the run at the offending round. Null = off.
-  InvariantChecker invariant_checker;
-  /// Wire-format observer: called once per executed global-communication
-  /// round, right after the round's broadcast is published (post-tamper --
-  /// it sees exactly what the robots receive), with the round number, the
-  /// packet count, the metered wire bits, and the order-sensitive
-  /// packet_set_digest of the full broadcast. The golden packet-trace
-  /// fixtures replay runs through this hook; it observes, never mutates.
-  /// Null = off.
-  std::function<void(Round, std::size_t, std::size_t, std::uint64_t)>
-      packet_observer;
+  /// The one per-round hook: called once per executed round, after its
+  /// Move phase, with the round's snapshot. The lemma and broadcast oracles
+  /// (src/check), traces (record_into in sim/trace.h), the golden packet
+  /// traces and the allocation pins all observe runs through it; it may
+  /// throw InvariantViolation to stop the run at the offending round.
+  /// Null = off, and then the engine copies no start-of-round snapshot.
+  RoundObserver on_round;
   /// Compute-phase fan-out: packet assembly, view assembly, and step() calls
   /// are spread over this many threads (1 = fully serial, no pool). Results
   /// are bitwise identical at any value: robots only read the round's shared
@@ -152,35 +141,22 @@ struct EngineOptions {
 /// promises an unchanged graph (same_as_last), skips re-validating a graph
 /// already validated, reuses or delta-assembles the packet broadcast, and
 /// hands robots valid ReuseHints so plan layers can memoize Algorithm 1-3
-/// structures across rounds (StructureCache). Every reuse equals a fresh
+/// structures across rounds (StructureCache, whose counters live on the
+/// cache instance: StructureCache::stats()). Every reuse equals a fresh
 /// rebuild (the broadcast-reference oracle in check/oracles.h checks it).
 /// Observability only: these fields are deliberately excluded from run
 /// digests (check/trial.cpp) and campaign records. The exclusion is
 /// machine-checked: the DYNDISP_STATS tag makes any read of these fields
 /// inside a digest/serialize function a digest-exclusion finding.
 struct DYNDISP_STATS RoundLoopStats {
-  std::size_t same_graph_rounds = 0;    ///< Rounds where G_r == G_{r-1}.
   std::size_t graph_reuses = 0;         ///< next_graph calls skipped (hint).
   std::size_t validations_skipped = 0;  ///< Re-validations of an unchanged graph skipped.
   std::size_t broadcasts_reused = 0;    ///< Previous broadcast republished by handle.
   std::size_t broadcast_deltas = 0;     ///< Broadcasts delta-assembled.
   std::size_t packets_copied = 0;       ///< Packets copied on delta rounds.
   std::size_t packets_rebuilt = 0;      ///< Packets rebuilt on delta rounds.
-  std::size_t state_handles_reused = 0; ///< Unchanged serialized states kept by handle.
-  std::size_t node_state_lists_reused = 0;  ///< Per-node state lists kept by handle.
-  std::size_t scratch_reuses = 0;       ///< Round buffers refilled in place.
   std::size_t state_list_rounds_skipped = 0;  ///< begin_round state-list builds skipped (ViewNeeds).
-  std::size_t before_copies_skipped = 0;      ///< Start-of-round Configuration copies elided.
-  std::size_t occupancy_words = 0;      ///< Words per occupancy bitset (ceil(n/64)).
-  /// StructureCache (planner-layer) counters: per-run deltas of the
-  /// process-wide totals. Exact when one run executes at a time; advisory
-  /// under concurrent runs (campaign mode does not record them).
-  std::uint64_t sc_exact_hits = 0;
-  std::uint64_t sc_delta_rounds = 0;
-  std::uint64_t sc_full_builds = 0;
-  std::uint64_t sc_components_reused = 0;
-  std::uint64_t sc_components_rebuilt = 0;
-  std::uint64_t sc_evictions = 0;
+  std::size_t before_copies_skipped = 0;      ///< Rounds run with no on_round observer.
   /// Per-phase wall-time buckets, milliseconds summed over every executed
   /// round (util/phase_clock.h; observability only, digest-excluded like
   /// everything here). graph_build covers the adversary's next_graph plus
@@ -223,10 +199,6 @@ struct RunResult {
   Round exploration_round = kNeverExplored;
   Configuration final_config;
   std::vector<std::size_t> occupied_per_round;  ///< If record_progress.
-  /// Heap allocations per executed round (if alloc_probe; see the option
-  /// for the hook caveat). Observability only, like stats.
-  std::vector<std::uint64_t> allocs_per_round;
-  Trace trace;                                  ///< If record_trace.
   RoundLoopStats stats;  ///< Reuse counters; excluded from digests/records.
 };
 
@@ -313,10 +285,13 @@ class Engine {
   /// REAL round's hints (probes stay kUnknown: a candidate graph has no
   /// cross-round relation).
   GraphChange round_change_ = GraphChange::kUnknown;
-  Graph::Delta graph_delta_;         ///< Scratch: G_r vs G_{r-1}.
+  std::vector<NodeId> graph_changed_;  ///< Scratch: nodes of G_r != G_{r-1}.
   std::vector<NodeId> dirty_nodes_;  ///< Scratch: delta-assembly dirty set.
   MovePlan plan_buf_;                ///< Retained compute-phase plan buffer.
-  std::size_t state_handles_reused_ = 0;  ///< refresh_state byte-equal keeps.
+  /// The start-of-round configuration observers see (RoundSnapshot::before).
+  /// Refilled by copy-assignment only when on_round is set, so it reuses
+  /// its capacity and is allocation-free in steady state.
+  Configuration before_;
 
   /// Dry-runs all alive robots' compute phases on a candidate graph,
   /// reusing the current round's context (state snapshots, node index).

@@ -30,7 +30,6 @@ void RoundContext::begin_round(const Configuration& conf,
   // sort into two flat arrays whose capacity persists across rounds, so
   // steady-state rounds allocate nothing here.
   std::swap(prev_index_, index_);
-  if (index_.node_count() == n) ++counters_.scratch_reuses;
   index_.build(conf);
   conf_digest_ = 0;
   for (RobotId id = 1; id <= conf.robot_count(); ++id) {
@@ -85,13 +84,10 @@ void RoundContext::begin_round(const Configuration& conf,
         }
       }
     }
-    if (reusable) {
-      ++counters_.node_state_lists_reused;
-      continue;
-    }
+    if (reusable) continue;
     // NOLINTNEXTLINE-dyndisp(hotpath-alloc): state lists are rebuilt only
     // for nodes whose occupancy changed; unchanged nodes keep their list
-    // by handle (node_state_lists_reused counts the reuses).
+    // by handle.
     auto list = std::make_shared<std::vector<StateHandle>>();
     list->reserve(count);
     for (std::size_t i = 0; i < count; ++i)
@@ -102,12 +98,10 @@ void RoundContext::begin_round(const Configuration& conf,
   }
 }
 
-std::shared_ptr<PacketArena> RoundContext::ArenaPool::acquire(
-    std::size_t* reuses) {
+std::shared_ptr<PacketArena> RoundContext::ArenaPool::acquire() {
   for (const std::shared_ptr<PacketArena>& a : buffers_) {
     if (a.use_count() == 1) {
       a->clear();
-      if (reuses != nullptr) ++*reuses;
       return a;
     }
   }
@@ -116,7 +110,7 @@ std::shared_ptr<PacketArena> RoundContext::ArenaPool::acquire(
   // its broadcast.
   constexpr std::size_t kArenaPoolCap = 8;
   // NOLINTNEXTLINE-dyndisp(hotpath-alloc): pool-miss path only; a warmed-up
-  // run cycles pooled buffers (scratch_reuses counts the steady state).
+  // run cycles pooled buffers.
   auto fresh = std::make_shared<PacketArena>();
   if (buffers_.size() < kArenaPoolCap) buffers_.push_back(fresh);
   return fresh;
@@ -128,8 +122,7 @@ void RoundContext::assemble_packets(const Graph& g, const Configuration& conf,
                                     const ByzantineModel* byzantine,
                                     ThreadPool* pool) {
   assert(!packets_ && "the round's broadcast is assembled exactly once");
-  std::shared_ptr<PacketArena> arena =
-      arena_pool_.acquire(&counters_.scratch_reuses);
+  std::shared_ptr<PacketArena> arena = arena_pool_.acquire();
   assemble_arena_metered(*arena, g, conf, with_neighborhood, index_,
                          &packet_bits_, pool, &packet_bits_each_,
                          &packet_nodes_);
@@ -185,8 +178,7 @@ void RoundContext::delta_packets(const Graph& g, const Configuration& conf,
     return last.robots_begin + last.robots_count - h.robots_begin;
   };
 
-  std::shared_ptr<PacketArena> arena_ptr =
-      arena_pool_.acquire(&counters_.scratch_reuses);
+  std::shared_ptr<PacketArena> arena_ptr = arena_pool_.acquire();
   PacketArena& arena = *arena_ptr;
 
   // Pass 1 (serial, node-ascending): size every packet -- clean senders
@@ -302,7 +294,7 @@ void RoundContext::delta_packets(const Graph& g, const Configuration& conf,
 PacketSet RoundContext::assemble_candidate_packets(
     const Graph& g, const Configuration& conf, bool with_neighborhood,
     const ByzantineModel* byzantine, ThreadPool* pool) const {
-  std::shared_ptr<PacketArena> arena = candidate_pool_.acquire(nullptr);
+  std::shared_ptr<PacketArena> arena = candidate_pool_.acquire();
   assemble_arena_metered(*arena, g, conf, with_neighborhood, index_, nullptr,
                          pool);
   if (byzantine) byzantine->tamper(*arena);

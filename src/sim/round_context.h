@@ -3,7 +3,7 @@
 // graph permit.
 //
 // One CCM round under global communication needs three shared products:
-//   * the node -> alive-robots index (robots_by_node),
+//   * the node -> alive-robots index (NodeIndex),
 //   * the per-occupied-node lists of serialized start-of-round states that
 //     co-located robots exchange during Communicate, and
 //   * the packet broadcast for the round's graph, with its wire-bit size.
@@ -144,10 +144,8 @@ class RoundContext {
   /// Observability only (DYNDISP_STATS, see util/contract.h): the
   /// digest-exclusion lint rule keeps these fields out of result digests.
   struct DYNDISP_STATS Counters {
-    std::size_t node_state_lists_reused = 0;  ///< Lists kept by handle.
     std::size_t packets_copied = 0;    ///< Packets copied on delta rounds.
     std::size_t packets_rebuilt = 0;   ///< Packets rebuilt on delta rounds.
-    std::size_t scratch_reuses = 0;    ///< Round buffers refilled in place.
   };
   const Counters& counters() const { return counters_; }
 
@@ -160,9 +158,8 @@ class RoundContext {
     /// plan-cache key, or structure-cache entry is skipped BY
     /// CONSTRUCTION, so in-place refill can never corrupt a broadcast
     /// someone still reads), else a fresh one. The pool is capped;
-    /// overflow buffers are simply not retained. Reuses are counted into
-    /// `reuses` when non-null.
-    std::shared_ptr<PacketArena> acquire(std::size_t* reuses);
+    /// overflow buffers are simply not retained.
+    std::shared_ptr<PacketArena> acquire();
 
    private:
     std::vector<std::shared_ptr<PacketArena>> buffers_;

@@ -13,130 +13,39 @@ namespace dyndisp {
 namespace {
 std::atomic<std::size_t> g_packet_assemblies{0};
 
-/// Contiguous read-only segment of robot IDs (one node's occupants).
-struct RobotSpan {
-  const RobotId* data = nullptr;
-  std::size_t size = 0;
-  bool empty() const { return size == 0; }
-  const RobotId* begin() const { return data; }
-  const RobotId* end() const { return data + size; }
-  RobotId front() const { return data[0]; }
-};
-
-/// Uniform accessors over the two index representations, so view assembly
-/// is written once and produces identical output on both.
-struct VecIndex {
-  const NodeRobots* idx;
-  RobotSpan at(NodeId v) const {
-    const std::vector<RobotId>& r = (*idx)[v];
-    return {r.data(), r.size()};
-  }
-};
-
-struct CsrIndex {
-  const NodeIndex* idx;
-  RobotSpan at(NodeId v) const { return {idx->begin(v), idx->count(v)}; }
-};
-
 DYNDISP_COLD
 InfoPacket make_packet_impl(const Graph& g, NodeId v, bool with_neighborhood,
-                            VecIndex index) {
+                            const NodeIndex& index) {
   InfoPacket pkt;
-  const RobotSpan here = index.at(v);
-  assert(!here.empty() && "packets originate from occupied nodes only");
-  pkt.robots.assign(here.begin(), here.end());
-  pkt.sender = here.front();
-  pkt.count = here.size;
+  assert(!index.empty(v) && "packets originate from occupied nodes only");
+  pkt.robots.assign(index.begin(v), index.end(v));
+  pkt.sender = *index.begin(v);
+  pkt.count = index.count(v);
   pkt.degree = g.degree(v);
   if (with_neighborhood) {
     // Count first so the list is allocated exactly once.
     std::size_t occupied = 0;
     for (Port p = 1; p <= g.degree(v); ++p)
-      if (!index.at(g.neighbor(v, p)).empty()) ++occupied;
+      if (!index.empty(g.neighbor(v, p))) ++occupied;
     pkt.occupied_neighbors.reserve(occupied);
     for (Port p = 1; p <= g.degree(v); ++p) {
-      const RobotSpan robots_w = index.at(g.neighbor(v, p));
-      if (robots_w.empty()) continue;
+      const NodeId w = g.neighbor(v, p);
+      if (index.empty(w)) continue;
       NeighborInfo info;
       info.port = p;
-      info.min_robot = robots_w.front();
-      info.count = robots_w.size;
-      info.robots.assign(robots_w.begin(), robots_w.end());
+      info.min_robot = *index.begin(w);
+      info.count = index.count(w);
+      info.robots.assign(index.begin(w), index.end(w));
       pkt.occupied_neighbors.push_back(std::move(info));
     }
   }
   return pkt;
 }
 
-template <class Index>
-void fill_view_impl(RobotView& out, const Graph& g, const Configuration& conf,
-                    RobotId id, Round round, CommModel comm, bool neighborhood,
-                    const PacketSet& packets, Index index,
-                    const ViewNeeds& needs) {
-  assert(conf.alive(id));
-  const NodeId v = conf.position(id);
-
-  out.self = id;
-  out.round = round;
-  out.k = conf.robot_count();
-  out.degree = g.degree(v);
-  out.node_count = conf.count_at(v);
-  out.colocated.clear();
-  if (needs.colocated) {
-    const RobotSpan here = index.at(v);
-    out.colocated.assign(here.begin(), here.end());
-  }
-  // Engine-owned fields: reset exactly as a fresh make_view result.
-  out.arrival_port = kInvalidPort;
-  out.colocated_states = nullptr;
-  out.reuse = ReuseHints{};
-
-  out.neighborhood_knowledge = neighborhood;
-  out.empty_ports.clear();
-  out.empty_neighbor_count = 0;
-  std::size_t neighbors_filled = 0;
-  if (neighborhood) {
-    for (Port p = 1; p <= g.degree(v); ++p) {
-      const RobotSpan robots_w = index.at(g.neighbor(v, p));
-      if (robots_w.empty()) {
-        ++out.empty_neighbor_count;
-        // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena slot
-        // refilled in place; capacity is steady once warmed up.
-        if (needs.empty_ports) out.empty_ports.push_back(p);
-        continue;
-      }
-      if (!needs.occupied_neighbors) continue;
-      // Reuse the slot (and its robots capacity) left from a prior fill.
-      if (neighbors_filled == out.occupied_neighbors.size())
-        // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena slot
-        // growth only while warming up; refilled in place afterwards.
-        out.occupied_neighbors.emplace_back();
-      NeighborInfo& info = out.occupied_neighbors[neighbors_filled++];
-      info.port = p;
-      info.min_robot = robots_w.front();
-      info.count = robots_w.size;
-      info.robots.assign(robots_w.begin(), robots_w.end());
-    }
-  }
-  if (out.occupied_neighbors.size() > neighbors_filled)
-    out.occupied_neighbors.resize(neighbors_filled);
-
-  out.global_comm = comm == CommModel::kGlobal;
-  out.shared_packets = out.global_comm ? packets : PacketSet{};
-}
-
 }  // namespace
 
 std::size_t packet_assembly_count() {
   return g_packet_assemblies.load(std::memory_order_relaxed);
-}
-
-DYNDISP_COLD
-NodeRobots robots_by_node(const Configuration& conf) {
-  NodeRobots index(conf.node_count());
-  for (RobotId id = 1; id <= conf.robot_count(); ++id)
-    if (conf.alive(id)) index[conf.position(id)].push_back(id);
-  return index;
 }
 
 DYNDISP_HOT
@@ -154,33 +63,24 @@ void NodeIndex::build(const Configuration& conf) {
 }
 
 InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
-                       bool with_neighborhood, const NodeRobots* index) {
-  NodeRobots local;
-  if (index == nullptr) {
-    local = robots_by_node(conf);
-    index = &local;
-  }
-  (void)conf;
-  return make_packet_impl(g, v, with_neighborhood, VecIndex{index});
+                       bool with_neighborhood) {
+  NodeIndex index;
+  index.build(conf);
+  return make_packet_impl(g, v, with_neighborhood, index);
 }
 
 DYNDISP_COLD
 std::vector<InfoPacket> make_all_packets(const Graph& g,
                                          const Configuration& conf,
-                                         bool with_neighborhood,
-                                         const NodeRobots* index) {
+                                         bool with_neighborhood) {
   g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
-  NodeRobots local;
-  if (index == nullptr) {
-    local = robots_by_node(conf);
-    index = &local;
-  }
+  NodeIndex index;
+  index.build(conf);
   std::vector<InfoPacket> packets;
   packets.reserve(conf.occupied_count());
   for (NodeId v = 0; v < conf.node_count(); ++v)
-    if (!(*index)[v].empty())
-      packets.push_back(
-          make_packet_impl(g, v, with_neighborhood, VecIndex{index}));
+    if (!index.empty(v))
+      packets.push_back(make_packet_impl(g, v, with_neighborhood, index));
   // Node-ascending assembly, re-sorted by sender ID for a canonical order
   // that does not leak node identities. Senders are unique (one packet per
   // node over disjoint robot sets), so the order is deterministic.
@@ -189,6 +89,60 @@ std::vector<InfoPacket> make_all_packets(const Graph& g,
               return a.sender < b.sender;
             });
   return packets;
+}
+
+DYNDISP_HOT
+void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
+               RobotId id, Round round, CommModel comm, bool neighborhood,
+               const PacketSet& packets, const NodeIndex& index,
+               const ViewNeeds& needs) {
+  assert(conf.alive(id));
+  const NodeId v = conf.position(id);
+
+  out.self = id;
+  out.round = round;
+  out.k = conf.robot_count();
+  out.degree = g.degree(v);
+  out.node_count = conf.count_at(v);
+  out.colocated.clear();
+  if (needs.colocated) out.colocated.assign(index.begin(v), index.end(v));
+  // Engine-owned fields: reset exactly as a fresh make_view result.
+  out.arrival_port = kInvalidPort;
+  out.colocated_states = nullptr;
+  out.reuse = ReuseHints{};
+
+  out.neighborhood_knowledge = neighborhood;
+  out.empty_ports.clear();
+  out.empty_neighbor_count = 0;
+  std::size_t neighbors_filled = 0;
+  if (neighborhood) {
+    for (Port p = 1; p <= g.degree(v); ++p) {
+      const NodeId w = g.neighbor(v, p);
+      if (index.empty(w)) {
+        ++out.empty_neighbor_count;
+        // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena slot
+        // refilled in place; capacity is steady once warmed up.
+        if (needs.empty_ports) out.empty_ports.push_back(p);
+        continue;
+      }
+      if (!needs.occupied_neighbors) continue;
+      // Reuse the slot (and its robots capacity) left from a prior fill.
+      if (neighbors_filled == out.occupied_neighbors.size())
+        // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena slot
+        // growth only while warming up; refilled in place afterwards.
+        out.occupied_neighbors.emplace_back();
+      NeighborInfo& info = out.occupied_neighbors[neighbors_filled++];
+      info.port = p;
+      info.min_robot = *index.begin(w);
+      info.count = index.count(w);
+      info.robots.assign(index.begin(w), index.end(w));
+    }
+  }
+  if (out.occupied_neighbors.size() > neighbors_filled)
+    out.occupied_neighbors.resize(neighbors_filled);
+
+  out.global_comm = comm == CommModel::kGlobal;
+  out.shared_packets = out.global_comm ? packets : PacketSet{};
 }
 
 std::size_t packet_bit_size(const PacketView& packet, std::size_t k,
@@ -309,25 +263,13 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
 
 RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
                     Round round, CommModel comm, bool neighborhood,
-                    PacketSet packets, const NodeRobots* index) {
-  NodeRobots local;
-  if (index == nullptr) {
-    local = robots_by_node(conf);
-    index = &local;
-  }
+                    PacketSet packets) {
+  NodeIndex index;
+  index.build(conf);
   RobotView view;
-  fill_view_impl(view, g, conf, id, round, comm, neighborhood, packets,
-                 VecIndex{index}, ViewNeeds{});
+  fill_view(view, g, conf, id, round, comm, neighborhood, packets, index,
+            ViewNeeds{});
   return view;
-}
-
-DYNDISP_HOT
-void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
-               RobotId id, Round round, CommModel comm, bool neighborhood,
-               const PacketSet& packets, const NodeIndex& index,
-               const ViewNeeds& needs) {
-  fill_view_impl(out, g, conf, id, round, comm, neighborhood, packets,
-                 CsrIndex{&index}, needs);
 }
 
 }  // namespace dyndisp

@@ -90,18 +90,13 @@ struct RobotView {
   const PacketSet& packets() const { return shared_packets; }
 };
 
-/// Per-round index: node -> alive robot IDs there, ascending. Building it
-/// once per round turns the O(k) Configuration::robots_at scans inside
-/// packet/view assembly into O(1) lookups.
-using NodeRobots = std::vector<std::vector<RobotId>>;
-NodeRobots robots_by_node(const Configuration& conf);
-
-/// CSR (compressed sparse row) node -> alive-robots index: all robot IDs in
-/// one contiguous array, per-node segments addressed by an offsets table.
-/// Same content as robots_by_node, but two allocations total instead of one
-/// vector per node, rebuilt in place by a counting sort -- allocation-free
-/// in steady state. This is the engine round loop's index (the NodeRobots
-/// form remains for tests and one-shot callers).
+/// Node -> alive robot IDs there, ascending, as a CSR (compressed sparse
+/// row) index: all robot IDs in one contiguous array, per-node segments
+/// addressed by an offsets table. Building it once turns the O(k)
+/// Configuration::robots_at scans inside packet/view assembly into O(1)
+/// lookups; rebuilt in place by a counting sort, it is allocation-free in
+/// steady state. The engine's round loop keeps one in its RoundContext;
+/// one-shot callers build their own.
 class NodeIndex {
  public:
   /// Rebuilds the index for `conf` (counting sort over alive robots; robot
@@ -149,16 +144,13 @@ struct ViewNeeds {
 
 /// Builds the packet broadcast by the (robots on the) node `v`.
 /// `with_neighborhood` controls whether neighbor information is included.
-/// `index` (optional) is a robots_by_node() result for this configuration.
 InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
-                       bool with_neighborhood,
-                       const NodeRobots* index = nullptr);
+                       bool with_neighborhood);
 
 /// Builds all packets (one per occupied node), ascending by sender.
 std::vector<InfoPacket> make_all_packets(const Graph& g,
                                          const Configuration& conf,
-                                         bool with_neighborhood,
-                                         const NodeRobots* index = nullptr);
+                                         bool with_neighborhood);
 
 /// Process-wide count of FULL broadcast assemblies (make_all_packets and
 /// assemble_arena_metered calls). Test hook: the engine assembles the
@@ -205,7 +197,7 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
 /// owns that information.
 RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
                     Round round, CommModel comm, bool neighborhood,
-                    PacketSet packets, const NodeRobots* index = nullptr);
+                    PacketSet packets);
 
 /// In-place view assembly for the engine's persistent view arena: fills
 /// `out` with exactly what make_view would produce for the fields `needs`

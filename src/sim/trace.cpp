@@ -4,6 +4,13 @@
 
 namespace dyndisp {
 
+RoundObserver record_into(Trace& trace) {
+  return [&trace](const RoundSnapshot& s) {
+    trace.add(RoundRecord{s.round, s.graph, s.before, s.plan, s.after,
+                          s.newly_occupied});
+  };
+}
+
 std::string Trace::describe_round(std::size_t i) const {
   const RoundRecord& rec = records_[i];
   std::ostringstream os;

@@ -1,6 +1,7 @@
 // Execution traces: optional per-round recording of graphs, configurations,
 // and moves, used by the worked-example bench (Figs. 3/4), the examples, and
-// debugging. Traces are heavy; the engine records them only when asked.
+// debugging. Traces are heavy; a run records one only through the
+// record_into observer.
 #pragma once
 
 #include <string>
@@ -9,6 +10,7 @@
 #include "dynamic/dynamic_graph.h"
 #include "graph/graph.h"
 #include "robots/configuration.h"
+#include "sim/engine.h"
 #include "util/types.h"
 
 namespace dyndisp {
@@ -37,6 +39,11 @@ class Trace {
  private:
   std::vector<RoundRecord> records_;
 };
+
+/// An EngineOptions::on_round observer that appends a copy of every
+/// executed round (G_r, both configurations, the moves) to `trace`, which
+/// must outlive the run.
+RoundObserver record_into(Trace& trace);
 
 /// Serializes a trace to JSON (dependency-free writer): per round the graph
 /// (node count + edge list with both port labels), robot positions before

@@ -23,8 +23,9 @@
 //
 // The static rules have a runtime twin: util/memprobe.h counts real heap
 // allocations so tests can pin the annotated paths to zero allocations per
-// warmed-up round (EngineOptions::alloc_probe). Static rule and dynamic
-// probe cross-validate -- one catches hazards the other cannot see.
+// warmed-up round, measured through an EngineOptions::on_round observer
+// (tests/test_memprobe.cpp). Static rule and dynamic probe cross-validate
+// -- one catches hazards the other cannot see.
 #pragma once
 
 #define DYNDISP_HOT

@@ -1,10 +1,11 @@
 // Heap-allocation probe: a process-global allocation counter plus the
 // operator-new/delete replacement that feeds it, promoted out of
-// bench_roundtime.cpp so tests and the engine's alloc_probe option share
-// one implementation. This is the runtime twin of the static hot-path
-// rules in src/lint/rules_hotpath.cpp (see util/contract.h): the lint rule
-// proves no allocating call is REACHABLE from a hot root, the probe proves
-// no allocation actually HAPPENS in a warmed-up round.
+// bench_roundtime.cpp so tests and benches share one implementation (the
+// per-round pin reads it from an EngineOptions::on_round observer). This
+// is the runtime twin of the static hot-path rules in
+// src/lint/rules_hotpath.cpp (see util/contract.h): the lint rule proves
+// no allocating call is REACHABLE from a hot root, the probe proves no
+// allocation actually HAPPENS in a warmed-up round.
 //
 // The counter is always present (one relaxed atomic, zero when no hook
 // feeds it); the operator-new replacement is opt-in per binary. A TU that

@@ -27,6 +27,7 @@
 #include "dynamic/validator.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -53,14 +54,15 @@ TEST_P(AdversaryConformance, EveryEmittedGraphIsValid) {
     const campaign::AlgorithmChoice algo = registry.algorithm("alg4", seed);
 
     EngineOptions options;
-    options.record_trace = true;
+    Trace trace;
+    options.on_round = record_into(trace);
     options.max_rounds = 40;  // traps never disperse; bound the run
 
     Engine engine(*adversary, initial, algo.factory, options);
     const RunResult result = engine.run();
 
-    ASSERT_FALSE(result.trace.records().empty()) << name;
-    for (const auto& rec : result.trace.records()) {
+    ASSERT_FALSE(trace.records().empty()) << name;
+    for (const auto& rec : trace.records()) {
       ASSERT_EQ(rec.graph.node_count(), n)
           << name << " seed " << seed << " round " << rec.round;
       const std::string diag = validate_round_graph(rec.graph, n);
@@ -247,8 +249,7 @@ TEST_P(AdversaryConformance, EveryBroadcastMatchesAFreshAssembly) {
 
     EngineOptions options;
     options.max_rounds = 40;  // traps never disperse; bound the run
-    const auto compared =
-        check::install_broadcast_reference(options, FaultSchedule::none());
+    const auto compared = check::install_broadcast_reference(options);
     ASSERT_NE(compared, nullptr);
     Engine engine(*adversary, placement::rooted(n, k), algo.factory, options);
     RunResult result;
@@ -263,6 +264,41 @@ TEST_P(AdversaryConformance, EveryBroadcastMatchesAFreshAssembly) {
       EXPECT_GT(result.stats.broadcasts_reused + result.stats.broadcast_deltas,
                 0u);
     }
+  }
+}
+
+// Crash rounds are compared too. A robot that crashes after Communicate
+// was on the wire that round, and the snapshot's start-of-round
+// configuration is taken before it vanishes, so the reference rebuilds
+// exactly the broadcast the robots received. The round after each crash
+// takes the delta path on the replaying adversary.
+TEST(BroadcastReference, ComparesRoundsWithAfterCommunicateCrashes) {
+  const auto& registry = campaign::Registry::instance();
+  for (const char* name : {"random", "t-interval"}) {
+    SCOPED_TRACE(name);
+    auto adversary = registry.adversary(name, "random", 24, 3);
+    const std::size_t n = adversary->node_count();
+    const std::size_t k = 16;
+    EngineOptions options;
+    options.max_rounds = 100 * k;
+    const auto compared = check::install_broadcast_reference(options);
+    ASSERT_NE(compared, nullptr);
+    std::vector<CrashEvent> crashes;
+    for (Round r = 0; r < 4; ++r)
+      crashes.push_back({r, static_cast<RobotId>(3 * r + 2),
+                         CrashPhase::kAfterCommunicate});
+    Engine engine(*adversary, placement::rooted(n, k),
+                  registry.algorithm("alg4", 3).factory, options,
+                  FaultSchedule(std::move(crashes)));
+    RunResult result;
+    try {
+      result = engine.run();
+    } catch (const InvariantViolation& e) {
+      FAIL() << e.what();
+    }
+    EXPECT_EQ(result.crashed, 4u);
+    EXPECT_TRUE(result.dispersed);
+    EXPECT_EQ(*compared, result.rounds);
   }
 }
 

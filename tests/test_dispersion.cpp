@@ -11,6 +11,7 @@
 
 #include "analysis/verify.h"
 #include "core/dispersion.h"
+#include "core/structure_cache.h"
 #include "dynamic/churn_adversary.h"
 #include "dynamic/clique_trap_adversary.h"
 #include "dynamic/path_trap_adversary.h"
@@ -179,8 +180,15 @@ TEST(Dispersion, MemoizedModeIdenticalToFaithful) {
     SCOPED_TRACE(name);
     const RunResult a = run(*faithful_adv, placement::rooted(n, k),
                             core::dispersion_factory());
+    // dispersion_factory_memoized()'s construction, with the caches held
+    // here so their counters are this run's alone.
+    auto cache = std::make_shared<core::PlanCache>();
+    cache->set_structure_cache(std::make_shared<core::StructureCache>());
     const RunResult b = run(*memo_adv, placement::rooted(n, k),
-                            core::dispersion_factory_memoized());
+                            [cache](RobotId id, std::size_t robots) {
+                              return std::make_unique<core::DispersionRobot>(
+                                  id, robots, cache);
+                            });
     EXPECT_TRUE(a.dispersed);
     EXPECT_EQ(a.rounds, b.rounds);
     EXPECT_EQ(a.total_moves, b.total_moves);
@@ -193,9 +201,8 @@ TEST(Dispersion, MemoizedModeIdenticalToFaithful) {
     // The planner consulted the cross-round cache (exact hit, delta or full
     // build depending on how much occupancy moved; test_structure_cache.cpp
     // pins each mode individually).
-    EXPECT_GT(b.stats.sc_exact_hits + b.stats.sc_delta_rounds +
-                  b.stats.sc_full_builds,
-              0u);
+    const core::StructureCacheStats sc = cache->structure_cache()->stats();
+    EXPECT_GT(sc.exact_hits + sc.delta_rounds + sc.full_builds, 0u);
   }
 }
 

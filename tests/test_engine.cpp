@@ -10,6 +10,7 @@
 #include "graph/builders.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 #include "util/rng.h"
 
 namespace dyndisp {
@@ -129,20 +130,21 @@ TEST(Engine, ArrivalPortReportedNextRound) {
 TEST(Engine, TraceRecordsMovesAndProgress) {
   StaticAdversary adv(builders::path(4));
   EngineOptions opt;
-  opt.record_trace = true;
+  Trace trace;
+  opt.on_round = record_into(trace);
   opt.max_rounds = 100;
   Engine engine(adv, placement::rooted(4, 3), core::dispersion_factory(), opt);
   const RunResult r = engine.run();
   EXPECT_TRUE(r.dispersed);
-  ASSERT_EQ(r.trace.size(), r.rounds);
+  ASSERT_EQ(trace.size(), r.rounds);
   std::size_t total_new = 0;
-  for (const auto& rec : r.trace.records()) {
+  for (const auto& rec : trace.records()) {
     EXPECT_EQ(rec.graph.node_count(), 4u);
     total_new += rec.newly_occupied;
     EXPECT_GE(rec.newly_occupied, 1u);  // Lemma 7 visible in the trace
   }
   EXPECT_EQ(total_new, 3u - 1u);  // from 1 occupied to 3 occupied
-  EXPECT_FALSE(r.trace.describe_round(0).empty());
+  EXPECT_FALSE(trace.describe_round(0).empty());
 }
 
 TEST(Engine, PacketsCountedPerOccupiedNode) {

@@ -82,13 +82,14 @@ TEST(Cli, UnusedTracksTypos) {
 TEST(TraceJson, WellFormedAndComplete) {
   StaticAdversary adv(builders::path(4));
   EngineOptions opt;
-  opt.record_trace = true;
+  Trace trace;
+  opt.on_round = record_into(trace);
   opt.max_rounds = 10;
   Engine engine(adv, placement::rooted(4, 3), core::dispersion_factory(),
                 opt);
   const RunResult r = engine.run();
-  ASSERT_GE(r.trace.size(), 1u);
-  const std::string json = trace_to_json(r.trace);
+  ASSERT_GE(trace.size(), 1u);
+  const std::string json = trace_to_json(trace);
   // Structural smoke checks without a JSON dependency.
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -110,13 +111,14 @@ TEST(TraceJson, DeadRobotsSerializeAsNull) {
   // round's configuration contains a dead robot.
   StaticAdversary adv(builders::path(5));
   EngineOptions opt;
-  opt.record_trace = true;
+  Trace trace;
+  opt.on_round = record_into(trace);
   opt.max_rounds = 20;
   Engine engine(adv, placement::rooted(5, 4), core::dispersion_factory(), opt,
                 FaultSchedule({{1, 3, CrashPhase::kBeforeCommunicate}}));
   const RunResult r = engine.run();
   EXPECT_TRUE(r.dispersed);
-  EXPECT_NE(trace_to_json(r.trace).find("null"), std::string::npos);
+  EXPECT_NE(trace_to_json(trace).find("null"), std::string::npos);
 }
 
 // ---- ring adversary ----

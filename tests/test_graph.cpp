@@ -275,28 +275,23 @@ TEST(GraphFingerprint, RandomizedMutationChurnStaysInSync) {
 TEST(GraphDelta, IdenticalGraphsAreEmpty) {
   const Graph a = Graph::from_edges(4, {{0, 1}, {1, 2}});
   const Graph b = Graph::from_edges(4, {{0, 1}, {1, 2}});
-  const Graph::Delta d = a.delta(b);
-  EXPECT_TRUE(d.empty());
-  EXPECT_TRUE(d.added.empty());
-  EXPECT_TRUE(d.removed.empty());
+  std::vector<NodeId> changed;
+  EXPECT_TRUE(a.changed_nodes_into(b, changed, 0));
+  EXPECT_TRUE(changed.empty());
 }
 
 TEST(GraphDelta, NodeCountMismatchShortCircuits) {
-  const Graph::Delta d = Graph(3).delta(Graph(4));
-  EXPECT_TRUE(d.node_count_changed);
-  EXPECT_FALSE(d.empty());
-  EXPECT_TRUE(d.changed_nodes.empty());
+  std::vector<NodeId> changed;
+  EXPECT_FALSE(Graph(3).changed_nodes_into(Graph(4), changed, 10));
 }
 
 TEST(GraphDelta, AddedEdgeReportsBothEndpoints) {
   const Graph prev = Graph::from_edges(4, {{0, 1}});
   Graph next = prev;
   next.add_edge(2, 3);
-  const Graph::Delta d = next.delta(prev);
-  EXPECT_EQ(d.changed_nodes, (std::vector<NodeId>{2, 3}));
-  ASSERT_EQ(d.added.size(), 1u);
-  EXPECT_EQ(d.added[0], (Graph::Edge{2, 3, 1, 1}));
-  EXPECT_TRUE(d.removed.empty());
+  std::vector<NodeId> changed;
+  EXPECT_TRUE(next.changed_nodes_into(prev, changed, 4));
+  EXPECT_EQ(changed, (std::vector<NodeId>{2, 3}));
 }
 
 TEST(GraphDelta, RemovalWithPortCompactionReportsRelabels) {
@@ -306,15 +301,12 @@ TEST(GraphDelta, RemovalWithPortCompactionReportsRelabels) {
   prev.add_edge(0, 3);
   Graph next = prev;
   next.remove_edge(0, 2);
-  const Graph::Delta d = next.delta(prev);
+  std::vector<NodeId> changed;
+  EXPECT_TRUE(next.changed_nodes_into(prev, changed, 4));
   // Node 0 lost an edge and node 3's edge moved from port 3 to port 2 at 0,
-  // which relabels that surviving edge (one removed + one added entry).
-  EXPECT_EQ(d.changed_nodes, (std::vector<NodeId>{0, 2, 3}));
-  ASSERT_EQ(d.removed.size(), 2u);
-  EXPECT_EQ(d.removed[0], (Graph::Edge{0, 2, 2, 1}));
-  EXPECT_EQ(d.removed[1], (Graph::Edge{0, 3, 3, 1}));
-  ASSERT_EQ(d.added.size(), 1u);
-  EXPECT_EQ(d.added[0], (Graph::Edge{0, 3, 2, 1}));
+  // which relabels that surviving edge: node 3's list changes too, node 1's
+  // does not.
+  EXPECT_EQ(changed, (std::vector<NodeId>{0, 2, 3}));
 }
 
 TEST(GraphDelta, PortPermutationIsRelabelNotTopologyChange) {
@@ -323,26 +315,31 @@ TEST(GraphDelta, PortPermutationIsRelabelNotTopologyChange) {
   prev.add_edge(0, 2);
   Graph next = prev;
   next.permute_ports(0, {1, 0});
-  const Graph::Delta d = next.delta(prev);
+  std::vector<NodeId> changed;
+  EXPECT_TRUE(next.changed_nodes_into(prev, changed, 3));
   // Ports at 0 swapped: both neighbors' reverse ports change too.
-  EXPECT_EQ(d.changed_nodes, (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(d.added.size(), 2u);
-  EXPECT_EQ(d.removed.size(), 2u);
+  EXPECT_EQ(changed, (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(next.edge_count(), prev.edge_count());
 }
 
-TEST(GraphDelta, DeltaIntoReusesStorage) {
+TEST(GraphDelta, ChangedNodesIntoClearsStaleContents) {
   const Graph prev = Graph::from_edges(4, {{0, 1}});
   Graph next = prev;
   next.add_edge(1, 2);
-  Graph::Delta d;
-  d.changed_nodes = {9, 9, 9};  // stale contents must be cleared
-  d.node_count_changed = true;
-  next.delta_into(prev, d);
-  EXPECT_FALSE(d.node_count_changed);
-  EXPECT_EQ(d.changed_nodes, (std::vector<NodeId>{1, 2}));
-  ASSERT_EQ(d.added.size(), 1u);
-  EXPECT_EQ(d.added[0], (Graph::Edge{1, 2, 2, 1}));
+  std::vector<NodeId> changed = {9, 9, 9};  // stale contents must be cleared
+  EXPECT_TRUE(next.changed_nodes_into(prev, changed, 4));
+  EXPECT_EQ(changed, (std::vector<NodeId>{1, 2}));
+}
+
+TEST(GraphDelta, CapExceededReturnsFalse) {
+  const Graph prev = Graph::from_edges(6, {{0, 1}, {1, 2}});
+  Graph next = prev;
+  next.add_edge(2, 3);
+  next.add_edge(4, 5);  // changed nodes: 2, 3, 4, 5
+  std::vector<NodeId> changed;
+  EXPECT_FALSE(next.changed_nodes_into(prev, changed, 3));
+  EXPECT_TRUE(next.changed_nodes_into(prev, changed, 4));
+  EXPECT_EQ(changed, (std::vector<NodeId>{2, 3, 4, 5}));
 }
 
 }  // namespace

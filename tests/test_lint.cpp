@@ -79,15 +79,21 @@ TEST(LintTokenizer, CodeInsideCommentsIsNotCode) {
 TEST(LintTokenizer, CodeInsideStringLiteralsIsNotCode) {
   const TokenStream s =
       tokenize("const char* a = \"rand()\";\nconst char c = 'r';\n");
-  for (const Token& t : s.tokens)
-    if (t.kind == TokenKind::kIdentifier) EXPECT_NE(t.text, "rand");
+  for (const Token& t : s.tokens) {
+    if (t.kind == TokenKind::kIdentifier) {
+      EXPECT_NE(t.text, "rand");
+    }
+  }
 }
 
 TEST(LintTokenizer, RawStringsAreOpaque) {
   const TokenStream s =
       tokenize("const char* u = R\"(rand() \" unbalanced)\";\nint after;\n");
-  for (const Token& t : s.tokens)
-    if (t.kind == TokenKind::kIdentifier) EXPECT_NE(t.text, "rand");
+  for (const Token& t : s.tokens) {
+    if (t.kind == TokenKind::kIdentifier) {
+      EXPECT_NE(t.text, "rand");
+    }
+  }
   // The tokenizer recovered and still saw the code after the raw string.
   const std::vector<Token>& tokens = s.tokens;
   EXPECT_TRUE(std::any_of(tokens.begin(), tokens.end(), [](const Token& t) {

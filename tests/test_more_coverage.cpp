@@ -1,4 +1,4 @@
-// Additional coverage: the per-round robot index, packet equality, trap
+// Additional coverage: the node -> robots index, packet equality, trap
 // adversaries from arbitrary starting configurations, degenerate adversary
 // cases, and engine/metric interactions not covered elsewhere.
 #include <gtest/gtest.h>
@@ -17,38 +17,50 @@
 #include "robots/placement.h"
 #include "sim/engine.h"
 #include "sim/sensing.h"
+#include "sim/trace.h"
 #include "util/rng.h"
 
 namespace dyndisp {
 namespace {
 
-// ---- robots_by_node index ----
+// ---- NodeIndex ----
 
 TEST(NodeIndex, MatchesRobotsAt) {
   Rng rng(17);
+  NodeIndex index;  // rebuilt in place across trials of different sizes
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 3 + rng.below(15);
     const std::size_t k = 1 + rng.below(n);
     Configuration conf = placement::uniform_random(n, k, rng);
     if (k > 2) conf.kill(static_cast<RobotId>(1 + rng.below(k)));
-    const NodeRobots index = robots_by_node(conf);
-    ASSERT_EQ(index.size(), n);
-    for (NodeId v = 0; v < n; ++v) EXPECT_EQ(index[v], conf.robots_at(v));
+    index.build(conf);
+    ASSERT_EQ(index.node_count(), n);
+    EXPECT_EQ(index.total(), conf.alive_count());
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(std::vector<RobotId>(index.begin(v), index.end(v)),
+                conf.robots_at(v));
+      EXPECT_EQ(index.count(v), conf.count_at(v));
+    }
   }
 }
 
 TEST(NodeIndex, PacketAssemblyIdenticalWithAndWithoutIndex) {
+  // make_all_packets builds its own index; the arena assembly reads a
+  // caller-held one, refilled in place across trials as the engine does.
   Rng rng(23);
+  NodeIndex index;
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 4 + rng.below(12);
     const std::size_t k = 2 + rng.below(n - 1);
     const Graph g = builders::random_connected(n, rng.below(n), rng);
     const Configuration conf = placement::uniform_random(n, k, rng);
-    const NodeRobots index = robots_by_node(conf);
-    EXPECT_EQ(make_all_packets(g, conf, true),
-              make_all_packets(g, conf, true, &index));
-    EXPECT_EQ(make_all_packets(g, conf, false),
-              make_all_packets(g, conf, false, &index));
+    index.build(conf);
+    for (const bool neighborhood : {true, false}) {
+      auto arena = std::make_shared<PacketArena>();
+      assemble_arena_metered(*arena, g, conf, neighborhood, index, nullptr);
+      EXPECT_TRUE(PacketSet(make_all_packets(g, conf, neighborhood)) ==
+                  PacketSet(std::move(arena)));
+    }
   }
 }
 
@@ -189,12 +201,13 @@ TEST(Dispersion, AtMostOneRobotPerEdgePerRound) {
     Rng rng(seed);
     EngineOptions opt;
     opt.max_rounds = 10 * k;
-    opt.record_trace = true;
+    Trace trace;
+    opt.on_round = record_into(trace);
     Engine engine(adv, placement::grouped(n, k, 3, rng),
                   core::dispersion_factory(), opt);
     const RunResult r = engine.run();
     ASSERT_TRUE(r.dispersed);
-    for (const auto& rec : r.trace.records()) {
+    for (const auto& rec : trace.records()) {
       std::map<std::pair<NodeId, NodeId>, int> edge_use;
       for (RobotId id = 1; id <= k; ++id) {
         if (rec.moves[id - 1] == kInvalidPort) continue;

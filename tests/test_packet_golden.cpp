@@ -1,7 +1,8 @@
 // Golden packet-trace fixtures: the wire format is an observable.
 //
-// EngineOptions::packet_observer reports, for every executed global-comm
-// round, the broadcast's (packet count, total wire bits, packet digest).
+// An EngineOptions::on_round observer records, for every executed
+// global-comm round, the broadcast's (packet count, total wire bits,
+// packet_set_digest of the published set).
 // This file replays one Table-I tuple per comm model against checked-in
 // per-round traces (tests/golden/), so any future drift in packet
 // contents, bit metering, or the digest itself fails loudly with a
@@ -72,10 +73,11 @@ std::string render_trace(const GoldenTuple& t) {
   opt.comm = t.comm;
   opt.neighborhood_knowledge = t.neighborhood;
   opt.max_rounds = 200;
-  opt.packet_observer = [&os](Round r, std::size_t packets, std::size_t bits,
-                              std::uint64_t digest) {
-    os << "round " << r << " packets " << packets << " bits " << bits
-       << " digest " << hex64(digest) << '\n';
+  opt.on_round = [&os](const RoundSnapshot& s) {
+    if (!s.packets) return;  // local communication broadcasts nothing
+    os << "round " << s.round << " packets " << s.packets.size() << " bits "
+       << s.packet_bits << " digest " << hex64(packet_set_digest(s.packets))
+       << '\n';
   };
   Engine engine(adv, placement::rooted(n, k), t.factory, opt);
   const RunResult res = engine.run();

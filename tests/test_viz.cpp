@@ -7,6 +7,7 @@
 #include "graph/builders.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 #include "viz/svg.h"
 
 namespace dyndisp {
@@ -52,16 +53,17 @@ TEST(SvgFrame, LabelsShowSmallestRobotAndSurplus) {
 TEST(SvgAnimation, OneLayerPerRound) {
   StaticAdversary adv(builders::path(5));
   EngineOptions opt;
-  opt.record_trace = true;
+  Trace trace;
+  opt.on_round = record_into(trace);
   opt.max_rounds = 100;
   Engine engine(adv, placement::rooted(5, 4), core::dispersion_factory(),
                 opt);
   const RunResult r = engine.run();
-  ASSERT_GE(r.trace.size(), 2u);
-  const std::string svg = viz::render_animation(r.trace);
-  EXPECT_EQ(count_occurrences(svg, "<g opacity="), r.trace.size());
-  EXPECT_EQ(count_occurrences(svg, "<animate"), r.trace.size());
-  EXPECT_EQ(count_occurrences(svg, "round "), r.trace.size());
+  ASSERT_GE(trace.size(), 2u);
+  const std::string svg = viz::render_animation(trace);
+  EXPECT_EQ(count_occurrences(svg, "<g opacity="), trace.size());
+  EXPECT_EQ(count_occurrences(svg, "<animate"), trace.size());
+  EXPECT_EQ(count_occurrences(svg, "round "), trace.size());
   // Balanced tags.
   EXPECT_EQ(count_occurrences(svg, "<g "), count_occurrences(svg, "</g>"));
 }

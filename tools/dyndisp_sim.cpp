@@ -28,6 +28,7 @@
 #include "campaign/spec.h"
 #include "sim/byzantine.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 #include "util/cli.h"
 #include "viz/svg.h"
 #include "util/csv.h"
@@ -180,8 +181,10 @@ int main(int argc, char** argv) {
       if (scheduler == "round-robin")
         options.activation = Activation::kRoundRobin;
       options.byzantine = byzantine;
-      options.record_trace =
+      Trace trace;
+      const bool record =
           t == 0 && (!trace_path.empty() || !svg_path.empty());
+      if (record) options.on_round = record_into(trace);
       const RunResult r = analysis::run_trial(spec, job.seed);
       if (r.dispersed) ++dispersed;
       rounds.add(static_cast<double>(r.rounds));
@@ -194,17 +197,17 @@ int main(int argc, char** argv) {
                       std::to_string(r.max_occupied),
                       std::to_string(r.crashed)});
       }
-      if (options.record_trace && !trace_path.empty()) {
+      if (record && !trace_path.empty()) {
         std::ofstream out(trace_path);
-        out << trace_to_json(r.trace);
+        out << trace_to_json(trace);
         std::printf("trace written to %s (%zu rounds)\n", trace_path.c_str(),
-                    r.trace.size());
+                    trace.size());
       }
-      if (options.record_trace && !svg_path.empty()) {
+      if (record && !svg_path.empty()) {
         std::ofstream out(svg_path);
-        out << viz::render_animation(r.trace);
+        out << viz::render_animation(trace);
         std::printf("animation written to %s (%zu rounds)\n",
-                    svg_path.c_str(), r.trace.size());
+                    svg_path.c_str(), trace.size());
       }
     }
 
