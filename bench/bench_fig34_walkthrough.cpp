@@ -64,12 +64,14 @@ void print_component(const core::ComponentGraph& cg, const char* tag) {
   for (const auto& node : cg.nodes()) {
     std::printf("  node[r%u] count=%zu deg=%zu robots={", node.name,
                 node.count, node.degree);
-    for (std::size_t i = 0; i < node.robots.size(); ++i)
-      std::printf("%s%u", i ? "," : "", node.robots[i]);
+    const auto robots = cg.robots(node);
+    for (std::size_t i = 0; i < robots.size(); ++i)
+      std::printf("%s%u", i ? "," : "", robots[i]);
     std::printf("} edges={");
-    for (std::size_t i = 0; i < node.edges.size(); ++i)
-      std::printf("%sp%u->r%u", i ? ", " : "", node.edges[i].first,
-                  node.edges[i].second);
+    const auto edges = cg.edges(node);
+    for (std::size_t i = 0; i < edges.size(); ++i)
+      std::printf("%sp%u->r%u", i ? ", " : "", edges[i].first,
+                  edges[i].second);
     std::printf("}%s\n", node.has_empty_neighbor() ? "  [empty neighbor]" : "");
   }
 }

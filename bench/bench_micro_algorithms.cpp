@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) of the paper's building blocks:
 // Algorithm 1 (component construction), Algorithm 2 (spanning tree),
-// Algorithm 3 (disjoint paths), the full per-round plan, and one engine
-// round, as a function of the number of robots. Complements the round/
-// memory tables with the simulator-side computational cost of Section V-VI.
+// Algorithm 3 (disjoint paths), the full per-round plan (one-shot and from
+// a warm planner workspace), and one engine round, as a function of the
+// number of robots. Complements the round/memory tables with the
+// simulator-side computational cost of Section V-VI.
 #include <benchmark/benchmark.h>
 
 #include "core/component.h"
@@ -91,6 +92,24 @@ void BM_Alg4_PlanRound(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Alg4_PlanRound)->RangeMultiplier(2)->Range(8, 256)->Complexity();
+
+// The PlanCache miss path: the same plan from a warm retained workspace, on
+// a packet set packed once (BM_Alg4_PlanRound packs its record vector into
+// a fresh arena and builds a fresh workspace on every call).
+void BM_Alg4_PlanRoundWarmWorkspace(benchmark::State& state) {
+  const RoundInput input = make_round(static_cast<std::size_t>(state.range(0)));
+  const PacketSet packets(input.packets);
+  core::PlanWorkspace workspace;
+  workspace.plan_round(packets, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workspace.plan_round(packets, {}).size());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_Alg4_PlanRoundWarmWorkspace)
+    ->RangeMultiplier(2)
+    ->Range(8, 256)
+    ->Complexity();
 
 void BM_PacketAssembly(benchmark::State& state) {
   const RoundInput input = make_round(static_cast<std::size_t>(state.range(0)));

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/contract.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -158,6 +159,10 @@ std::vector<TrialRecord> ResultStore::load() const {
   return records;
 }
 
+// Campaign record I/O, never on the round loop. Marked as a boundary so the
+// call graph's by-name resolution does not route the planner's
+// MoverMap::append here.
+DYNDISP_COLD
 void ResultStore::append(const TrialRecord& record) {
   const std::string line = record_to_jsonl(record) + '\n';
   std::lock_guard<std::mutex> lock(mu_);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <numeric>
 
 namespace dyndisp::core {
 
@@ -31,127 +30,92 @@ RobotId ComponentGraph::root_name() const {
   return kNoRobot;
 }
 
-void ComponentGraph::add_node(ComponentNode node) {
-  nodes_.push_back(std::move(node));
+void ComponentGraph::clear() {
+  nodes_.clear();
+  robots_.clear();
+  edges_.clear();
+  targets_.clear();
 }
 
-void ComponentGraph::seal() {
-  std::sort(nodes_.begin(), nodes_.end(),
-            [](const ComponentNode& a, const ComponentNode& b) {
-              return a.name < b.name;
-            });
-  edge_offsets_.resize(nodes_.size() + 1);
-  edge_offsets_[0] = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    edge_offsets_[i + 1] =
-        edge_offsets_[i] + static_cast<std::uint32_t>(nodes_[i].edges.size());
-  edge_targets_.resize(edge_offsets_.back());
-  std::size_t t = 0;
-  for (const ComponentNode& n : nodes_) {
-    for (const auto& [port, nb] : n.edges) {
-      const ComponentNode* target = find(nb);
-      edge_targets_[t++] = target != nullptr
-                               ? static_cast<std::uint32_t>(target - nodes_.data())
-                               : kMissingTarget;
-    }
-  }
+void ComponentGraph::reserve(std::size_t nodes, std::size_t robots,
+                             std::size_t edges) {
+  nodes_.reserve(nodes);
+  robots_.reserve(robots);
+  edges_.reserve(edges);
+  targets_.reserve(edges);
 }
 
-void ComponentGraph::seal_presorted(std::vector<std::uint32_t> edge_targets) {
-  assert(std::is_sorted(nodes_.begin(), nodes_.end(),
-                        [](const ComponentNode& a, const ComponentNode& b) {
-                          return a.name < b.name;
-                        }));
-  edge_offsets_.resize(nodes_.size() + 1);
-  edge_offsets_[0] = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    edge_offsets_[i + 1] =
-        edge_offsets_[i] + static_cast<std::uint32_t>(nodes_[i].edges.size());
-  assert(edge_targets.size() == edge_offsets_.back());
-  edge_targets_ = std::move(edge_targets);
-}
-
-namespace {
-
-
-/// Sender -> packet index, built once and shared by every component of the
-/// round (the seed rebuilt a std::map per component, which made one round's
-/// component construction O(components * packets * log)). The direct-lookup
-/// rank table replaces the per-edge binary search of the first flat version:
-/// component BFS touches every directed edge of the occupied subgraph, and
-/// at k >= 10^5 those lower_bound probes dominated Algorithm 1.
-struct SenderIndex {
-  std::vector<std::pair<RobotId, PacketView>> entries;
-  std::vector<std::uint32_t> rank_of;  ///< name -> rank; kMissing otherwise.
-
-  static constexpr std::uint32_t kMissing = 0xffffffffu;
-
-  std::size_t size() const { return entries.size(); }
-  const std::pair<RobotId, PacketView>& operator[](std::size_t rank) const {
-    return entries[rank];
-  }
-};
-
-SenderIndex index_by_sender(const PacketSet& packets) {
-  SenderIndex index;
-  index.entries.reserve(packets.size());
-  RobotId max_sender = 0;
-  for (std::size_t i = 0, size = packets.size(); i < size; ++i) {
+// The sender index replaces the seed's per-component std::map (which made
+// one round's component construction O(components * packets * log)), and
+// its direct-lookup rank table replaces the per-edge binary search of the
+// first flat version: component BFS touches every directed edge of the
+// occupied subgraph, and at k >= 10^5 those lower_bound probes dominated
+// Algorithm 1.
+void ComponentBuilder::reset(const PacketSet& packets) {
+  packets_ = &packets;
+  cursor_ = 0;
+  trivial_.clear();
+  entries_.clear();
+  // Every per-set buffer is sized for the whole set up front, so a builder
+  // that has indexed a set at least as large never grows again.
+  const std::size_t senders = packets.size();
+  entries_.reserve(senders);
+  frontier_.reserve(senders);
+  members_.reserve(senders);
+  trivial_.reserve(senders);
+  RobotId max_sender = 0, max_robot = 0;
+  for (std::size_t i = 0; i < senders; ++i) {
     const PacketView pkt = packets[i];
-    index.entries.emplace_back(pkt.sender(), pkt);
+    entries_.emplace_back(pkt.sender(), pkt);
     max_sender = std::max(max_sender, pkt.sender());
+    if (pkt.robot_count() > 0)  // robots ascend: the last is the largest
+      max_robot = std::max(max_robot, pkt.robot(pkt.robot_count() - 1));
   }
-  // Canonical packet sets arrive sender-ascending; hand-built ones may not.
-  if (!std::is_sorted(index.entries.begin(), index.entries.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first < b.first;
-                      })) {
-    std::sort(index.entries.begin(), index.entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Senders are robots: the largest robot bounds every set's rank table.
+  rank_of_.reserve(
+      static_cast<std::size_t>(std::max(max_sender, max_robot)) + 1);
+  const auto by_sender = [](const std::pair<RobotId, PacketView>& a,
+                            const std::pair<RobotId, PacketView>& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(entries_.begin(), entries_.end(), by_sender))
+    std::sort(entries_.begin(), entries_.end(), by_sender);
+  rank_of_.assign(
+      packets.empty() ? 0 : static_cast<std::size_t>(max_sender) + 1,
+      kMissing);
+  // First occurrence wins, matching lower_bound on (degenerate, hand-built)
+  // sets with duplicate senders.
+  for (std::size_t r = 0; r < entries_.size(); ++r) {
+    std::uint32_t& slot = rank_of_[entries_[r].first];
+    if (slot == kMissing) slot = static_cast<std::uint32_t>(r);
   }
-  if (!packets.empty()) {
-    index.rank_of.assign(static_cast<std::size_t>(max_sender) + 1,
-                         SenderIndex::kMissing);
-    // First occurrence wins, matching lower_bound on (degenerate,
-    // hand-built) sets with duplicate senders.
-    for (std::size_t r = 0; r < index.entries.size(); ++r) {
-      std::uint32_t& slot = index.rank_of[index.entries[r].first];
-      if (slot == SenderIndex::kMissing) slot = static_cast<std::uint32_t>(r);
+  visited_.assign(entries_.size(), 0);
+  local_of_.assign(entries_.size(), ComponentGraph::kMissingTarget);
+}
+
+std::size_t ComponentBuilder::rank(RobotId name) const {
+  if (name >= rank_of_.size() || rank_of_[name] == kMissing) return kNoRank;
+  return rank_of_[name];
+}
+
+RobotId ComponentBuilder::next_seed(bool split_trivial) {
+  for (const std::size_t size = packets_->size(); cursor_ < size; ++cursor_) {
+    const PacketView pkt = (*packets_)[cursor_];
+    const std::size_t r = rank(pkt.sender());
+    assert(r != kNoRank);
+    if (visited_[r]) continue;
+    if (split_trivial && pkt.count() == 1 && pkt.neighbor_count() == 0) {
+      visited_[r] = 1;
+      trivial_.push_back(pkt.sender());
+      continue;
     }
+    return pkt.sender();
   }
-  return index;
+  return kNoRobot;
 }
 
-/// Dense rank of `name` in the (sorted) index; npos for phantom names.
-constexpr std::size_t kNoRank = static_cast<std::size_t>(-1);
-
-std::size_t sender_rank(const SenderIndex& index, RobotId name) {
-  if (name >= index.rank_of.size() ||
-      index.rank_of[name] == SenderIndex::kMissing)
-    return kNoRank;
-  return index.rank_of[name];
-}
-
-/// Scratch for one round's component construction: `visited` flags senders
-/// already queued or absorbed (by dense rank), `frontier` and `members` hold
-/// pending and collected ranks, `local_of` translates a member's rank to its
-/// dense index within the component being materialized. All flat vectors,
-/// reused across the round's components -- the seed's std::set frontier,
-/// whose node allocations and pointer chasing dominated giant-component
-/// rounds at k >= 10^5, is long gone.
-/// Ranks are dense indices below k < 2^32, so 32-bit entries halve the
-/// n-proportional footprint of the two walk vectors (memory-diet audit).
-struct ComponentScratch {
-  std::vector<char> visited;
-  std::vector<std::uint32_t> frontier;
-  std::vector<std::uint32_t> members;
-  std::vector<std::uint32_t> local_of;
-};
-
-ComponentGraph build_component_indexed(const SenderIndex& by_sender,
-                                       RobotId start_name,
-                                       ComponentScratch& scratch) {
-  const std::size_t start = sender_rank(by_sender, start_name);
+void ComponentBuilder::build_into(RobotId start_name, ComponentGraph& out) {
+  const std::size_t start = rank(start_name);
   assert(start != kNoRank && "start node must have a packet");
 
   // Phase 1 -- membership: flood-fill over the packets' neighbor references.
@@ -163,133 +127,90 @@ ComponentGraph build_component_indexed(const SenderIndex& by_sender,
   // reference without one can only come from a lying (Byzantine) packet, in
   // which case the phantom node is skipped -- the honest part of the
   // component is still built deterministically by every robot.
-  if (scratch.visited.size() != by_sender.size())
-    scratch.visited.assign(by_sender.size(), 0);
-  assert(scratch.frontier.empty());
-  scratch.members.clear();
-  scratch.visited[start] = 1;
-  scratch.frontier.push_back(static_cast<std::uint32_t>(start));
-  scratch.members.push_back(static_cast<std::uint32_t>(start));
-  while (!scratch.frontier.empty()) {
-    const std::size_t rank = scratch.frontier.back();
-    scratch.frontier.pop_back();
-    const PacketView pkt = by_sender[rank].second;
+  assert(frontier_.empty());
+  members_.clear();
+  visited_[start] = 1;
+  frontier_.push_back(static_cast<std::uint32_t>(start));
+  members_.push_back(static_cast<std::uint32_t>(start));
+  while (!frontier_.empty()) {
+    const std::size_t r_at = frontier_.back();
+    frontier_.pop_back();
+    const PacketView pkt = entries_[r_at].second;
     for (std::size_t i = 0, end = pkt.neighbor_count(); i < end; ++i) {
-      const std::size_t r =
-          sender_rank(by_sender, pkt.neighbor(i).min_robot());
-      if (r == kNoRank || scratch.visited[r]) continue;
-      scratch.visited[r] = 1;
-      scratch.frontier.push_back(static_cast<std::uint32_t>(r));
-      scratch.members.push_back(static_cast<std::uint32_t>(r));
+      const std::size_t r = rank(pkt.neighbor(i).min_robot());
+      if (r == kNoRank || visited_[r]) continue;
+      visited_[r] = 1;
+      frontier_.push_back(static_cast<std::uint32_t>(r));
+      members_.push_back(static_cast<std::uint32_t>(r));
     }
   }
 
   // Phase 2 -- materialization, name-ascending (ranks ascend with names, so
   // sorting the collected ranks IS the canonical node order), resolving every
   // edge target to its dense in-component index as it is emitted.
-  std::sort(scratch.members.begin(), scratch.members.end());
-  if (scratch.local_of.size() != by_sender.size())
-    scratch.local_of.resize(by_sender.size());
-  for (std::size_t i = 0; i < scratch.members.size(); ++i)
-    scratch.local_of[scratch.members[i]] = static_cast<std::uint32_t>(i);
+  std::sort(members_.begin(), members_.end());
+  for (std::size_t i = 0; i < members_.size(); ++i)
+    local_of_[members_[i]] = static_cast<std::uint32_t>(i);
 
-  ComponentGraph cg;
-  std::vector<std::uint32_t> targets;
-  for (const std::size_t rank : scratch.members) {
-    const PacketView pkt = by_sender[rank].second;
+  out.clear();
+  for (const std::uint32_t r_at : members_) {
+    const PacketView pkt = entries_[r_at].second;
     ComponentNode node;
     node.name = pkt.sender();
     node.count = pkt.count();
     node.degree = pkt.degree();
-    node.robots.assign(pkt.robots(), pkt.robots() + pkt.robot_count());
-    node.edges.reserve(pkt.neighbor_count());
-    const std::size_t first_target = targets.size();
+    node.robots_begin = static_cast<std::uint32_t>(out.robots_.size());
+    out.robots_.insert(out.robots_.end(), pkt.robots(),
+                       pkt.robots() + pkt.robot_count());
+    node.robots_end = static_cast<std::uint32_t>(out.robots_.size());
+    node.edges_begin = static_cast<std::uint32_t>(out.edges_.size());
     for (std::size_t i = 0, end = pkt.neighbor_count(); i < end; ++i) {
       const NeighborView nb = pkt.neighbor(i);
-      const std::size_t r = sender_rank(by_sender, nb.min_robot());
+      const std::size_t r = rank(nb.min_robot());
       if (r == kNoRank) continue;  // phantom neighbor: edge dropped
-      node.edges.emplace_back(nb.port(), nb.min_robot());
-      targets.push_back(scratch.local_of[r]);
+      out.edges_.emplace_back(nb.port(), nb.min_robot());
+      out.targets_.push_back(local_of_[r]);
     }
+    node.edges_end = static_cast<std::uint32_t>(out.edges_.size());
     // Packets list neighbors port-ascending already; keep the invariant in
     // case a caller hand-builds packets (permuting targets alongside).
-    if (!std::is_sorted(node.edges.begin(), node.edges.end())) {
-      std::vector<std::size_t> order(node.edges.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return node.edges[a] < node.edges[b];
-      });
-      std::vector<std::pair<Port, RobotId>> edges(node.edges.size());
-      std::vector<std::uint32_t> tgt(node.edges.size());
-      for (std::size_t e = 0; e < order.size(); ++e) {
-        edges[e] = node.edges[order[e]];
-        tgt[e] = targets[first_target + order[e]];
+    const auto edges = out.edges_.begin() + node.edges_begin;
+    const auto targets = out.targets_.begin() + node.edges_begin;
+    const std::size_t count = node.edge_count();
+    if (!std::is_sorted(edges, edges + count)) {
+      unsorted_.clear();
+      for (std::size_t e = 0; e < count; ++e)
+        unsorted_.emplace_back(edges[e], targets[e]);
+      // Equal edges name the same neighbor, hence the same target: the
+      // order among ties cannot show.
+      std::sort(unsorted_.begin(), unsorted_.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (std::size_t e = 0; e < count; ++e) {
+        edges[e] = unsorted_[e].first;
+        targets[e] = unsorted_[e].second;
       }
-      node.edges = std::move(edges);
-      std::copy(tgt.begin(), tgt.end(), targets.begin() + first_target);
     }
-    cg.add_node(std::move(node));
+    out.nodes_.push_back(node);
   }
-  cg.seal_presorted(std::move(targets));
+  // A neighbor absorbed by an earlier component is not a member; only a
+  // hand-built, one-sided edge list names one. Restoring the sentinel keeps
+  // such an edge's target kMissingTarget instead of a stale index.
+  for (const std::uint32_t r_at : members_)
+    local_of_[r_at] = ComponentGraph::kMissingTarget;
+}
+
+ComponentGraph build_component(const PacketSet& packets, RobotId start_name) {
+  ComponentGraph cg;
+  ComponentBuilder(packets).build_into(start_name, cg);
   return cg;
 }
 
-
-}  // namespace
-
-ComponentGraph build_component(const PacketSet& packets, RobotId start_name) {
-  ComponentScratch scratch;
-  return build_component_indexed(index_by_sender(packets), start_name, scratch);
-}
-
-struct ComponentBuilder::Impl {
-  SenderIndex index;
-  ComponentScratch scratch;
-};
-
-ComponentBuilder::ComponentBuilder(const PacketSet& packets)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->index = index_by_sender(packets);
-  impl_->scratch.visited.assign(impl_->index.size(), 0);
-}
-
-ComponentBuilder::~ComponentBuilder() = default;
-
-ComponentGraph ComponentBuilder::component_at(RobotId start_name) {
-  return build_component_indexed(impl_->index, start_name, impl_->scratch);
-}
-
-std::vector<ComponentGraph> build_components_split(
-    const PacketSet& packets, std::vector<RobotId>* trivial) {
-  const SenderIndex by_sender = index_by_sender(packets);
-  std::vector<ComponentGraph> components;
-  // The scratch's visited flags persist across seeds: a sender absorbed by
-  // an earlier component is never re-seeded (the `seen` set of the seed).
-  ComponentScratch scratch;
-  scratch.visited.assign(by_sender.size(), 0);
-  for (std::size_t i = 0, size = packets.size(); i < size; ++i) {
-    const PacketView pkt = packets[i];
-    const std::size_t rank = sender_rank(by_sender, pkt.sender());
-    assert(rank != kNoRank);
-    if (scratch.visited[rank]) continue;
-    // A lone robot whose packet lists no occupied neighbor seeds a
-    // single-node, edge-free component; when the caller accepts the compact
-    // form, record just the name. Marking it visited here preserves the
-    // exact absorption behavior of the full build: later components keep
-    // their edge toward it but never enqueue it.
-    if (trivial != nullptr && pkt.count() == 1 && pkt.neighbor_count() == 0) {
-      scratch.visited[rank] = 1;
-      trivial->push_back(pkt.sender());
-      continue;
-    }
-    components.push_back(
-        build_component_indexed(by_sender, pkt.sender(), scratch));
-  }
-  return components;
-}
-
 std::vector<ComponentGraph> build_all_components(const PacketSet& packets) {
-  return build_components_split(packets, nullptr);
+  ComponentBuilder builder(packets);
+  std::vector<ComponentGraph> components;
+  for (RobotId seed; (seed = builder.next_seed(false)) != kNoRobot;)
+    builder.build_into(seed, components.emplace_back());
+  return components;
 }
 
 }  // namespace dyndisp::core

@@ -14,6 +14,9 @@
 // lower-bound instance (Theorem 3) exercises exactly this case.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/component.h"
@@ -26,19 +29,49 @@ namespace dyndisp::core {
 /// root is {root} alone.
 using RootPath = std::vector<RobotId>;
 
+/// Algorithm 3 into retained flat buffers: the kept paths, root-first, as
+/// dense node indices (shared by the component and its tree) in one array
+/// plus offsets. compute() refills them, so once the buffers have grown to
+/// a component's size it allocates nothing.
+class DisjointPaths {
+ public:
+  /// Keeps the disjoint root paths of `st` over `cg`, in the order they
+  /// are kept (increasing by leaf name -- the order Algorithm 4's trimming
+  /// step relies on). `max_keep` (0 = unlimited) stops the scan once that
+  /// many paths are kept. Because paths are kept in increasing leaf-name
+  /// order, the capped result is exactly the uncapped result's prefix --
+  /// the planner passes its count(root)-1 trimming bound here so giant
+  /// components never materialize paths the trim would discard anyway.
+  void compute(const ComponentGraph& cg, const SpanningTree& st,
+               std::size_t max_keep = 0);
+
+  /// Sizes the buffers for trees of up to `nodes` nodes.
+  void reserve(std::size_t nodes);
+
+  /// Paths kept by the last compute().
+  std::size_t size() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  bool empty() const { return size() == 0; }
+
+  /// The j-th kept path, root-first, as dense node indices.
+  std::span<const std::uint32_t> operator[](std::size_t j) const {
+    return {nodes_.data() + offsets_[j], nodes_.data() + offsets_[j + 1]};
+  }
+
+ private:
+  /// Per-node walk state, by dense tree index.
+  std::vector<char> state_;
+  std::vector<std::uint32_t> walked_;  ///< Rejected-walk scratch.
+  std::vector<std::uint32_t> nodes_;
+  std::vector<std::uint32_t> offsets_;  ///< size() + 1 entries, once computed.
+};
+
 /// Names of tree nodes with at least one empty neighbor, ascending.
 std::vector<RobotId> leaf_node_set(const ComponentGraph& cg,
                                    const SpanningTree& st);
 
-/// Algorithm 3: the disjoint path set, in the order the paths were kept
-/// (which is increasing by leaf name -- the order Algorithm 4's trimming
-/// step relies on).
-///
-/// `max_keep` (0 = unlimited) stops the scan once that many paths are kept.
-/// Because paths are kept in increasing leaf-name order, the capped result
-/// is exactly the uncapped result's prefix -- the planner passes its
-/// count(root)-1 trimming bound here so giant components never materialize
-/// paths the trim would discard anyway.
+/// Algorithm 3 (DisjointPaths::compute) with the kept paths as names.
 std::vector<RootPath> disjoint_paths(const ComponentGraph& cg,
                                      const SpanningTree& st,
                                      std::size_t max_keep = 0);

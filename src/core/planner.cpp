@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <span>
 
 #include "core/structure_cache.h"
 #include "util/contract.h"
@@ -29,96 +30,136 @@ bool SlidePlan::operator==(const SlidePlan& other) const {
   return movers == other.movers;
 }
 
-namespace {
-
-/// Port at tree node `from` leading to its child `to`.
-Port port_to_child(const SpanningTree& st, RobotId from, RobotId to) {
-  const TreeNode* tn = st.find(from);
-  assert(tn != nullptr);
-  for (const auto& [port, child] : tn->children)
-    if (child == to) return port;
-  assert(false && "successor on a root path must be a tree child");
-  return kInvalidPort;
+void build_tree(TreeBuilder& builder, const ComponentGraph& cg,
+                const PlannerConfig& config, SpanningTree& out) {
+  if (config.tree == PlannerConfig::Tree::kBfs) {
+    builder.build_bfs(cg, out);
+  } else {
+    builder.build_dfs(cg, out);
+  }
 }
 
-}  // namespace
-
-DYNDISP_COLD
-SlidePlan plan_component(const ComponentGraph& cg, const SpanningTree& st,
-                         const PlannerConfig& config) {
-  SlidePlan plan;
+void PlanWorkspace::append_movers(const ComponentGraph& cg,
+                                  const SpanningTree& st,
+                                  const PlannerConfig& config) {
   const ComponentNode* root_cn = cg.find(st.root());
   assert(root_cn != nullptr && root_cn->count >= 2);
   const std::size_t count_root = root_cn->count;
 
   // Algorithm 4's trimming: at most count(v_root) - 1 paths can be served,
   // one robot each; paths are kept in increasing leaf-name order, so
-  // passing the trim bound as disjoint_paths' keep cap yields exactly the
+  // passing the trim bound as Algorithm 3's keep cap yields exactly the
   // trimmed set without ever materializing the discarded paths.
   std::size_t cap = count_root - 1;
   if (config.max_paths > 0 && config.max_paths < cap) cap = config.max_paths;
-  std::vector<RootPath> paths = disjoint_paths(cg, st, cap);
+  paths_.compute(cg, st, cap);
+  assert(paths_.size() <= count_root - 1);
   // Lemma 3 guarantees a path under the paper's model; an empty set can
   // only arise from lying (Byzantine) packets that hide empty neighbors.
   // Degrade gracefully: nobody in this component moves this round.
-  if (paths.empty()) return plan;
 
   // Root movers: the smallest-ID robot at the root stays settled; the rest
-  // are assigned to the kept paths in ascending order.
-  assert(paths.size() <= count_root - 1);
-
-  // Each mover is assigned exactly once (paths are node-disjoint and root
-  // movers are distinct robots), so directives are appended unordered and
-  // sealed into ascending-ID order in one sort.
-  for (std::size_t j = 0; j < paths.size(); ++j) {
-    const RootPath& path = paths[j];
-    const RobotId root_mover = root_cn->robots[j + 1];
+  // are assigned to the kept paths in ascending order. Each mover is
+  // assigned exactly once (paths are node-disjoint and root movers are
+  // distinct robots), so directives are appended unordered and sealed
+  // into ascending-ID order in one sort. Path entries are dense indices,
+  // shared by the component and its tree; the port at a path node toward
+  // its successor is the successor's port_from_parent.
+  const std::span<const RobotId> root_robots = cg.robots(*root_cn);
+  const std::vector<TreeNode>& tn = st.nodes();
+  for (std::size_t j = 0; j < paths_.size(); ++j) {
+    const std::span<const std::uint32_t> path = paths_[j];
+    const RobotId root_mover = root_robots[j + 1];
 
     if (path.size() == 1) {
       // Trivial path: the root itself borders an empty node.
-      plan.movers.append(root_mover, MoveDirective{kInvalidPort, true});
+      movers_.append(root_mover, MoveDirective{kInvalidPort, true});
       continue;
     }
-    plan.movers.append(root_mover,
-                       MoveDirective{port_to_child(st, path[0], path[1]), false});
+    movers_.append(root_mover,
+                   MoveDirective{tn[path[1]].port_from_parent, false});
 
     for (std::size_t i = 1; i < path.size(); ++i) {
-      const ComponentNode* cn = cg.find(path[i]);
-      assert(cn != nullptr);
       // The designated mover at a non-root path node: its largest-ID robot
       // (the smallest-ID robot stays settled; see DESIGN.md #4).
-      const RobotId mover = cn->robots.back();
+      const RobotId mover = cg.robots(cg.nodes()[path[i]]).back();
       if (i + 1 < path.size()) {
-        plan.movers.append(
-            mover, MoveDirective{port_to_child(st, path[i], path[i + 1]), false});
+        movers_.append(mover,
+                       MoveDirective{tn[path[i + 1]].port_from_parent, false});
       } else {
-        plan.movers.append(mover, MoveDirective{kInvalidPort, true});
+        movers_.append(mover, MoveDirective{kInvalidPort, true});
       }
     }
   }
-  plan.movers.seal();
-  return plan;
+}
+
+const MoverMap& PlanWorkspace::plan_component(const ComponentGraph& cg,
+                                              const SpanningTree& st,
+                                              const PlannerConfig& config) {
+  movers_.clear();
+  append_movers(cg, st, config);
+  movers_.seal();
+  return movers_;
+}
+
+DYNDISP_COLD
+SlidePlan plan_component(const ComponentGraph& cg, const SpanningTree& st,
+                         const PlannerConfig& config) {
+  PlanWorkspace workspace;
+  return SlidePlan{workspace.plan_component(cg, st, config)};
+}
+
+// The warm-miss path: everything reachable from here refills retained
+// buffers (the runtime twin is Memprobe.WarmPlanMissAllocatesAtMostThePlan).
+DYNDISP_HOT
+const MoverMap& PlanWorkspace::plan_round(const PacketSet& packets,
+                                          const PlannerConfig& config) {
+  components_.reset(packets);
+  // Size every buffer for the whole set: no component, tree or path set of
+  // it can outgrow its senders, robots or neighbor entries.
+  std::size_t robots = 0, edges = 0;
+  for (std::size_t i = 0, size = packets.size(); i < size; ++i) {
+    robots += packets[i].robot_count();
+    edges += packets[i].neighbor_count();
+  }
+  component_.reserve(packets.size(), robots, edges);
+  trees_.reserve(packets.size(), edges);
+  tree_.reserve(packets.size());
+  paths_.reserve(packets.size());
+  movers_.clear();
+  movers_.reserve(robots);
+
+  // Trivial (single-robot, edge-free) senders never carry multiplicity, so
+  // they are split off without materializing their one-node graphs. Robot
+  // sets of distinct components are disjoint, so appending every
+  // component's movers and sealing once builds exactly their sorted union.
+  for (RobotId seed; (seed = components_.next_seed(true)) != kNoRobot;) {
+    components_.build_into(seed, component_);
+    if (!component_.has_multiplicity()) continue;
+    build_tree(trees_, component_, config, tree_);
+    append_movers(component_, tree_, config);
+  }
+  movers_.seal();
+  return movers_;
 }
 
 DYNDISP_COLD
 SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config) {
-  SlidePlan plan;
-  // Trivial (single-robot, edge-free) senders never carry multiplicity, so
-  // the split form skips materializing their one-node graphs outright.
-  std::vector<RobotId> trivial;
-  for (const ComponentGraph& cg : build_components_split(packets, &trivial)) {
-    if (!cg.has_multiplicity()) continue;
-    const SpanningTree st = config.tree == PlannerConfig::Tree::kBfs
-                                ? build_spanning_tree_bfs(cg)
-                                : build_spanning_tree(cg);
-    SlidePlan component_plan = plan_component(cg, st, config);
-    // Robot sets of distinct components are disjoint, so appending then
-    // sealing once builds exactly their sorted union.
-    plan.movers.append_all(component_plan.movers);
-  }
-  plan.movers.seal();
-  return plan;
+  PlanWorkspace workspace;
+  return SlidePlan{workspace.plan_round(packets, config)};
 }
+
+namespace {
+
+/// The one allocation a warm workspace miss makes: the immutable plan the
+/// cache slot shares with borrowers, copied from the workspace's movers
+/// (the workspace itself is refilled by the next miss).
+DYNDISP_COLD
+std::shared_ptr<const SlidePlan> publish(const MoverMap& movers) {
+  return std::make_shared<const SlidePlan>(SlidePlan{movers});
+}
+
+}  // namespace
 
 const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
                                        const ReuseHints* hints,
@@ -141,21 +182,22 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   // Planner-time attribution: the derivation below is the round's actual
   // planning work (everything else in this function is cache bookkeeping).
   const std::uint64_t plan_t0 = phase_clock_ns();
-  // Full-churn rounds (the hint-carrying engine loop observed G_r sharing
-  // essentially nothing with G_{r-1}) route straight to plan_round: the
-  // StructureCache could only miss, and storing the round into it would
-  // retain an owning copy of the broadcast storage -- pinning arenas the
-  // round context wants to recycle. StructureCache::full_build IS
-  // plan_round's computation, so the direct call is bitwise identical
+  // Only rounds the engine saw repeat or barely change (kSame,
+  // kSmallDelta) consult the StructureCache: its exact hits and delta
+  // rebuilds need a recent entry to reuse. A full-churn round could only
+  // miss there, and storing it would retain an owning copy of the
+  // broadcast storage -- pinning arenas the round context wants to
+  // recycle; a plan probe's candidate (kUnknown) rarely repeats. Both are
+  // planned in the retained workspace. StructureCache::full_build IS the
+  // workspace's computation, so either route is bitwise identical
   // (StructureCache.MatchesPlanRoundOnRandomRounds and the faithful
   // per-robot planner pin it).
   if (structure_ && hints != nullptr && hints->valid && packets &&
-      hints->change != GraphChange::kFullChurn) {
+      (hints->change == GraphChange::kSame ||
+       hints->change == GraphChange::kSmallDelta)) {
     value_ = structure_->plan(packets, *hints, config);
   } else {
-    // NOLINTNEXTLINE-dyndisp(hotpath-alloc): cache-miss slow path; the
-    // steady-state round takes the structure_->plan branch above.
-    value_ = std::make_shared<const SlidePlan>(plan_round(packets, config));
+    value_ = publish(workspace_.plan_round(packets, config));
   }
   add_planner_time_ns(phase_clock_ns() - plan_t0);
   valid_ = true;

@@ -92,6 +92,10 @@ class MoverMap {
                     other.entries_.end());
   }
 
+  /// Empties the map, keeping capacity (the planner workspace refills one).
+  void clear() { entries_.clear(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
   /// Restores ascending-ID order after a run of append()s. Keys must be
   /// unique (the planner assigns each mover exactly once per round).
   void seal() {
@@ -175,17 +179,59 @@ inline bool operator==(const MoveDirective& a, const MoveDirective& b) {
          a.exit_via_smallest_empty == b.exit_via_smallest_empty;
 }
 
+/// Algorithm 2 for `cg` per the config's tree choice, into `out`.
+void build_tree(TreeBuilder& builder, const ComponentGraph& cg,
+                const PlannerConfig& config, SpanningTree& out);
+
 /// Plans the sliding for one component (requires a multiplicity node).
+/// A one-shot PlanWorkspace::plan_component.
 SlidePlan plan_component(const ComponentGraph& cg, const SpanningTree& st,
                          const PlannerConfig& config = {});
 
+/// Retained planner state: Algorithms 1-3 run in place on flat buffers
+/// that persist across calls -- the sender index and flood-fill scratch,
+/// one reusable component, one reusable tree and the tree traversal
+/// scratch, the path buffers, the trivial-sender list and the mover map.
+/// Every buffer is refilled with clear()/assign/resize and reserved up
+/// front to bounds of the packet set (senders, robots, neighbor entries),
+/// so once the workspace has planned a set at least as large, a plan
+/// allocates nothing. Not thread-safe: PlanCache guards its workspace with
+/// its own mutex.
+class PlanWorkspace {
+ public:
+  /// The movers of plan_round(packets, config), built in the retained
+  /// buffers. The reference stays valid until the next call.
+  const MoverMap& plan_round(const PacketSet& packets,
+                             const PlannerConfig& config);
+
+  /// The movers of plan_component(cg, st, config); valid until the next
+  /// call.
+  const MoverMap& plan_component(const ComponentGraph& cg,
+                                 const SpanningTree& st,
+                                 const PlannerConfig& config);
+
+ private:
+  /// Algorithm 3 on (cg, st) and the slide assignment of Algorithm 4:
+  /// appends the component's movers to movers_, unordered (a seal() must
+  /// follow).
+  void append_movers(const ComponentGraph& cg, const SpanningTree& st,
+                     const PlannerConfig& config);
+
+  ComponentBuilder components_;
+  ComponentGraph component_;
+  TreeBuilder trees_;
+  SpanningTree tree_;
+  DisjointPaths paths_;
+  MoverMap movers_;
+};
+
 /// Plans the whole round: builds all components from the packets and merges
 /// the per-component plans (components without multiplicity contribute
-/// nothing).
+/// nothing). A one-shot PlanWorkspace::plan_round.
 SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config = {});
 
 /// Process-wide planner wall-time accumulator, in nanoseconds: every
-/// PlanCache miss (plan_round or the StructureCache path) adds the time it
+/// PlanCache miss (the workspace or the StructureCache path) adds the time it
 /// spent deriving a plan. Observability only -- the engine snapshots deltas
 /// around its compute phase to split the compute bucket into "planning" vs
 /// "robot steps" (RoundLoopStats::phase_plan_ms), and nothing else reads
@@ -218,11 +264,13 @@ class PlanCache {
   const SlidePlan& get(const PacketSet& packets,
                        const PlannerConfig& config = {});
 
-  /// Hint-carrying fast path: on a slot miss with VALID hints and an
-  /// attached StructureCache, the plan is obtained from the cross-round
-  /// cache (exact hit or delta rebuild) instead of plan_round. With invalid
-  /// hints (local communication, Byzantine tampering) or no StructureCache
-  /// this overload is byte-for-byte the plain set overload.
+  /// Hint-carrying fast path: on a slot miss with VALID hints whose change
+  /// is kSame or kSmallDelta, and an attached StructureCache, the plan is
+  /// obtained from the cross-round cache (exact hit or delta rebuild).
+  /// Every other miss -- invalid hints (local communication, Byzantine
+  /// tampering), plan probes (kUnknown), full-churn rounds, no
+  /// StructureCache -- is planned in the cache's retained workspace, byte
+  /// for byte like the plain set overload.
   const SlidePlan& get(const PacketSet& packets, const ReuseHints& hints,
                        const PlannerConfig& config = {});
 
@@ -243,11 +291,14 @@ class PlanCache {
 
   mutable std::mutex mu_;
   std::shared_ptr<StructureCache> structure_;
+  /// Where misses are planned; guarded by mu_.
+  PlanWorkspace workspace_;
   /// The stored key, pinned so pointer hits stay O(1).
   PacketSet key_;
   PlannerConfig config_;
   /// Immutable so StructureCache-produced plans are shared, not copied; the
   /// slot repoints on every miss while old plans stay alive for borrowers.
+  /// A workspace miss publishes a copy of the workspace's plan here.
   std::shared_ptr<const SlidePlan> value_;
   bool valid_ = false;
   std::size_t hits_ = 0;

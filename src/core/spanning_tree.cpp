@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <queue>
 
 namespace dyndisp::core {
 
@@ -28,172 +27,153 @@ std::vector<RobotId> SpanningTree::root_path(RobotId name) const {
   return path;
 }
 
-void SpanningTree::add_node(TreeNode node) { nodes_.push_back(std::move(node)); }
-
-void SpanningTree::seal() {
-  std::sort(nodes_.begin(), nodes_.end(),
-            [](const TreeNode& a, const TreeNode& b) { return a.name < b.name; });
-  parent_idx_.assign(nodes_.size(), 0);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].parent == kNoRobot) continue;
-    const TreeNode* parent = find(nodes_[i].parent);
-    assert(parent != nullptr && "tree parent missing from the node set");
-    parent_idx_[i] = static_cast<std::uint32_t>(parent - nodes_.data());
-  }
+void SpanningTree::clear() {
+  root_ = kNoRobot;
+  nodes_.clear();
+  parent_idx_.clear();
+  children_.clear();
 }
 
-void SpanningTree::seal_presorted(std::vector<std::uint32_t> parent_idx) {
-  assert(std::is_sorted(
-      nodes_.begin(), nodes_.end(),
-      [](const TreeNode& a, const TreeNode& b) { return a.name < b.name; }));
-  assert(parent_idx.size() == nodes_.size());
-#ifndef NDEBUG
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    assert(nodes_[i].parent == kNoRobot ||
-           nodes_[parent_idx[i]].name == nodes_[i].parent);
-#endif
-  parent_idx_ = std::move(parent_idx);
+void SpanningTree::reserve(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  parent_idx_.reserve(nodes);
+  children_.reserve(nodes);
 }
 
-SpanningTree build_spanning_tree(const ComponentGraph& cg) {
+void TreeBuilder::reserve(std::size_t nodes, std::size_t edges) {
+  present_.reserve(nodes);
+  stack_.reserve(edges);
+  order_.reserve(nodes);
+}
+
+// Both builders work on dense indices: cg.nodes() is ascending by name and
+// cg.edge_targets() pre-resolves every edge's node index, so a tree node is
+// written at its component node's index (dense order IS ascending-name
+// order) and its parent index is the discovering node's -- no sort and no
+// name lookups.
+std::uint32_t TreeBuilder::begin(const ComponentGraph& cg, SpanningTree& out) {
   const RobotId root = cg.root_name();
   assert(root != kNoRobot &&
          "spanning trees are built only for components with a multiplicity");
-
-  SpanningTree st;
-  st.set_root(root);
-
-  // Iterative DFS per the pseudocode: push the neighbors in decreasing port
-  // order so the smallest port is explored first; connect each node to the
-  // node from which it was (first) discovered. cg.nodes() is ascending by
-  // name and cg.edge_targets() pre-resolves every edge's dense node index,
-  // so the builder works entirely on flat arrays without name lookups.
-  const ComponentNode* const base = cg.nodes().data();
-  std::vector<TreeNode> tree(cg.size());
-  std::vector<std::uint32_t> parent_idx(cg.size(), 0);
-  std::vector<char> present(cg.size(), 0);
-
-  struct PendingVisit {
-    std::uint32_t idx;       // dense index of the node to visit
-    std::uint32_t from_idx;  // dense index of the discovering node
-    Port port_at_from;       // port of `from` leading to the node
-  };
-  std::vector<PendingVisit> stack;
+  out.root_ = root;
+  out.nodes_.assign(cg.size(), TreeNode{});
+  out.parent_idx_.assign(cg.size(), 0);
+  out.children_.clear();
+  present_.assign(cg.size(), 0);
+  order_.clear();
 
   const ComponentNode* root_cn = cg.find(root);
   assert(root_cn != nullptr);
-  const auto root_idx = static_cast<std::uint32_t>(root_cn - base);
-  tree[root_idx].name = root;
-  tree[root_idx].depth = 0;
-  present[root_idx] = 1;
+  const auto root_idx = static_cast<std::uint32_t>(root_cn - cg.nodes().data());
+  out.nodes_[root_idx].name = root;
+  present_[root_idx] = 1;
+  return root_idx;
+}
 
+void TreeBuilder::attach(const ComponentGraph& cg, SpanningTree& out,
+                         std::uint32_t idx, std::uint32_t from_idx,
+                         Port port_at_from) {
+  present_[idx] = 1;
+  const ComponentNode& cn = cg.nodes()[idx];
+  TreeNode& node = out.nodes_[idx];
+  node.name = cn.name;
+  node.parent = out.nodes_[from_idx].name;
+  node.port_from_parent = port_at_from;
+  // The port at this node back to the parent: find the edge to `from`.
+  for (const auto& [port, nb] : cg.edges(cn)) {
+    if (nb == node.parent) {
+      node.port_to_parent = port;
+      break;
+    }
+  }
+  assert(node.port_to_parent != kInvalidPort);
+  node.depth = out.nodes_[from_idx].depth + 1;
+  out.parent_idx_[idx] = from_idx;
+  order_.push_back(idx);
+}
+
+void TreeBuilder::finish(const ComponentGraph& cg, SpanningTree& out) {
+  assert(std::count(present_.begin(), present_.end(), char{1}) ==
+             static_cast<std::ptrdiff_t>(cg.size()) &&
+         "spanning tree must cover the whole (connected) component");
+  (void)cg;
+  // Count each node's children, turn the counts into ranges, then place
+  // the children in discovery order.
+  std::vector<TreeNode>& nodes = out.nodes_;
+  for (const std::uint32_t v : order_) ++nodes[out.parent_idx_[v]].children_end;
+  std::uint32_t offset = 0;
+  for (TreeNode& node : nodes) {
+    const std::uint32_t count = node.children_end;
+    node.children_begin = node.children_end = offset;
+    offset += count;
+  }
+  out.children_.resize(offset);
+  for (const std::uint32_t v : order_) {
+    TreeNode& parent = nodes[out.parent_idx_[v]];
+    out.children_[parent.children_end++] = {nodes[v].port_from_parent,
+                                            nodes[v].name};
+  }
+}
+
+void TreeBuilder::build_dfs(const ComponentGraph& cg, SpanningTree& out) {
+  // Iterative DFS per the pseudocode: push the neighbors in decreasing port
+  // order so the smallest port is explored first; connect each node to the
+  // node from which it was (first) discovered.
   const auto push_edges = [&](std::uint32_t cn_idx) {
-    const ComponentNode& cn = base[cn_idx];
-    const std::uint32_t* targets = cg.edge_targets(cn_idx);
-    for (std::size_t e = cn.edges.size(); e-- > 0;) {
+    const ComponentNode& cn = cg.nodes()[cn_idx];
+    const std::span<const ComponentGraph::Edge> edges = cg.edges(cn);
+    const std::span<const std::uint32_t> targets = cg.edge_targets(cn);
+    for (std::size_t e = edges.size(); e-- > 0;) {
       const std::uint32_t nb_idx = targets[e];
       assert(nb_idx != ComponentGraph::kMissingTarget &&
              "component edge points outside the component");
       if (nb_idx == ComponentGraph::kMissingTarget) continue;
-      if (!present[nb_idx])
-        stack.push_back(PendingVisit{nb_idx, cn_idx, cn.edges[e].first});
+      if (!present_[nb_idx])
+        stack_.push_back(PendingVisit{nb_idx, cn_idx, edges[e].first});
     }
   };
-  push_edges(root_idx);
-
-  while (!stack.empty()) {
-    const PendingVisit visit = stack.back();
-    stack.pop_back();
-    if (present[visit.idx]) continue;  // already explored
-    present[visit.idx] = 1;
-
-    const ComponentNode& cn = base[visit.idx];
-    TreeNode& node = tree[visit.idx];
-    node.name = cn.name;
-    node.parent = tree[visit.from_idx].name;
-    node.port_from_parent = visit.port_at_from;
-    // The port at this node back to the parent: find the edge to `from`.
-    for (const auto& [port, nb] : cn.edges) {
-      if (nb == node.parent) {
-        node.port_to_parent = port;
-        break;
-      }
-    }
-    assert(node.port_to_parent != kInvalidPort);
-    node.depth = tree[visit.from_idx].depth + 1;
-    parent_idx[visit.idx] = visit.from_idx;
-    tree[visit.from_idx].children.emplace_back(visit.port_at_from, node.name);
-
+  stack_.clear();
+  push_edges(begin(cg, out));
+  while (!stack_.empty()) {
+    const PendingVisit visit = stack_.back();
+    stack_.pop_back();
+    if (present_[visit.idx]) continue;  // already explored
+    attach(cg, out, visit.idx, visit.from_idx, visit.port_at_from);
     push_edges(visit.idx);
   }
+  finish(cg, out);
+}
 
-  assert(std::count(present.begin(), present.end(), char{1}) ==
-             static_cast<std::ptrdiff_t>(cg.size()) &&
-         "spanning tree must cover the whole (connected) component");
-  // Dense order IS ascending-name order, and the discovery indices are the
-  // parent indices, so the sealed form needs no sort and no lookups.
-  for (auto& node : tree) st.add_node(std::move(node));
-  st.seal_presorted(std::move(parent_idx));
+void TreeBuilder::build_bfs(const ComponentGraph& cg, SpanningTree& out) {
+  // order_ doubles as the FIFO: the root first, then every node in the
+  // order it was discovered.
+  const std::uint32_t root_idx = begin(cg, out);
+  for (std::size_t head = 0;; ++head) {
+    const std::uint32_t from_idx = head == 0 ? root_idx : order_[head - 1];
+    const ComponentNode& cn = cg.nodes()[from_idx];
+    const std::span<const ComponentGraph::Edge> edges = cg.edges(cn);
+    const std::span<const std::uint32_t> targets = cg.edge_targets(cn);
+    for (std::size_t e = 0; e < edges.size(); ++e) {  // ascending by port
+      const std::uint32_t nb_idx = targets[e];
+      assert(nb_idx != ComponentGraph::kMissingTarget);
+      if (nb_idx == ComponentGraph::kMissingTarget || present_[nb_idx])
+        continue;
+      attach(cg, out, nb_idx, from_idx, edges[e].first);
+    }
+    if (head == order_.size()) break;
+  }
+  finish(cg, out);
+}
+
+SpanningTree build_spanning_tree(const ComponentGraph& cg) {
+  SpanningTree st;
+  TreeBuilder().build_dfs(cg, st);
   return st;
 }
 
 SpanningTree build_spanning_tree_bfs(const ComponentGraph& cg) {
-  const RobotId root = cg.root_name();
-  assert(root != kNoRobot &&
-         "spanning trees are built only for components with a multiplicity");
-
   SpanningTree st;
-  st.set_root(root);
-
-  // Same dense-index scheme as the DFS builder above.
-  const ComponentNode* const base = cg.nodes().data();
-  std::vector<TreeNode> tree(cg.size());
-  std::vector<std::uint32_t> parent_idx(cg.size(), 0);
-  std::vector<char> present(cg.size(), 0);
-
-  const ComponentNode* root_cn = cg.find(root);
-  assert(root_cn != nullptr);
-  const auto root_idx = static_cast<std::uint32_t>(root_cn - base);
-  tree[root_idx].name = root;
-  tree[root_idx].depth = 0;
-  present[root_idx] = 1;
-
-  std::queue<std::uint32_t> frontier;
-  frontier.push(root_idx);
-  while (!frontier.empty()) {
-    const std::uint32_t from_idx = frontier.front();
-    frontier.pop();
-    const ComponentNode& cn = base[from_idx];
-    const std::uint32_t* targets = cg.edge_targets(from_idx);
-    for (std::size_t e = 0; e < cn.edges.size(); ++e) {  // ascending by port
-      const std::uint32_t nb_idx = targets[e];
-      assert(nb_idx != ComponentGraph::kMissingTarget);
-      if (nb_idx == ComponentGraph::kMissingTarget || present[nb_idx])
-        continue;
-      present[nb_idx] = 1;
-      const ComponentNode& nb_cn = base[nb_idx];
-      TreeNode& node = tree[nb_idx];
-      node.name = nb_cn.name;
-      node.parent = cn.name;
-      node.port_from_parent = cn.edges[e].first;
-      for (const auto& [back_port, back_nb] : nb_cn.edges) {
-        if (back_nb == cn.name) {
-          node.port_to_parent = back_port;
-          break;
-        }
-      }
-      assert(node.port_to_parent != kInvalidPort);
-      node.depth = tree[from_idx].depth + 1;
-      parent_idx[nb_idx] = from_idx;
-      tree[from_idx].children.emplace_back(cn.edges[e].first, nb_cn.name);
-      frontier.push(nb_idx);
-    }
-  }
-
-  assert(std::count(present.begin(), present.end(), char{1}) ==
-         static_cast<std::ptrdiff_t>(cg.size()));
-  for (auto& node : tree) st.add_node(std::move(node));
-  st.seal_presorted(std::move(parent_idx));
+  TreeBuilder().build_bfs(cg, st);
   return st;
 }
 

@@ -6,36 +6,31 @@
 
 namespace dyndisp::core {
 
-namespace {
-
-/// Builds `comp`'s spanning tree per the config's tree choice -- the same
-/// dispatch plan_round performs.
-SpanningTree build_tree(const ComponentGraph& cg, const PlannerConfig& config) {
-  return config.tree == PlannerConfig::Tree::kBfs ? build_spanning_tree_bfs(cg)
-                                                  : build_spanning_tree(cg);
-}
-
-}  // namespace
-
 StructureCache::StructureCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 DYNDISP_COLD
-StructureCache::CachedComponent StructureCache::build_one(
-    ComponentBuilder& builder, RobotId seed, const PlannerConfig& config,
-    std::vector<bool>& assigned) {
+StructureCache::CachedComponent StructureCache::build_component(
+    RobotId seed, const PlannerConfig& config) {
   CachedComponent cc;
-  cc.graph = std::make_shared<const ComponentGraph>(builder.component_at(seed));
+  builder_.build_into(seed, component_);
+  cc.graph = std::make_shared<const ComponentGraph>(component_);
+  if (component_.has_multiplicity()) {
+    build_tree(trees_, component_, config, tree_);
+    cc.tree = std::make_shared<const SpanningTree>(tree_);
+    cc.movers = std::make_shared<const SlidePlan>(
+        SlidePlan{planner_.plan_component(component_, tree_, config)});
+  }
+  return cc;
+}
+
+DYNDISP_COLD
+StructureCache::CachedComponent StructureCache::build_one(
+    RobotId seed, const PlannerConfig& config, std::vector<bool>& assigned) {
+  CachedComponent cc = build_component(seed, config);
   for (const ComponentNode& cn : cc.graph->nodes()) {
     assert(cn.name < assigned.size());
     assigned[cn.name] = true;
-  }
-  if (cc.graph->has_multiplicity()) {
-    auto tree =
-        std::make_shared<const SpanningTree>(build_tree(*cc.graph, config));
-    cc.movers = std::make_shared<const SlidePlan>(
-        plan_component(*cc.graph, *tree, config));
-    cc.tree = std::move(tree);
   }
   return cc;
 }
@@ -95,14 +90,15 @@ bool StructureCache::try_delta(const Entry& prev, const PacketSet& packets,
   out.trivial.clear();
   std::uint64_t rebuilt = 0, reused = 0;
 
-  // One sender index for every component this round rebuilds (constructed
-  // only after the dirty walk committed to the delta path, so aborted
-  // rounds never pay for it).
-  ComponentBuilder builder(packets);
+  // One sender index for every component this round rebuilds (built only
+  // after the dirty walk committed to the delta path, so aborted rounds
+  // never pay for it).
+  builder_.reset(packets);
 
   // Single-robot senders whose packets list no occupied neighbor always form
-  // a one-node, edge-free, plan-free component (see build_components_split);
-  // record the name instead of running Algorithm 1 on them.
+  // a one-node, edge-free, plan-free component (see
+  // ComponentBuilder::next_seed); record the name instead of running
+  // Algorithm 1 on them.
   const auto is_trivial = [](const PacketView& p) {
     return p.count() == 1 && p.neighbor_count() == 0;
   };
@@ -117,7 +113,7 @@ bool StructureCache::try_delta(const Entry& prev, const PacketSet& packets,
       ++rebuilt;
       continue;
     }
-    out.components.push_back(build_one(builder, seed, config, assigned));
+    out.components.push_back(build_one(seed, config, assigned));
     ++rebuilt;
   }
   // 2. Reuse previous components whose members are all present, unchanged,
@@ -155,8 +151,7 @@ bool StructureCache::try_delta(const Entry& prev, const PacketSet& packets,
       ++rebuilt;
       continue;
     }
-    out.components.push_back(
-        build_one(builder, pkt.sender(), config, assigned));
+    out.components.push_back(build_one(pkt.sender(), config, assigned));
     ++rebuilt;
   }
 
@@ -186,21 +181,14 @@ DYNDISP_COLD
 void StructureCache::full_build(const PacketSet& packets,
                                 const PlannerConfig& config, Entry& out) {
   out.components.clear();
-  out.trivial.clear();
   auto merged = std::make_shared<SlidePlan>();
-  for (ComponentGraph& built : build_components_split(packets, &out.trivial)) {
-    CachedComponent cc;
-    cc.graph = std::make_shared<const ComponentGraph>(std::move(built));
-    if (cc.graph->has_multiplicity()) {
-      auto tree =
-          std::make_shared<const SpanningTree>(build_tree(*cc.graph, config));
-      cc.movers = std::make_shared<const SlidePlan>(
-          plan_component(*cc.graph, *tree, config));
-      merged->movers.append_all(cc.movers->movers);
-      cc.tree = std::move(tree);
-    }
-    out.components.push_back(std::move(cc));
+  builder_.reset(packets);
+  for (RobotId seed; (seed = builder_.next_seed(true)) != kNoRobot;) {
+    CachedComponent& cc = out.components.emplace_back(
+        build_component(seed, config));
+    if (cc.movers) merged->movers.append_all(cc.movers->movers);
   }
+  out.trivial = builder_.trivial();
   merged->movers.seal();
   out.merged = std::move(merged);
 }

@@ -102,20 +102,23 @@ class StructureCache {
     PacketSet packets;  ///< Owning; pins the round's broadcast storage.
     std::vector<CachedComponent> components;  ///< Ascending by min node name.
     /// Single-robot, edge-free components stored by name only (ascending);
-    /// see build_components_split. They plan nothing, so reuse just checks
-    /// the sender's packet is unchanged.
+    /// see ComponentBuilder::next_seed. They plan nothing, so reuse just
+    /// checks the sender's packet is unchanged.
     std::vector<RobotId> trivial;
     std::shared_ptr<const SlidePlan> merged;
   };
 
-  /// Builds one component (plus tree and movers when it has multiplicity)
-  /// through the round's shared builder starting at `seed`, marking every
-  /// member in `assigned`. The builder indexes the packet set once per
-  /// delta round; seeds are guaranteed distinct-component by the `assigned`
-  /// checks at every call site.
-  static CachedComponent build_one(ComponentBuilder& builder, RobotId seed,
-                                   const PlannerConfig& config,
-                                   std::vector<bool>& assigned);
+  /// Builds the component containing `seed` (plus tree and movers when it
+  /// has multiplicity) from the packet set builder_ last indexed. The
+  /// products are built in the retained scratch below -- the planner
+  /// workspace's builder code -- and copied out at their exact sizes.
+  CachedComponent build_component(RobotId seed, const PlannerConfig& config);
+
+  /// build_component, marking every member in `assigned`. Seeds are
+  /// guaranteed distinct-component by the `assigned` checks at every call
+  /// site.
+  CachedComponent build_one(RobotId seed, const PlannerConfig& config,
+                            std::vector<bool>& assigned);
 
   /// Attempts the sender-wise diff against `prev`; fills `out.components`
   /// and `out.merged` and returns true, or returns false when the dirty
@@ -124,13 +127,19 @@ class StructureCache {
                  const PlannerConfig& config, Entry& out);
 
   /// plan_round's computation with the structures captured into `out`.
-  static void full_build(const PacketSet& packets, const PlannerConfig& config,
-                         Entry& out);
+  void full_build(const PacketSet& packets, const PlannerConfig& config,
+                  Entry& out);
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;  ///< Most-recent-first (LRU order).
   std::size_t capacity_;
   StructureCacheStats stats_;
+  /// Build scratch, reused across rounds (guarded by mu_).
+  ComponentBuilder builder_;
+  ComponentGraph component_;
+  TreeBuilder trees_;
+  SpanningTree tree_;
+  PlanWorkspace planner_;  ///< Plans one cached component's movers.
 };
 
 }  // namespace dyndisp::core

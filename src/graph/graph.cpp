@@ -246,6 +246,10 @@ void Graph::shuffle_ports_counter(std::uint64_t seed, std::uint64_t draw,
   fp_edges_ = fp;
 }
 
+// Materializes every edge: a cold convenience for tools, traces and tests.
+// Marked as a boundary so the call graph's by-name resolution does not
+// route hot accessors that share the name (ComponentGraph::edges) here.
+DYNDISP_COLD
 std::vector<Graph::Edge> Graph::edges() const {
   std::vector<Edge> result;
   edges_into(result);

@@ -403,10 +403,7 @@ RunResult Engine::run() {
     // write, and no robot reads another robot's position. It is taken
     // before the kAfterCommunicate crashes, so it is the configuration the
     // broadcast was built from.
-    if (options_.on_round)
-      before_ = conf_;
-    else
-      ++res.stats.before_copies_skipped;
+    if (options_.on_round) before_ = conf_;
 
     bool crashed_this_round =
         !faults_.crashes_at(r, CrashPhase::kBeforeCommunicate).empty();

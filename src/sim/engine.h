@@ -156,7 +156,6 @@ struct DYNDISP_STATS RoundLoopStats {
   std::size_t packets_copied = 0;       ///< Packets copied on delta rounds.
   std::size_t packets_rebuilt = 0;      ///< Packets rebuilt on delta rounds.
   std::size_t state_list_rounds_skipped = 0;  ///< begin_round state-list builds skipped (ViewNeeds).
-  std::size_t before_copies_skipped = 0;      ///< Rounds run with no on_round observer.
   /// Per-phase wall-time buckets, milliseconds summed over every executed
   /// round (util/phase_clock.h; observability only, digest-excluded like
   /// everything here). graph_build covers the adversary's next_graph plus

@@ -23,14 +23,16 @@ namespace dyndisp {
 /// Engine-observed relation between this round's graph and the previous
 /// round's, riding with the hints so plan-layer consumers can pick their
 /// strategy without re-deriving it. kSame and kSmallDelta are the regimes
-/// where the StructureCache's exact-hit/delta machinery pays off;
-/// kFullChurn rounds (the random adversaries rewire everything every round)
-/// can never reuse cross-round structures, so consulting -- and, worse,
-/// RETAINING into -- the cache only pins a dead copy of the round's packet
-/// storage. kUnknown (plan probes, hint-less callers) always consults the
-/// cache. Purely a performance signal: every route computes the
-/// bitwise-identical plan (the StructureCache-vs-plan_round unit tests and
-/// the faithful per-robot planner pin it).
+/// where the StructureCache's exact-hit/delta machinery pays off, and the
+/// only ones that consult it. kFullChurn rounds (the random adversaries
+/// rewire everything every round) can never reuse cross-round structures,
+/// so consulting -- and, worse, RETAINING into -- the cache only pins a
+/// dead copy of the round's packet storage; kUnknown (plan probes, whose
+/// candidate graphs have no cross-round relation) rarely repeats. Both are
+/// planned in the PlanCache's retained workspace. Purely a performance
+/// signal: every route computes the bitwise-identical plan (the
+/// StructureCache-vs-plan_round unit tests and the faithful per-robot
+/// planner pin it).
 enum class GraphChange : std::uint8_t {
   kUnknown,
   kSame,        ///< G_r operator== G_{r-1}.

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "core/component.h"
 #include "core/disjoint_paths.h"
@@ -32,6 +34,12 @@ using core::paths_disjoint;
 using core::RootPath;
 using core::SpanningTree;
 
+/// A span accessor's contents, for EXPECT_EQ with readable failures.
+template <typename T>
+std::vector<T> vec(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
 struct Worked {
   Graph g = Graph::from_edges(
       8, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}});
@@ -51,9 +59,9 @@ TEST(Component, WorkedExampleComponentA) {
   const auto* n1 = cg.find(1);
   ASSERT_NE(n1, nullptr);
   EXPECT_EQ(n1->count, 2u);
-  EXPECT_EQ(n1->robots, (std::vector<RobotId>{1, 4}));
+  EXPECT_EQ(vec(cg.robots(*n1)), (std::vector<RobotId>{1, 4}));
   EXPECT_EQ(n1->degree, 2u);
-  EXPECT_EQ(n1->edges,
+  EXPECT_EQ(vec(cg.edges(*n1)),
             (std::vector<std::pair<Port, RobotId>>{{1, 2}, {2, 3}}));
   EXPECT_FALSE(n1->has_empty_neighbor());
 
@@ -83,9 +91,9 @@ TEST(Component, SameComponentFromAnyStart) {
   ASSERT_EQ(a.size(), c.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.nodes()[i].name, b.nodes()[i].name);
-    EXPECT_EQ(a.nodes()[i].edges, b.nodes()[i].edges);
-    EXPECT_EQ(a.nodes()[i].edges, c.nodes()[i].edges);
-    EXPECT_EQ(a.nodes()[i].robots, b.nodes()[i].robots);
+    EXPECT_EQ(vec(a.edges(a.nodes()[i])), vec(b.edges(b.nodes()[i])));
+    EXPECT_EQ(vec(a.edges(a.nodes()[i])), vec(c.edges(c.nodes()[i])));
+    EXPECT_EQ(vec(a.robots(a.nodes()[i])), vec(b.robots(b.nodes()[i])));
   }
 }
 
@@ -148,8 +156,8 @@ TEST(SpanningTree, WorkedExampleTreeA) {
   const auto* t1 = st.find(1);
   ASSERT_NE(t1, nullptr);
   EXPECT_EQ(t1->parent, kNoRobot);
-  ASSERT_EQ(t1->children.size(), 1u);
-  EXPECT_EQ(t1->children[0].second, 2u);
+  ASSERT_EQ(st.children(*t1).size(), 1u);
+  EXPECT_EQ(st.children(*t1)[0].second, 2u);
 }
 
 TEST(SpanningTree, RootPathsRootFirst) {
@@ -171,7 +179,7 @@ TEST(SpanningTree, SameTreeFromAnyRobot) {
     EXPECT_EQ(a.nodes()[i].name, b.nodes()[i].name);
     EXPECT_EQ(a.nodes()[i].parent, b.nodes()[i].parent);
     EXPECT_EQ(a.nodes()[i].port_to_parent, b.nodes()[i].port_to_parent);
-    EXPECT_EQ(a.nodes()[i].children, b.nodes()[i].children);
+    EXPECT_EQ(vec(a.children(a.nodes()[i])), vec(b.children(b.nodes()[i])));
   }
 }
 
@@ -235,7 +243,8 @@ TEST_P(CoreStructureSweep, LemmasHoldOnRandomRounds) {
       ASSERT_EQ(rebuilt.size(), cg.size());
       for (std::size_t i = 0; i < cg.size(); ++i) {
         EXPECT_EQ(rebuilt.nodes()[i].name, cg.nodes()[i].name);
-        EXPECT_EQ(rebuilt.nodes()[i].edges, cg.nodes()[i].edges);
+        EXPECT_EQ(vec(rebuilt.edges(rebuilt.nodes()[i])),
+                  vec(cg.edges(cg.nodes()[i])));
       }
     }
     if (!cg.has_multiplicity()) continue;
@@ -253,7 +262,7 @@ TEST_P(CoreStructureSweep, LemmasHoldOnRandomRounds) {
       const auto* cn = cg.find(tn.name);
       ASSERT_NE(cn, nullptr);
       bool found = false;
-      for (const auto& [port, nb] : cn->edges)
+      for (const auto& [port, nb] : cg.edges(*cn))
         found |= (nb == tn.parent && port == tn.port_to_parent);
       EXPECT_TRUE(found) << "tree edge missing from component";
     }

@@ -15,12 +15,14 @@
 #include <vector>
 
 #include "core/dispersion.h"
+#include "core/planner.h"
 #include "dynamic/path_trap_adversary.h"
 #include "dynamic/ring_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "graph/builders.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/sensing.h"
 #include "util/memprobe.h"
 
 // This test binary measures real allocations: install the program-wide
@@ -146,6 +148,40 @@ TEST(Memprobe, RingAdversaryEmitsWithoutAllocating) {
   }
 }
 
+// The planner-side twin of the steady-state pin: a PlanCache miss plans in
+// the cache's retained workspace, so once the workspace has planned a set
+// at least as large as the next one (as many senders, robots and neighbor
+// entries), a miss allocates only the plan it publishes -- the shared
+// SlidePlan and its mover vector. The warm-up round puts every one of the
+// k robots on its own node of a denser graph, which bounds all 20 random
+// rounds that follow.
+TEST(Memprobe, WarmPlanMissAllocatesAtMostThePlan) {
+  constexpr std::size_t kRobots = 2000;
+  constexpr std::size_t kNodes = 3000;
+  constexpr std::size_t kMisses = 20;
+  Rng rng(26);
+  const PacketSet warmup(make_all_packets(
+      builders::random_connected(kRobots, 4 * kRobots, rng),
+      placement::grouped(kRobots, kRobots, kRobots, rng), true));
+  std::vector<PacketSet> rounds;
+  for (std::size_t i = 0; i < kMisses; ++i) {
+    rounds.emplace_back(make_all_packets(
+        builders::random_connected(kNodes, kNodes / 3, rng),
+        placement::uniform_random(kNodes, kRobots, rng), true));
+  }
+
+  core::PlanCache cache;
+  cache.get(warmup);
+  std::size_t movers = 0;
+  for (std::size_t i = 0; i < kMisses; ++i) {
+    memprobe::AllocGuard guard;
+    movers += cache.get(rounds[i]).movers.size();
+    EXPECT_LE(guard.delta(), 2u) << "miss " << i;
+  }
+  EXPECT_EQ(cache.misses(), kMisses + 1);  // every set is distinct
+  EXPECT_GT(movers, 0u);                   // the rounds really plan
+}
+
 /// The path-trap adversary with every plan probe run twice on the same
 /// candidate, from round `warmup` on. The repeat's broadcast equals the
 /// first's, so the PlanCache serves its plan without a derivation: its
@@ -187,10 +223,11 @@ class RepeatProbeTrap final : public Adversary {
 
 // The probe-path twin of the pins above: a warmed-up plan probe refills a
 // retained robot arena through copy_into instead of cloning every robot, so
-// with Algorithm 4 at k = 32 under the path trap it makes fewer than k
-// allocations of its own. (A probe's plan derivation -- components,
-// spanning trees -- still allocates; the repeat probe keeps that out of
-// the count.) A reintroduced per-probe clone() alone costs k.
+// with Algorithm 4 at k = 32 under the path trap it makes about one
+// allocation of its own (the move plan it returns; measured 1.07 per
+// probe). A reintroduced per-probe clone() alone costs k. (The repeat probe
+// keeps the plan derivation out of the count;
+// Memprobe.WarmPlanMissAllocatesAtMostThePlan pins that part.)
 TEST(Memprobe, TrapProbeReusesRobots) {
   constexpr std::size_t kRobots = 32;
   constexpr std::size_t kNodes = 48;
@@ -208,7 +245,7 @@ TEST(Memprobe, TrapProbeReusesRobots) {
   const double per_probe = static_cast<double>(adv.repeat_allocations) /
                            static_cast<double>(adv.probes);
   RecordProperty("allocs_per_probe", std::to_string(per_probe));
-  EXPECT_LT(per_probe, static_cast<double>(kRobots))
+  EXPECT_LT(per_probe, 2.0)
       << adv.repeat_allocations << " allocations over " << adv.probes
       << " probes";
 }

@@ -2,7 +2,11 @@
 // the plan cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "core/planner.h"
 #include "graph/builders.h"
@@ -15,8 +19,11 @@ namespace dyndisp {
 namespace {
 
 using core::MoveDirective;
+using core::MoverMap;
 using core::plan_round;
 using core::PlanCache;
+using core::PlannerConfig;
+using core::PlanWorkspace;
 using core::SlidePlan;
 
 // The worked example of test_core_structures.cpp.
@@ -245,6 +252,92 @@ TEST_P(PlannerSweep, PlanIsWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerSweep,
                          ::testing::Range<std::uint64_t>(1, 61));
+
+// ---- Retained workspace: nothing leaks from one plan into the next ----
+
+/// Packet set `step` of the stale-state sweep. Sizes are log-uniform over
+/// k in [1, 2000], with both ends forced every ten sets, so consecutive
+/// sets shrink and grow; every third set is one giant component (nearly
+/// every node of a dense graph occupied), the others are fragments on a
+/// sparse graph four times larger. Every fourth set is then degraded by
+/// hand: unsorted (packets and neighbor lists shuffled), a duplicated
+/// sender, or Byzantine-tampered with a phantom neighbor.
+std::vector<InfoPacket> stale_state_packets(std::size_t step, Rng& rng) {
+  constexpr std::size_t kMaxRobots = 2000;
+  std::size_t k = static_cast<std::size_t>(
+      std::lround(std::exp(rng.uniform01() * std::log(double{kMaxRobots}))));
+  if (step % 10 == 0) k = kMaxRobots;
+  if (step % 10 == 5) k = 1;
+  k = std::clamp<std::size_t>(k, 1, kMaxRobots);
+
+  const bool giant = step % 3 == 0;
+  const std::size_t n = giant ? k + k / 8 + 1 : 4 * k + 2;
+  const Graph g = builders::random_connected(n, giant ? 2 * n : n / 8, rng);
+  const Configuration conf =
+      rng.chance(0.5) ? placement::uniform_random(n, k, rng)
+                      : placement::grouped(n, k, 1 + rng.below(k), rng);
+  std::vector<InfoPacket> packets = make_all_packets(g, conf, true);
+  if (step % 4 != 3) return packets;
+
+  switch ((step / 4) % 3) {
+    case 0:  // unsorted: packets and neighbor lists out of order
+      rng.shuffle(packets);
+      for (InfoPacket& pkt : packets) rng.shuffle(pkt.occupied_neighbors);
+      break;
+    case 1:  // a sender broadcasting twice
+      packets.push_back(InfoPacket(packets[rng.below(packets.size())]));
+      rng.shuffle(packets);
+      break;
+    default:  // liars, and a neighbor no packet answers for
+      for (InfoPacket& pkt : packets) {
+        if (!rng.chance(0.2)) continue;
+        if (rng.chance(0.5)) {  // "I am alone here."
+          pkt.count = 1;
+          pkt.robots.resize(1);
+        } else {  // "All my neighbors are occupied."
+          pkt.degree = pkt.occupied_neighbors.size();
+        }
+      }
+      InfoPacket& liar = packets[rng.below(packets.size())];
+      NeighborInfo phantom;
+      phantom.port = static_cast<Port>(liar.degree + 1);
+      phantom.min_robot = static_cast<RobotId>(k + 1 + rng.below(8));
+      phantom.count = 1;
+      phantom.robots = {phantom.min_robot};
+      liar.occupied_neighbors.push_back(phantom);
+      ++liar.degree;
+      break;
+  }
+  return packets;
+}
+
+// One warm workspace planned across 300 consecutive packet sets, under both
+// tree builders and three path caps, must agree with a fresh workspace on
+// every plan: a scratch buffer that is not refilled (a visited flag, a rank,
+// a walk state, a tree child range) shows up as a differing plan.
+TEST(PlanWorkspace, ReusedWorkspaceMatchesFreshPlans) {
+  Rng rng(2026);
+  PlanWorkspace warm;
+  std::size_t movers = 0;
+  for (std::size_t step = 0; step < 300; ++step) {
+    const PacketSet packets(stale_state_packets(step, rng));
+    for (const PlannerConfig::Tree tree :
+         {PlannerConfig::Tree::kDfs, PlannerConfig::Tree::kBfs}) {
+      for (const std::size_t max_paths : {0u, 1u, 3u}) {
+        PlannerConfig config;
+        config.tree = tree;
+        config.max_paths = max_paths;
+        const MoverMap fresh = PlanWorkspace().plan_round(packets, config);
+        ASSERT_TRUE(warm.plan_round(packets, config) == fresh)
+            << "set " << step << " (" << packets.size() << " senders), "
+            << (tree == PlannerConfig::Tree::kBfs ? "bfs" : "dfs")
+            << ", max_paths " << max_paths;
+        movers += fresh.size();
+      }
+    }
+  }
+  EXPECT_GT(movers, 0u);
+}
 
 }  // namespace
 }  // namespace dyndisp

@@ -52,7 +52,7 @@ TEST(BfsTree, SpansComponentWithSameRoot) {
         const auto* cn = cg.find(tn.name);
         ASSERT_NE(cn, nullptr);
         bool found = false;
-        for (const auto& [port, nb] : cn->edges)
+        for (const auto& [port, nb] : cg.edges(*cn))
           found |= nb == tn.parent && port == tn.port_to_parent;
         EXPECT_TRUE(found);
       }
