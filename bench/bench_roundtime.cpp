@@ -18,10 +18,13 @@
 // the struct-of-arrays round core and the packet arena were built for; heap
 // allocations are counted per row (a process-global operator-new counter).
 //
-//   bench_roundtime [--json] [--out=FILE] [--threads=1,8] [--reps=N]
+//   bench_roundtime [--json] [--out=FILE] [--threads=1,2,4] [--reps=N]
 //                   [--smoke] [--mega] [--mega-smoke] [--validate[=FILE]]
 //
-// Each (adversary, k, threads) tuple is one row; the families sweep
+// Each (adversary, k, threads) tuple is one row. Thread counts above the
+// host's hardware threads are dropped (an oversubscribed row measures the
+// scheduler, not the engine), and every row records that count as nproc.
+// The families sweep
 // k = 64..512, and `ring-worst`, whose adversary is O(n) per round, also
 // runs k = 1024 and 4096. The trap families, which probe O(alpha) or two
 // candidates per round, stop at k = 256. The k=10^6 mega row runs
@@ -39,7 +42,7 @@
 // agreed on all round observables (robot_rounds, rounds, packet_mbits,
 // dispersed): the engine claims bitwise identity at any thread count, and
 // this is that claim at bench scale. `--validate=FILE` parses a previously
-// written JSON file, checks it against schema v8 (field presence/types,
+// written JSON file, checks it against schema v9 (field presence/types,
 // the same thread-count agreement, reuse counters nonzero on the
 // replay-heavy rows), and exits -- no timing assertions, so it is safe on
 // loaded CI machines.
@@ -49,7 +52,8 @@
 // taken from the same repetition as its wall_ms, so the phases of a row
 // add up to (slightly less than) its wall time. Schema v7 dropped v6's
 // structure_cache column along with the engine option it described; v8
-// dropped before_copies_skipped, which only ever equalled the row's rounds.
+// dropped before_copies_skipped, which only ever equalled the row's rounds;
+// v9 added nproc.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -63,6 +67,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/registry.h"
@@ -89,7 +94,7 @@ namespace {
 
 using namespace dyndisp;
 
-constexpr std::uint64_t kSchemaVersion = 8;
+constexpr std::uint64_t kSchemaVersion = 9;
 constexpr std::uint64_t kSeed = 11;
 
 /// k at and above which a row runs a single rep: the mega headline row.
@@ -112,6 +117,7 @@ struct Row {
   std::size_t k = 0;
   std::size_t n = 0;
   std::size_t threads = 1;
+  std::size_t nproc = 1;  ///< Hardware threads of the host that ran it.
   Round rounds = 0;
   bool dispersed = false;
   std::uint64_t robot_rounds = 0;
@@ -190,12 +196,19 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
   return registry.adversary(name, "random", n, kSeed);
 }
 
+/// The host's hardware threads (at least 1).
+std::size_t host_threads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
 Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
         std::size_t reps) {
   Row row;
   row.adversary = spec.name;
   row.k = k;
   row.threads = threads;
+  row.nproc = host_threads();
   // Median-free but repeatable: take the best of `reps` runs so a one-off
   // scheduler hiccup does not masquerade as a regression.
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -269,6 +282,14 @@ std::vector<std::size_t> parse_threads(const std::string& spec) {
     out.push_back(t);
   }
   if (out.empty()) throw std::invalid_argument("--threads list is empty");
+  std::erase_if(out, [](std::size_t t) {
+    if (t <= host_threads()) return false;
+    std::fprintf(stderr, "note: --threads=%zu dropped (nproc %zu)\n", t,
+                 host_threads());
+    return true;
+  });
+  if (out.empty())
+    throw std::invalid_argument("--threads: no count within nproc");
   return out;
 }
 
@@ -287,6 +308,7 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
     w.member("k", static_cast<std::uint64_t>(r.k));
     w.member("n", static_cast<std::uint64_t>(r.n));
     w.member("threads", static_cast<std::uint64_t>(r.threads));
+    w.member("nproc", static_cast<std::uint64_t>(r.nproc));
     w.member("rounds", static_cast<std::uint64_t>(r.rounds));
     w.member("dispersed", r.dispersed);
     w.member("robot_rounds", r.robot_rounds);
@@ -378,7 +400,7 @@ void validate_rows(const std::vector<Row>& rows) {
               pairs.size());
 }
 
-// ---- --validate=FILE: schema v8 checks, no timing assertions ----
+// ---- --validate=FILE: schema v9 checks, no timing assertions ----
 
 const JsonValue& req(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.find(key);
@@ -401,7 +423,7 @@ int validate_file(const std::string& path) {
   if (rows.empty()) fail("'results' is empty");
 
   static const char* const kUints[] = {
-      "k", "n", "threads", "rounds", "robot_rounds", "heap_allocs",
+      "k", "n", "threads", "nproc", "rounds", "robot_rounds", "heap_allocs",
       "graph_reuses", "validations_skipped", "broadcasts_reused",
       "broadcast_deltas", "packets_copied", "packets_rebuilt",
       "sc_exact_hits", "sc_components_reused", "state_list_rounds_skipped"};
@@ -449,7 +471,7 @@ int main(int argc, char** argv) try {
   const bool json = args.get_bool("json", false);
   const std::string out_path = args.get("out", "BENCH_roundtime.json");
   const std::vector<std::size_t> thread_counts =
-      parse_threads(args.get("threads", "1,8"));
+      parse_threads(args.get("threads", "1,2,4"));
   const std::size_t reps = args.get_uint("reps", 1);
   const bool smoke = args.get_bool("smoke", false);
   const bool mega = args.get_bool("mega", false);

@@ -42,13 +42,11 @@ Port DispersionRobot::step(const RobotView& view) {
   const SlidePlan* plan;
   SlidePlan local_plan;
   if (cache_) {
-    // Prefer the handle-keyed cache path: all robots of a round share one
-    // broadcast handle, so the lookup is a pointer compare, not a deep one.
-    // The view's reuse hints ride along so a slot miss can consult the
-    // cross-round StructureCache (invalid hints degrade to plan_round).
-    plan = view.shared_packets
-               ? &cache_->get(view.shared_packets, view.reuse, config_)
-               : &cache_->get(view.packets(), config_);
+    // All robots of a round share one broadcast, so the lookup is a
+    // storage-identity compare, not a deep one. The view's reuse hints
+    // ride along so a slot miss can consult the cross-round
+    // StructureCache (invalid hints degrade to plan_round).
+    plan = &cache_->get(view.packets(), view.reuse, config_);
   } else {
     local_plan = plan_round(view.packets(), config_);
     plan = &local_plan;

@@ -7,24 +7,8 @@
 
 #include "core/structure_cache.h"
 #include "util/contract.h"
-#include "util/phase_clock.h"
 
 namespace dyndisp::core {
-
-namespace {
-/// See planner_time_ns(): process-wide planning wall-time, observability
-/// only, relaxed ordering (readers only ever diff snapshots they took on
-/// the same thread as the runs they bracket).
-std::atomic<std::uint64_t> g_planner_time_ns{0};
-}  // namespace
-
-std::uint64_t planner_time_ns() {
-  return g_planner_time_ns.load(std::memory_order_relaxed);
-}
-
-void add_planner_time_ns(std::uint64_t ns) {
-  g_planner_time_ns.fetch_add(ns, std::memory_order_relaxed);
-}
 
 bool SlidePlan::operator==(const SlidePlan& other) const {
   return movers == other.movers;
@@ -151,6 +135,9 @@ SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config) {
 
 namespace {
 
+/// Instance ids for the lanes' thread-local memo; 0 means "no cache".
+std::atomic<std::uint64_t> g_next_cache_id{1};
+
 /// The one allocation a warm workspace miss makes: the immutable plan the
 /// cache slot shares with borrowers, copied from the workspace's movers
 /// (the workspace itself is refilled by the next miss).
@@ -160,6 +147,31 @@ std::shared_ptr<const SlidePlan> publish(const MoverMap& movers) {
 }
 
 }  // namespace
+
+PlanCache::PlanCache()
+    : id_(g_next_cache_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+PlanCache::Lane& PlanCache::this_lane() {
+  thread_local std::uint64_t memo_cache = 0;
+  thread_local Lane* memo_lane = nullptr;
+  if (memo_cache != id_) {
+    memo_lane = &add_lane();
+    memo_cache = id_;
+  }
+  return *memo_lane;
+}
+
+// Once per thread per cache switch; the thread's lane persists until the
+// cache dies (a later thread reusing a finished thread's id inherits it).
+DYNDISP_COLD
+PlanCache::Lane& PlanCache::add_lane() {
+  const std::thread::id me = std::this_thread::get_id();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::unique_ptr<Lane>& lane : lanes_)
+    if (lane->owner == me) return *lane;
+  lanes_.push_back(std::make_unique<Lane>(me));
+  return *lanes_.back();
+}
 
 const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
                                        const ReuseHints* hints,
@@ -179,9 +191,6 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   ++misses_;
   key_ = packets;
   config_ = config;
-  // Planner-time attribution: the derivation below is the round's actual
-  // planning work (everything else in this function is cache bookkeeping).
-  const std::uint64_t plan_t0 = phase_clock_ns();
   // Only rounds the engine saw repeat or barely change (kSame,
   // kSmallDelta) consult the StructureCache: its exact hits and delta
   // rebuilds need a recent entry to reuse. A full-churn round could only
@@ -199,29 +208,42 @@ const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
   } else {
     value_ = publish(workspace_.plan_round(packets, config));
   }
-  add_planner_time_ns(phase_clock_ns() - plan_t0);
   valid_ = true;
   return *value_;
 }
 
+const SlidePlan& PlanCache::lookup(const PacketSet& packets,
+                                   const ReuseHints* hints,
+                                   const PlannerConfig& config) {
+  Lane& lane = this_lane();
+  if (lane.value && lane.key.identity() == packets.identity() &&
+      lane.config == config) {
+    lane.lane_hits.store(lane.lane_hits.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+    return *lane.value;
+  }
+  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
+  // serialization point, reached once per lane per new set (the engine's
+  // lead step pays the round's miss here before the fan-out); identity
+  // hits return above without it.
+  std::lock_guard<std::mutex> lock(mu_);
+  const SlidePlan& plan = get_locked(packets, hints, config);
+  lane.key = key_;
+  lane.config = config_;
+  lane.value = value_;
+  return plan;
+}
+
 const SlidePlan& PlanCache::get(const PacketSet& packets,
                                 const PlannerConfig& config) {
-  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
-  // serialization point -- plan probes call in from ThreadPool lanes;
-  // uncontended (and never waited on) in the per-round compute phase.
-  std::lock_guard<std::mutex> lock(mu_);
-  return get_locked(packets, nullptr, config);
+  return lookup(packets, nullptr, config);
 }
 
 DYNDISP_HOT
 const SlidePlan& PlanCache::get(const PacketSet& packets,
                                 const ReuseHints& hints,
                                 const PlannerConfig& config) {
-  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
-  // serialization point -- plan probes call in from ThreadPool lanes;
-  // uncontended (and never waited on) in the per-round compute phase.
-  std::lock_guard<std::mutex> lock(mu_);
-  return get_locked(packets, &hints, config);
+  return lookup(packets, &hints, config);
 }
 
 void PlanCache::set_structure_cache(std::shared_ptr<StructureCache> cache) {
@@ -231,7 +253,10 @@ void PlanCache::set_structure_cache(std::shared_ptr<StructureCache> cache) {
 
 std::size_t PlanCache::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
+  std::size_t total = hits_;
+  for (const std::unique_ptr<Lane>& lane : lanes_)
+    total += lane->lane_hits.load(std::memory_order_relaxed);
+  return total;
 }
 
 std::size_t PlanCache::misses() const {

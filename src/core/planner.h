@@ -14,12 +14,13 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,24 +109,6 @@ class MoverMap {
                                 return a.first == b.first;
                               }) == entries_.end() &&
            "each robot receives at most one directive per round");
-  }
-
-  /// Unions `other` in (disjoint key sets, both sorted): one linear merge,
-  /// the flat replacement for std::map::merge/insert(range).
-  void merge_disjoint(const MoverMap& other) {
-    if (other.empty()) return;
-    if (empty()) {
-      entries_ = other.entries_;
-      return;
-    }
-    std::vector<value_type> merged;
-    merged.reserve(entries_.size() + other.entries_.size());
-    std::merge(entries_.begin(), entries_.end(), other.entries_.begin(),
-               other.entries_.end(), std::back_inserter(merged),
-               [](const value_type& a, const value_type& b) {
-                 return a.first < b.first;
-               });
-    entries_ = std::move(merged);
   }
 
   bool operator==(const MoverMap&) const = default;
@@ -230,37 +213,33 @@ class PlanWorkspace {
 /// nothing). A one-shot PlanWorkspace::plan_round.
 SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config = {});
 
-/// Process-wide planner wall-time accumulator, in nanoseconds: every
-/// PlanCache miss (the workspace or the StructureCache path) adds the time it
-/// spent deriving a plan. Observability only -- the engine snapshots deltas
-/// around its compute phase to split the compute bucket into "planning" vs
-/// "robot steps" (RoundLoopStats::phase_plan_ms), and nothing else reads
-/// it. Monotone; exact when one run executes at a time, advisory under
-/// concurrent runs.
-std::uint64_t planner_time_ns();
-
-/// Adds `ns` to the accumulator (PlanCache's miss path; relaxed atomic).
-void add_planner_time_ns(std::uint64_t ns);
-
 /// Single-slot memo of plan_round keyed by the exact packet set. All robots
 /// of a run may share one cache; correctness is unchanged because
 /// plan_round is deterministic in the packets (Lemma 4).
 ///
-/// Thread-safe: the engine's parallel compute phase calls get() from many
-/// robots at once. The returned reference stays valid as long as no get()
-/// with a DIFFERENT packet set runs concurrently -- which holds inside one
-/// round, where every robot receives the same broadcast.
+/// Thread-safe, and lock-free on the common path: every calling thread
+/// keeps its own lane -- an owning copy of the slot's key and plan, and its
+/// own hit tally on a cache line no other thread writes. A get() whose set
+/// has the storage identity of the lane's key returns the lane's plan
+/// without touching shared state; anything else takes the mutex, consults
+/// the shared slot and refreshes the lane. Lanes may query different sets
+/// concurrently. The returned reference stays valid until the calling
+/// thread's next get() on this cache (its lane pins the plan).
 class PlanCache {
  public:
+  PlanCache();
+  PlanCache(const PlanCache&) = delete;
+  PlanCache& operator=(const PlanCache&) = delete;
+
   /// Set-keyed lookup: the engine shares one immutable broadcast per round,
-  /// so storage identity short-circuits the deep packet comparison (the
-  /// cache pins the set, so the address cannot be reused while it is the
-  /// key). Falls back to content comparison -- trap-adversary probes
-  /// produce byte-identical packet sets under fresh storage and must still
-  /// hit. A content hit re-keys the slot to the incoming set: after a
-  /// probe primed the slot with its candidate broadcast, the round's first
-  /// real step pays the deep comparison and the other k-1 hit on identity,
-  /// and the probe's arena is released back to its pool.
+  /// so storage identity short-circuits the deep packet comparison (keys
+  /// own their set, so the address cannot be reused while it is a key).
+  /// Falls back to content comparison -- trap-adversary probes produce
+  /// byte-identical packet sets under fresh storage and must still hit. A
+  /// content hit re-keys the slot to the incoming set: after a probe
+  /// primed the slot with its candidate broadcast, the round's first real
+  /// step pays the deep comparison and the other k-1 hit on identity, and
+  /// the probe's arena is released back to its pool.
   const SlidePlan& get(const PacketSet& packets,
                        const PlannerConfig& config = {});
 
@@ -281,28 +260,58 @@ class PlanCache {
     return structure_;
   }
 
+  /// Exact totals: the lanes' tallies are folded in when read.
   std::size_t hits() const;
   std::size_t misses() const;
 
  private:
+  /// One calling thread's copy of the slot. Only its owner writes it; the
+  /// alignment keeps one lane's tally off every other lane's cache line.
+  struct alignas(64) Lane {
+    explicit Lane(std::thread::id id) : owner(id) {}
+    const std::thread::id owner;
+    /// Owning copy of a slot key: an identity match proves the same set.
+    PacketSet key;
+    PlannerConfig config;
+    std::shared_ptr<const SlidePlan> value;
+    /// Identity hits served from this lane (single writer, relaxed).
+    std::atomic<std::size_t> lane_hits{0};
+  };
+
+  /// The calling thread's lane (a thread-local memo of the last cache a
+  /// thread used makes the lookup O(1)).
+  Lane& this_lane();
+  Lane& add_lane();
+  /// Both get()s: a lane identity hit, else the shared slot under the
+  /// mutex (which then refreshes the lane).
+  const SlidePlan& lookup(const PacketSet& packets, const ReuseHints* hints,
+                          const PlannerConfig& config);
   const SlidePlan& get_locked(const PacketSet& packets,
                               const ReuseHints* hints,
                               const PlannerConfig& config);
 
+  /// Unique per instance, so a thread-local lane memo never outlives its
+  /// cache's identity.
+  const std::uint64_t id_;
   mutable std::mutex mu_;
   std::shared_ptr<StructureCache> structure_;
   /// Where misses are planned; guarded by mu_.
   PlanWorkspace workspace_;
-  /// The stored key, pinned so pointer hits stay O(1).
+  /// The shared slot, guarded by mu_. The key is an owning set, so pointer
+  /// hits stay O(1).
   PacketSet key_;
   PlannerConfig config_;
   /// Immutable so StructureCache-produced plans are shared, not copied; the
-  /// slot repoints on every miss while old plans stay alive for borrowers.
-  /// A workspace miss publishes a copy of the workspace's plan here.
+  /// slot repoints on every miss while old plans stay alive for the lanes
+  /// that still hold them. A workspace miss publishes a copy of the
+  /// workspace's plan here.
   std::shared_ptr<const SlidePlan> value_;
   bool valid_ = false;
+  /// Hits served under the mutex (lane refreshes) and misses.
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
+  /// Every thread that called get(); guarded by mu_, never shrinks.
+  std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
 }  // namespace dyndisp::core

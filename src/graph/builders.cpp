@@ -306,6 +306,8 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
 
   // 4. Incidence CSR over final degrees; canonical slot order at every node
   //    is edge-id order, the anchor the port permutation shuffles from.
+  //    Each edge records the slot of both its sides, so the port passes
+  //    below read ports straight off the slots.
   s.deg.assign(n, 0);
   for (std::size_t e = 0; e < m; ++e) {
     ++s.deg[s.eu[e]];
@@ -316,18 +318,19 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
   for (std::size_t v = 0; v < n; ++v) s.offsets[v + 1] = s.offsets[v] + s.deg[v];
   s.cursor.assign(s.offsets.begin(), s.offsets.end() - 1);
   s.inc.resize(2 * m);
+  s.su.resize(m);
+  s.sv.resize(m);
   for (std::size_t e = 0; e < m; ++e) {
-    s.inc[s.cursor[s.eu[e]]++] = static_cast<std::uint32_t>(e);
-    s.inc[s.cursor[s.ev[e]]++] = static_cast<std::uint32_t>(e);
+    s.su[e] = s.cursor[s.eu[e]]++;
+    s.sv[e] = s.cursor[s.ev[e]]++;
+    s.inc[s.su[e]] = static_cast<std::uint32_t>(e);
+    s.inc[s.sv[e]] = static_cast<std::uint32_t>(e);
   }
 
   // 5. Per-node Fisher-Yates port permutation from the node's forked
-  //    stream, written into each node's own CSR segment; the same pass
-  //    resolves the edge-side ports (pu[e] is written only by eu[e]'s node,
-  //    pv[e] only by ev[e]'s, so lanes never collide).
+  //    stream, written into each node's own CSR segment only (lanes write
+  //    disjoint contiguous ranges, never a shared line but at a boundary).
   s.slot_port.resize(2 * m);
-  s.pu.resize(m);
-  s.pv.resize(m);
   parallel_for(pool, n, [&](std::size_t v) {
     const std::size_t off = s.offsets[v];
     const std::size_t d = s.offsets[v + 1] - off;
@@ -336,13 +339,6 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
     const CounterRng node = port_rng.fork(v);
     for (std::size_t j = d; j > 1; --j)
       std::swap(seg[j - 1], seg[node.below(j, j)]);
-    for (std::size_t i = 0; i < d; ++i) {
-      const std::uint32_t e = s.inc[off + i];
-      if (s.eu[e] == v)
-        s.pu[e] = seg[i];
-      else
-        s.pv[e] = seg[i];
-    }
   });
 
   // 6. Row fill (needs both sides' ports, hence the barrier between the
@@ -356,15 +352,16 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
     row.resize(d);
     for (std::size_t i = 0; i < d; ++i) {
       const std::uint32_t e = s.inc[off + i];
-      if (s.eu[e] == v)
-        row[s.pu[e] - 1] = HalfEdge{s.ev[e], s.pv[e]};
-      else
-        row[s.pv[e] - 1] = HalfEdge{s.eu[e], s.pu[e]};
+      const bool at_u = s.eu[e] == v;
+      const NodeId to = at_u ? s.ev[e] : s.eu[e];
+      const Port back = s.slot_port[at_u ? s.sv[e] : s.su[e]];
+      row[s.slot_port[off + i] - 1] = HalfEdge{to, back};
     }
   });
   std::uint64_t fp = 0;
   for (std::size_t e = 0; e < m; ++e)
-    fp ^= fp_edge_term(s.eu[e], s.ev[e], s.pu[e], s.pv[e]);
+    fp ^= fp_edge_term(s.eu[e], s.ev[e], s.slot_port[s.su[e]],
+                       s.slot_port[s.sv[e]]);
   out.commit_assembly(m, fp);
 }
 

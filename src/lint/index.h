@@ -4,14 +4,21 @@
 // body, with ctor-init-lists, trailing return types, and out-of-line
 // qualified names handled), the call sites inside each body, and structs
 // tagged DYNDISP_STATS (util/contract.h). Calls are resolved by unqualified
-// name to every same-named definition in the indexed set -- deliberately
-// over-approximate: a contract analyzer must not miss a real edge, and a
-// spurious edge at worst asks for one reviewed suppression or DYNDISP_COLD
-// boundary.
+// name and by kind: a plain call reaches every same-named definition, a
+// `.`/`->` call only same-named member functions, and a `.` call on a
+// receiver every declaration of which in the indexed set has a
+// `std::`-qualified type reaches nothing (library members such as
+// std::atomic::load are not indexed). Still deliberately over-approximate:
+// a contract analyzer must not miss a real edge, so a definition is a
+// member unless it sits directly in a namespace (or is qualified by one),
+// a receiver with any other, `auto` or unreadable declaration reaches
+// every same-named member, and a spurious edge at worst asks for one
+// reviewed suppression or DYNDISP_COLD boundary.
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +31,7 @@ struct CallSite {
   std::string callee;         ///< Unqualified called name.
   int line = 0;
   bool member_access = false;  ///< Preceded by `.` or `->`.
+  bool arrow = false;          ///< Preceded by `->` (the pointee's member).
   std::string receiver;        ///< Identifier before the `.`/`->`, if any.
 };
 
@@ -31,6 +39,9 @@ struct CallSite {
 struct FunctionDef {
   std::string name;       ///< Unqualified name.
   std::string qualified;  ///< `Class::name` for out-of-line members.
+  /// A member function: defined in a class body, or out of line under a
+  /// qualifier that is not only a namespace name.
+  bool member = false;
   std::size_t file = 0;   ///< Index into SymbolIndex::files.
   int line = 0;
   bool hot = false;   ///< Annotated DYNDISP_HOT.
@@ -55,6 +66,9 @@ struct SymbolIndex {
   std::vector<StatsStruct> stats;
   /// Unqualified name -> indices into defs (ascending; deterministic).
   std::map<std::string, std::vector<std::size_t>> by_name;
+  /// Names every declaration of which has a `std::`-qualified type: `.`
+  /// calls on them resolve to no indexed definition.
+  std::set<std::string> std_typed;
 };
 
 /// Indexes `files` (every entry must stay alive while the index is used).

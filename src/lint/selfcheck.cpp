@@ -60,6 +60,32 @@ const Planted kViolations[] = {
      "#include \"util/contract.h\"\n"
      "int helper() { auto boxed = std::make_unique<int>(3); return *boxed; }\n"
      "DYNDISP_HOT int round_tick() { return helper(); }\n"},
+    // Resolution by kind still reaches members: a `.` call on a class-typed
+    // receiver, and a `->` call through a std smart pointer to its pointee.
+    {"hotpath-alloc", "src/fake/hot_member.cpp",
+     "#include <memory>\n"
+     "#include \"util/contract.h\"\n"
+     "struct Pool { int grow(); };\n"
+     "int Pool::grow() { auto p = std::make_unique<int>(2); return *p; }\n"
+     "DYNDISP_HOT int round_tick(Pool& pool) { return pool.grow(); }\n"},
+    {"hotpath-alloc", "src/fake/hot_pointee.cpp",
+     "#include <memory>\n"
+     "#include \"util/contract.h\"\n"
+     "struct Pool { int grow(); };\n"
+     "int Pool::grow() { auto p = std::make_unique<int>(2); return *p; }\n"
+     "DYNDISP_HOT int round_tick(std::unique_ptr<Pool>& pool) {\n"
+     "  return pool->grow();\n"
+     "}\n"},
+    // A parenthesised local (`Pool pool(3)`) is no std-typed receiver, even
+    // beside a std-typed namesake elsewhere.
+    {"hotpath-alloc", "src/fake/hot_paren_local.cpp",
+     "#include <memory>\n"
+     "#include <vector>\n"
+     "#include \"util/contract.h\"\n"
+     "struct Pool { explicit Pool(int n); int grow(); };\n"
+     "int Pool::grow() { auto p = std::make_unique<int>(2); return *p; }\n"
+     "struct Shelf { std::vector<int> pool; };\n"
+     "DYNDISP_HOT int round_tick() { Pool pool(3); return pool.grow(); }\n"},
     {"hotpath-blocking", "src/fake/hot_block.cpp",
      "#include <mutex>\n"
      "#include \"util/contract.h\"\n"
@@ -116,6 +142,23 @@ const Planted kClean[] = {
      "  return *fresh;\n"
      "}\n"
      "DYNDISP_HOT int round_tick(bool miss) { return miss ? rebuild() : 0; }\n"},
+    // Member calls resolve by kind: `ticks.load()` on a std::atomic reaches
+    // no indexed `load`, and `c.build()` reaches Counter::build, never the
+    // same-named free function. Both namesakes allocate.
+    {"hotpath-alloc", "src/fake/hot_member_ok.cpp",
+     "#include <atomic>\n"
+     "#include <memory>\n"
+     "#include \"util/contract.h\"\n"
+     "struct Loader { int load(); };\n"
+     "int Loader::load() { auto p = std::make_unique<int>(1); return *p; }\n"
+     "int build(int x) { auto p = std::make_unique<int>(x); return *p; }\n"
+     "struct Counter {\n"
+     "  std::atomic<int> ticks{0};\n"
+     "  int build() const { return ticks.load(); }\n"
+     "};\n"
+     "DYNDISP_HOT int round_tick(Counter& c) {\n"
+     "  return c.ticks.load() + c.build();\n"
+     "}\n"},
     {"hotpath-blocking", "src/fake/hot_block_ok.cpp",
      "#include <cstdio>\n"
      "#include \"util/contract.h\"\n"

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/planner.h"
 #include "dynamic/validator.h"
 #include "util/parallel.h"
 #include "util/phase_clock.h"
@@ -88,54 +87,68 @@ ReuseHints Engine::make_hints(const Graph& g) const {
   return hints;
 }
 
-void Engine::plan_on(const Graph& g, const Configuration& conf,
-                     Round round, const EngineOptions& options,
-                     const std::vector<Port>& arrival_ports,
-                     const std::vector<bool>& active,
-                     const std::vector<RobotAlgorithm*>& robots,
-                     const RoundContext& ctx, PacketSet packets,
-                     const ReuseHints& hints, ThreadPool* pool,
-                     std::vector<RobotView>& views, const ViewNeeds& needs,
-                     MovePlan& plan) {
+std::uint64_t Engine::plan_on(const Graph& g, const Configuration& conf,
+                              Round round, const EngineOptions& options,
+                              const std::vector<Port>& arrival_ports,
+                              const std::vector<bool>& active,
+                              const std::vector<RobotAlgorithm*>& robots,
+                              const RoundContext& ctx, PacketSet packets,
+                              const ReuseHints& hints, ThreadPool* pool,
+                              std::vector<RobotView>& views,
+                              const ViewNeeds& needs, MovePlan& plan) {
   const bool neighborhood = options.neighborhood_knowledge;
   const std::size_t k = conf.robot_count();
-
-  // Phase 1: assemble all views against the synchronous snapshot. Each view
-  // attaches the round's shared packet and state handles; nothing is copied
-  // per robot beyond its own neighborhood scan. Each robot's slot of the
-  // persistent arena is refilled in place (vector capacities survive across
-  // rounds) and fields outside the run's declared needs are skipped.
   if (views.size() != k) views.resize(k);
-  parallel_for(pool, k, [&](std::size_t i) {
+  plan.assign(k, kInvalidPort);
+  if (options.comm != CommModel::kGlobal) packets.reset();
+
+  // The lead: the lowest-index robot that steps.
+  std::size_t lead = 0;
+  while (lead < k && !(conf.alive(static_cast<RobotId>(lead + 1)) &&
+                       active[lead]))
+    ++lead;
+  if (lead == k) return 0;
+
+  // One robot's compute phase: assemble its view against the synchronous
+  // snapshot (its slot of the persistent arena is refilled in place, and
+  // fields outside the run's declared needs are skipped), then step. Robots
+  // mutate only their own state, and views read only the round's immutable
+  // artifacts, so a robot's fill and step need no barrier between robots.
+  const auto step_robot = [&](std::size_t i) {
     const RobotId id = static_cast<RobotId>(i + 1);
     if (!conf.alive(id) || !active[i]) return;
     RobotView& view = views[i];
-    fill_view(view, g, conf, id, round, options.comm, neighborhood, packets,
+    fill_view(view, g, conf, id, round, options.comm, neighborhood,
               ctx.index(), needs);
     view.arrival_port = arrival_ports[i];
     if (needs.colocated_states)
       view.colocated_states = ctx.node_states(conf.position(id));
     view.reuse = hints;
-  });
-
-  // Phase 2: every robot computes; state mutations cannot leak into views
-  // (robots mutate only their own state, so the fan-out is race-free).
-  plan.assign(k, kInvalidPort);
-  parallel_for(pool, k, [&](std::size_t i) {
-    const RobotId id = static_cast<RobotId>(i + 1);
-    if (!conf.alive(id) || !active[i]) return;
-    const Port p = robots[i]->step(views[i]);
-    if (p != kInvalidPort && p > views[i].degree) {
+    // Borrowed: `packets` outlives every step of this call.
+    view.shared_packets = &packets;
+    const Port p = robots[i]->step(view);
+    if (p != kInvalidPort && p > view.degree) {
       std::ostringstream os;
       os << "robot " << id << " chose invalid port " << p << " (degree "
-         << views[i].degree << ") in round " << round;
+         << view.degree << ") in round " << round;
       throw std::runtime_error(os.str());
     }
     plan[i] = options.byzantine
-                  ? options.byzantine->override_move(id, p, views[i].degree,
-                                                     round)
+                  ? options.byzantine->override_move(id, p, view.degree, round)
                   : p;
-  });
+  };
+
+  // The lead steps alone first: by Lemma 4 every robot derives the same
+  // plan from the one broadcast, so the lead pays the round's plan
+  // derivation (a shared PlanCache miss) and the rest hit it. Being the
+  // smallest stepping index, its exception is the one a sequential loop
+  // would surface first.
+  const std::uint64_t lead_t0 = phase_clock_ns();
+  step_robot(lead);
+  const std::uint64_t lead_ns = phase_clock_ns() - lead_t0;
+  parallel_for(pool, k - lead - 1,
+               [&](std::size_t j) { step_robot(lead + 1 + j); });
+  return lead_ns;
 }
 
 MovePlan Engine::probe_plan(const Graph& candidate) const {
@@ -158,11 +171,14 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
     if (!copy || !robots_[i]->copy_into(*copy)) copy = robots_[i]->clone();
     probe_raw_[i] = copy.get();
   }
+  // Probes run on the calling lane alone: an adversary scores many
+  // candidates per round, and a fan-out per candidate paid more in
+  // dispatch than it saved.
   PacketSet packets;
   if (options_.comm == CommModel::kGlobal) {
     packets = round_ctx_->assemble_candidate_packets(
         candidate, conf_, options_.neighborhood_knowledge,
-        options_.byzantine.get(), pool_.get());
+        options_.byzantine.get(), nullptr);
   }
   // The probe round number equals the round being constructed; the engine
   // stores it in probe_round_ via the lambda installed in run(). Probe hints
@@ -172,20 +188,21 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
   MovePlan plan;
   plan_on(candidate, conf_, probe_round_, options_, arrival_ports_, active_,
           probe_raw_, *round_ctx_, std::move(packets), make_hints(candidate),
-          pool_.get(), views_arena_, needs_, plan);
+          nullptr, views_arena_, needs_, plan);
   return plan;
 }
 
 MovePlan& Engine::compute_plan(const Graph& g, Round round,
-                               const RoundContext& ctx) {
+                               const RoundContext& ctx,
+                               std::uint64_t& lead_ns) {
   // The real round carries the graph-change classification the loop just
   // derived; probe_plan's hints stay kUnknown (candidates have no
   // cross-round relation).
   ReuseHints hints = make_hints(g);
   hints.change = round_change_;
-  plan_on(g, conf_, round, options_, arrival_ports_, active_, raw_robots_,
-          ctx, ctx.packets(), hints, pool_.get(), views_arena_, needs_,
-          plan_buf_);
+  lead_ns = plan_on(g, conf_, round, options_, arrival_ports_, active_,
+                    raw_robots_, ctx, ctx.packets(), hints, pool_.get(),
+                    views_arena_, needs_, plan_buf_);
   return plan_buf_;
 }
 
@@ -281,8 +298,8 @@ RunResult Engine::run() {
 
     // Phase buckets (observability only; see RoundLoopStats). ph_* are
     // boundary timestamps: graph_build = [t0,t1), broadcast = [t1,t2),
-    // compute phase = [t2,t3) split into plan (planner accumulator delta)
-    // and the remainder, move = [t3,t4).
+    // compute phase = [t2,t3) split into plan (the serial lead step) and
+    // the remainder, move = [t3,t4).
     const std::uint64_t ph_t0 = phase_clock_ns();
     bool same_graph = false;   // G_r provably operator== G_{r-1}
     bool small_delta = false;  // G_r near G_{r-1}; graph_changed_ holds the diff
@@ -382,20 +399,15 @@ RunResult Engine::run() {
     const std::uint64_t ph_t2 = phase_clock_ns();
     res.stats.phase_broadcast_ms += phase_ns_to_ms(ph_t2 - ph_t1);
 
-    const std::uint64_t plan_ns_before = core::planner_time_ns();
-    MovePlan& plan = compute_plan(graph_, r, ctx_);
+    std::uint64_t lead_ns = 0;
+    MovePlan& plan = compute_plan(graph_, r, ctx_, lead_ns);
     const std::uint64_t ph_t3 = phase_clock_ns();
-    // The compute phase's planner share: exactly one robot pays the
-    // PlanCache miss and derives the round's plan; the accumulator delta is
-    // that derivation's wall time. The remainder is view assembly plus the
-    // robots' own steps (clamped: with threads > 1 the per-lane planner
-    // time can exceed the phase's elapsed wall time).
-    const double plan_ms =
-        phase_ns_to_ms(core::planner_time_ns() - plan_ns_before);
-    const double compute_wall_ms = phase_ns_to_ms(ph_t3 - ph_t2);
-    res.stats.phase_plan_ms += plan_ms;
-    res.stats.phase_compute_ms +=
-        compute_wall_ms > plan_ms ? compute_wall_ms - plan_ms : 0.0;
+    // The compute phase's plan share is this engine's serial lead step
+    // (timed inside [t2, t3)): the one robot that derives the round's plan
+    // before the fan-out. The remainder is the other robots' view assembly
+    // and steps.
+    res.stats.phase_plan_ms += phase_ns_to_ms(lead_ns);
+    res.stats.phase_compute_ms += phase_ns_to_ms(ph_t3 - ph_t2 - lead_ns);
     round_ctx_ = nullptr;
 
     // The start-of-round configuration exists solely for observers: the

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -160,11 +161,12 @@ struct DYNDISP_STATS RoundLoopStats {
   /// round (util/phase_clock.h; observability only, digest-excluded like
   /// everything here). graph_build covers the adversary's next_graph plus
   /// round-graph validation; broadcast covers packet assembly/reuse/delta;
-  /// plan is the planner-side share of the compute phase (PlanCache miss
-  /// work: Algorithm 1-3 structures + Algorithm 4 plan derivation,
-  /// process-wide accumulator deltas); compute is the compute phase's
-  /// remainder (view assembly + robot steps); move covers the Move phase
-  /// and end-of-round state refresh/metering.
+  /// plan is this engine's serial lead step, the first stepping robot's
+  /// view fill and step (for a shared PlanCache, the round's miss:
+  /// Algorithm 1-3 structures + Algorithm 4 plan derivation); compute is
+  /// the compute phase's remainder (the other robots' view assembly and
+  /// steps); move covers the Move phase and end-of-round state
+  /// refresh/metering.
   double phase_graph_build_ms = 0;
   double phase_broadcast_ms = 0;
   double phase_plan_ms = 0;
@@ -296,28 +298,35 @@ class Engine {
   /// reusing the current round's context (state snapshots, node index).
   MovePlan probe_plan(const Graph& candidate) const;
 
-  /// Runs the real compute phase on `g`, mutating robot state. Returns
-  /// the retained plan_buf_ (refilled in place each round; valid until the
-  /// next compute_plan call).
-  MovePlan& compute_plan(const Graph& g, Round round, const RoundContext& ctx);
+  /// Runs the real compute phase on `g`, mutating robot state; `lead_ns`
+  /// receives the lead step's wall time. Returns the retained plan_buf_
+  /// (refilled in place each round; valid until the next compute_plan
+  /// call).
+  MovePlan& compute_plan(const Graph& g, Round round, const RoundContext& ctx,
+                         std::uint64_t& lead_ns);
 
-  /// Views are assembled for ALL robots first (so state exchange reflects
-  /// the synchronous start-of-round snapshot), then every robot steps.
-  /// `packets` is the (possibly candidate) broadcast for `g`; shared round
-  /// artifacts come from `ctx`; `hints` ride into every view (invalid hints
-  /// when the broadcast is not a pure function of (g, conf, model)).
-  /// Views are filled in place into `views`' slots under `needs` gating.
-  /// `plan` is an out-parameter refilled via assign() so the round loop's
-  /// retained buffer never reallocates in steady state.
-  static void plan_on(const Graph& g, const Configuration& conf,
-                      Round round, const EngineOptions& options,
-                      const std::vector<Port>& arrival_ports,
-                      const std::vector<bool>& active,
-                      const std::vector<RobotAlgorithm*>& robots,
-                      const RoundContext& ctx, PacketSet packets,
-                      const ReuseHints& hints, ThreadPool* pool,
-                      std::vector<RobotView>& views, const ViewNeeds& needs,
-                      MovePlan& plan);
+  /// Every alive, active robot assembles its view and steps. The lead (the
+  /// lowest such index) steps alone first -- it derives the round's plan
+  /// -- and the rest fan out over `pool` (null: serial), each filling its
+  /// view just before its step; views read only the start-of-round
+  /// snapshot, so state exchange stays synchronous. `packets` is the
+  /// (possibly candidate) broadcast for `g`, which every view borrows for
+  /// the call; shared round artifacts come from `ctx`; `hints`
+  /// ride into every view (invalid hints when the broadcast is not a pure
+  /// function of (g, conf, model)). Views are filled in place into `views`'
+  /// slots under `needs` gating. `plan` is an out-parameter refilled via
+  /// assign() so the round loop's retained buffer never reallocates in
+  /// steady state. Returns the lead step's wall time in nanoseconds (0
+  /// when no robot steps).
+  static std::uint64_t plan_on(const Graph& g, const Configuration& conf,
+                               Round round, const EngineOptions& options,
+                               const std::vector<Port>& arrival_ports,
+                               const std::vector<bool>& active,
+                               const std::vector<RobotAlgorithm*>& robots,
+                               const RoundContext& ctx, PacketSet packets,
+                               const ReuseHints& hints, ThreadPool* pool,
+                               std::vector<RobotView>& views,
+                               const ViewNeeds& needs, MovePlan& plan);
 
   /// Hints describing the broadcast for graph `g` this round; valid only
   /// when communication is global and no Byzantine model tampers packets.

@@ -94,8 +94,7 @@ std::vector<InfoPacket> make_all_packets(const Graph& g,
 DYNDISP_HOT
 void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
-               const PacketSet& packets, const NodeIndex& index,
-               const ViewNeeds& needs) {
+               const NodeIndex& index, const ViewNeeds& needs) {
   assert(conf.alive(id));
   const NodeId v = conf.position(id);
 
@@ -142,7 +141,6 @@ void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
     out.occupied_neighbors.resize(neighbors_filled);
 
   out.global_comm = comm == CommModel::kGlobal;
-  out.shared_packets = out.global_comm ? packets : PacketSet{};
 }
 
 std::size_t packet_bit_size(const PacketView& packet, std::size_t k,
@@ -267,8 +265,8 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
   NodeIndex index;
   index.build(conf);
   RobotView view;
-  fill_view(view, g, conf, id, round, comm, neighborhood, packets, index,
-            ViewNeeds{});
+  fill_view(view, g, conf, id, round, comm, neighborhood, index, ViewNeeds{});
+  if (view.global_comm) view.own_packets = std::move(packets);
   return view;
 }
 

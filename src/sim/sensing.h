@@ -53,8 +53,8 @@ struct RobotView {
   /// Local communication lets same-node robots exchange arbitrary state;
   /// the DFS baselines read the settled robot's parent/rotor through this.
   /// The list is assembled once per occupied node and shared by every robot
-  /// standing there (a zero-copy handle, like `shared_packets`); null when
-  /// the engine has no states to exchange (bare make_view results).
+  /// standing there (a zero-copy handle); null when the engine has no
+  /// states to exchange (bare make_view results).
   std::shared_ptr<const std::vector<StateHandle>> colocated_states;
 
   /// The serialized state of the i-th co-located robot (`colocated[i]`).
@@ -74,11 +74,14 @@ struct RobotView {
 
   bool global_comm = false;
   /// All packets in the system, ascending by sender ID (one per occupied
-  /// node); truthy only when global_comm is true. Shared across the
-  /// round's views (k robots receive the same broadcast; copying it per
-  /// robot would make every round Theta(k^2) in packet volume). Read
-  /// through the PacketView API over the round's PacketArena.
-  PacketSet shared_packets;
+  /// node); non-empty only when global_comm is true. k robots receive the
+  /// same broadcast, so the engine's views borrow the round's one set,
+  /// which it keeps alive through the compute phase: no per-robot copy
+  /// (every round would be Theta(k^2) in packet volume) and no per-robot
+  /// reference-count traffic on the set. Null in make_view results, which
+  /// own their set in own_packets. Read through packets().
+  const PacketSet* shared_packets = nullptr;
+  PacketSet own_packets;
 
   /// Cross-round reuse hints for the shared packet set (filled by the
   /// engine, like arrival_port; invalid in bare make_view results). Caching
@@ -86,8 +89,11 @@ struct RobotView {
   /// invalid hints always take the uncached path.
   ReuseHints reuse;
 
-  /// The packet set (empty when local communication is in effect).
-  const PacketSet& packets() const { return shared_packets; }
+  /// The packet set (empty when local communication is in effect), read
+  /// through the PacketView API over the round's PacketArena.
+  const PacketSet& packets() const {
+    return shared_packets != nullptr ? *shared_packets : own_packets;
+  }
 };
 
 /// Node -> alive robot IDs there, ascending, as a CSR (compressed sparse
@@ -192,7 +198,7 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
 
 /// Assembles the full view of robot `id` standing on its node in `g`
 /// (tests and one-shot callers; the engine fills its view arena in place
-/// via fill_view). The packet set is attached by reference-counted handle.
+/// via fill_view). The view owns its packet set (own_packets).
 /// Arrival ports and co-located states are filled in by the engine, which
 /// owns that information.
 RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
@@ -202,13 +208,13 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
 /// In-place view assembly for the engine's persistent view arena: fills
 /// `out` with exactly what make_view would produce for the fields `needs`
 /// declares (plus the unconditional scalars: self, round, k, degree,
-/// node_count, empty_neighbor_count, global_comm, shared_packets), reusing
-/// `out`'s vector capacities across rounds. Undeclared fields are left
-/// cleared. arrival_port, colocated_states, and reuse are reset for the
-/// engine to fill, as in make_view.
+/// node_count, empty_neighbor_count, global_comm), reusing `out`'s vector
+/// capacities across rounds. Undeclared fields are left cleared.
+/// arrival_port, colocated_states, and reuse are reset for the engine to
+/// fill, as in make_view. The packet fields are left as they are: the
+/// engine points shared_packets at the round's set itself.
 void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
-               const PacketSet& packets, const NodeIndex& index,
-               const ViewNeeds& needs);
+               const NodeIndex& index, const ViewNeeds& needs);
 
 }  // namespace dyndisp

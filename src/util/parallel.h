@@ -1,13 +1,18 @@
 // A small, work-stealing-free thread pool for the engine's per-robot fan-out.
 //
 // The simulator's parallelism is embarrassingly regular: once per round, the
-// same O(1)-to-O(k) body runs for every robot index (view assembly, then
-// step()). A static contiguous partition of [0, count) -- one chunk per
+// same body runs for every robot index. The engine's compute phase steps
+// the lowest-index robot alone first -- it derives the round's shared plan
+// -- and then fans one body (fill the robot's view, then step) over the
+// rest. A static contiguous partition of [0, count) -- one chunk per
 // thread, no stealing, no dynamic scheduling -- keeps the execution order
 // within each chunk sequential and the set of indices per thread a pure
 // function of (count, thread_count). Combined with bodies that only write
 // state owned by their index, results are bitwise identical at any thread
-// count, which is the contract EngineOptions::threads promises.
+// count, which is the contract EngineOptions::threads promises. A body
+// should also keep its writes off lines other lanes write: a shared
+// counter or reference count bumped per index costs more than the fan-out
+// saves.
 #pragma once
 
 #include <condition_variable>

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -16,14 +18,19 @@
 #include "baselines/blind_walk.h"
 #include "baselines/dfs_dispersion.h"
 #include "baselines/greedy_local.h"
+#include "graph/builders.h"
 #include "core/dispersion.h"
+#include "dynamic/clique_trap_adversary.h"
 #include "dynamic/path_trap_adversary.h"
 #include "dynamic/random_adversary.h"
+#include "dynamic/static_adversary.h"
 #include "dynamic/t_interval_adversary.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
 #include "sim/sensing.h"
 #include "util/parallel.h"
+#include "util/phase_clock.h"
+#include "util/rng.h"
 
 namespace dyndisp {
 namespace {
@@ -182,7 +189,7 @@ RunResult run_row(const ModelRow& row, std::size_t threads) {
 
 TEST(ThreadDeterminism, AllTableOneModelRows) {
   // One algorithm per Table-I model row, each under its native model; the
-  // memoized planner additionally exercises the PlanCache mutex from many
+  // memoized planner additionally exercises the PlanCache lanes from many
   // threads at once.
   const ModelRow rows[] = {
       {"global+nbhd (Algorithm 4, memoized)", CommModel::kGlobal, true,
@@ -246,6 +253,101 @@ TEST(ThreadDeterminism, ProbeDrivenTrapAdversary) {
   EXPECT_FALSE(serial.dispersed);  // the trap must still work
   expect_identical(serial, run_trap(2), "path trap, 2 threads");
   expect_identical(serial, run_trap(8), "path trap, 8 threads");
+}
+
+// ---- Engine lanes ----
+
+// Algorithm 4 against both probing trap adversaries, large enough that the
+// compute phase fans out (k > kParallelForSerialCutoff): probes run on the
+// calling lane, the round's lead step derives the plan, and the rest of the
+// robots step across the lanes -- none of which may change the run.
+TEST(EngineLanes, TrapRunsIdenticalAtOneAndTwoThreads) {
+  const std::size_t k = kParallelForSerialCutoff + 8;
+  const std::size_t n = 3 * k / 2;
+  auto run = [&](bool clique, std::size_t threads) {
+    std::unique_ptr<Adversary> adv;
+    if (clique)
+      adv = std::make_unique<CliqueTrapAdversary>(n);
+    else
+      adv = std::make_unique<PathTrapAdversary>(n);
+    EngineOptions opt;
+    opt.threads = threads;
+    opt.max_rounds = 24;
+    Engine engine(*adv, placement::rooted(n, k),
+                  core::dispersion_factory_memoized(), opt);
+    return engine.run();
+  };
+  for (const bool clique : {false, true}) {
+    const RunResult serial = run(clique, 1);
+    EXPECT_GT(serial.total_moves, 0u);
+    expect_identical(serial, run(clique, 2),
+                     clique ? "clique trap, 2 threads" : "path trap, 2 threads");
+  }
+}
+
+// Robot 1 naps in every step; the others stay at once. Robot 1 is every
+// round's lead, so its naps land in the engine's plan clock.
+class NappingLeadRobot final : public RobotAlgorithm {
+ public:
+  static constexpr auto kNap = std::chrono::milliseconds(2);
+  std::unique_ptr<RobotAlgorithm> clone() const override {
+    return std::make_unique<NappingLeadRobot>(*this);
+  }
+  Port step(const RobotView& view) override {
+    if (view.self == 1) std::this_thread::sleep_for(kNap);
+    return kInvalidPort;
+  }
+  void serialize(BitWriter&) const override {}
+  std::string name() const override { return "napping-lead"; }
+  bool requires_global_comm() const override { return false; }
+  bool requires_neighborhood() const override { return false; }
+};
+
+// phase_plan_ms is the engine's own lead-step clock, with no wall-clock
+// ratio to go flaky on a loaded host: it holds every nap of the lead (a
+// lower bound), and with phase_compute_ms it fits in the engine's own run
+// (an upper bound), while an Algorithm 4 engine plans on another thread. A
+// process-wide planner clock would hold none of the naps.
+TEST(EngineLanes, PlanClockIsPerEngine) {
+  std::atomic<bool> stop{false};
+  double alg4_plan_ms = 0;
+  std::thread planner([&] {
+    do {
+      constexpr std::size_t n = 600, k = 400;
+      RandomAdversary adv(n, n / 3, 5);
+      Rng rng(5);
+      EngineOptions opt;
+      opt.max_rounds = 60;
+      Engine engine(adv, placement::uniform_random(n, k, rng),
+                    core::dispersion_factory_memoized(), opt);
+      alg4_plan_ms += engine.run().stats.phase_plan_ms;
+    } while (!stop.load());
+  });
+  constexpr std::size_t n = 16, k = 8;
+  constexpr Round kRounds = 12;
+  Rng rng(9);
+  StaticAdversary adv(builders::random_connected(n, n, rng));
+  EngineOptions opt;
+  opt.comm = CommModel::kLocal;
+  opt.max_rounds = kRounds;
+  Engine engine(adv, placement::rooted(n, k),
+                [](RobotId, std::size_t) {
+                  return std::make_unique<NappingLeadRobot>();
+                },
+                opt);
+  const std::uint64_t t0 = phase_clock_ns();
+  const RunResult r = engine.run();
+  const double run_ms = phase_ns_to_ms(phase_clock_ns() - t0);
+  stop = true;
+  planner.join();
+  EXPECT_GT(alg4_plan_ms, 0.0);
+  ASSERT_EQ(r.rounds, kRounds);
+  const double naps_ms =
+      static_cast<double>(kRounds) *
+      std::chrono::duration<double, std::milli>(NappingLeadRobot::kNap)
+          .count();
+  EXPECT_GE(r.stats.phase_plan_ms, naps_ms);
+  EXPECT_LE(r.stats.phase_plan_ms + r.stats.phase_compute_ms, run_ms);
 }
 
 // ---- Single-assembly invariant ----

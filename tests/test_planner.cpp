@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/planner.h"
@@ -181,6 +183,60 @@ TEST(PlanCache, ContentHitRekeysToNewStorage) {
   EXPECT_TRUE(cache.get(second) == planned);  // identity hit on the new key
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+// Lanes hitting one set count every hit exactly, with no shared write per
+// hit: each thread's tally lives on its own lane and is folded on read.
+TEST(PlanCache, ConcurrentIdentityHitsAreExact) {
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kGets = 2000;
+  const Worked w;
+  const PacketSet set(w.packets);
+  PlanCache cache;
+  const SlidePlan expected = cache.get(set);  // the one miss
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> lanes;
+  for (std::size_t t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&] {
+      for (std::size_t j = 0; j < kGets; ++j)
+        if (!(cache.get(set) == expected)) ++mismatches;
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(cache.hits(), kLanes * kGets);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+// Lanes that alternate two sets keep missing on each other's writes; every
+// plan a lane gets back must still be its own set's, alive while it reads.
+TEST(PlanCache, ConcurrentMixedSetsReturnTheirOwnPlans) {
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kGets = 300;
+  Rng rng(27);
+  std::vector<PacketSet> sets;
+  std::vector<SlidePlan> expected;
+  for (int i = 0; i < 2; ++i) {
+    const Graph g = builders::random_connected(60, 40, rng);
+    sets.emplace_back(
+        make_all_packets(g, placement::uniform_random(60, 40, rng), true));
+    expected.push_back(plan_round(sets.back()));
+  }
+  ASSERT_FALSE(expected[0] == expected[1]);
+  PlanCache cache;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> lanes;
+  for (std::size_t t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&, t] {
+      for (std::size_t j = 0; j < kGets; ++j) {
+        const std::size_t which = (t + j) % 2;
+        if (!(cache.get(sets[which]) == expected[which])) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), kLanes * kGets);
 }
 
 // Property sweep: the plan always respects the paper's structural rules.
