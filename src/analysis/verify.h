@@ -18,9 +18,9 @@ std::string check_progress_every_round(const RunResult& result);
 /// Lemma 6 corollary: the occupied-node count never decreases (fault-free).
 std::string check_occupied_monotone(const RunResult& result);
 
-/// Theorem 4: dispersion within k - initial_occupied + 1 rounds... the
-/// sharp per-round progress bound gives rounds <= k - initial_occupied + 1;
-/// this checks the asymptotic claim rounds <= k (and dispersion happened).
+/// Theorem 4: the run dispersed within k - initial_occupied + 1 rounds --
+/// the sharp bound Lemma 7's one-new-node-per-round progress gives, never
+/// looser than the theorem's rounds <= k.
 std::string check_round_bound(const RunResult& result);
 
 /// Lemma 8: persistent memory of every robot stayed within

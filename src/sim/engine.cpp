@@ -245,6 +245,8 @@ RunResult Engine::run() {
 
   const auto finalize_stats = [&]() {
     const RoundContext::Counters& rc = ctx_.counters();
+    res.stats.broadcasts_reused = rc.broadcasts_reused;
+    res.stats.broadcast_deltas = rc.broadcast_deltas;
     res.stats.packets_copied = rc.packets_copied;
     res.stats.packets_rebuilt = rc.packets_rebuilt;
   };
@@ -356,42 +358,11 @@ RunResult Engine::run() {
     res.stats.phase_graph_build_ms += phase_ns_to_ms(ph_t1 - ph_t0);
 
     if (options_.comm == CommModel::kGlobal) {
-      const bool can_source =
-          options_.byzantine == nullptr && ctx_.has_prev_packets();
-      if (can_source && same_graph && !ctx_.occupancy_changed()) {
-        // Both broadcast inputs are unchanged: republish the previous
-        // round's packets by handle, bits ledger and all.
-        ctx_.reuse_packets();
-        ++res.stats.broadcasts_reused;
-      } else if (can_source && (same_graph || small_delta)) {
-        // Delta reassembly. A sender's packet reads its own adjacency, its
-        // own robots, and the robots on each CURRENT neighbor, so the dirty
-        // set is: occupancy-changed nodes, their new-graph neighbors, and
-        // (when the graph moved) every node whose adjacency changed. An
-        // old-graph-only neighbor of v implies v's adjacency changed, so
-        // the union covers that case too.
-        dirty_nodes_.clear();
-        for (const NodeId v : ctx_.changed_nodes()) {
-          dirty_nodes_.push_back(v);
-          for (Port p = 1; p <= graph_.degree(v); ++p)
-            dirty_nodes_.push_back(graph_.neighbor(v, p));
-        }
-        if (!same_graph)
-          for (const NodeId v : graph_changed_)
-            dirty_nodes_.push_back(v);
-        std::sort(dirty_nodes_.begin(), dirty_nodes_.end());
-        dirty_nodes_.erase(
-            std::unique(dirty_nodes_.begin(), dirty_nodes_.end()),
-            dirty_nodes_.end());
-        ctx_.delta_packets(graph_, conf_, options_.neighborhood_knowledge,
-                           dirty_nodes_, pool_.get());
-        ++res.stats.broadcast_deltas;
-      } else {
-        // Single assembly per round: build the broadcast and meter its wire
-        // bits in one pass, then share it with every view via handle.
-        ctx_.assemble_packets(graph_, conf_, options_.neighborhood_knowledge,
-                              options_.byzantine.get(), pool_.get());
-      }
+      // One broadcast per round, by whichever route the context finds sound
+      // (reuse, delta or full); graph_changed_ is read on kSmallDelta only.
+      ctx_.publish_packets(graph_, conf_, options_.neighborhood_knowledge,
+                           options_.byzantine.get(), round_change_,
+                           graph_changed_, pool_.get());
       res.packets_sent += ctx_.packet_count();
       res.packet_bits_sent += ctx_.packet_bits();
     }

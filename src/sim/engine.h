@@ -286,8 +286,10 @@ class Engine {
   /// REAL round's hints (probes stay kUnknown: a candidate graph has no
   /// cross-round relation).
   GraphChange round_change_ = GraphChange::kUnknown;
-  std::vector<NodeId> graph_changed_;  ///< Scratch: nodes of G_r != G_{r-1}.
-  std::vector<NodeId> dirty_nodes_;  ///< Scratch: delta-assembly dirty set.
+  /// Scratch: the nodes whose adjacency differs between G_r and G_{r-1},
+  /// filled by the small-delta probe and meaningful only when round_change_
+  /// is kSmallDelta; the broadcast's delta route reads it.
+  std::vector<NodeId> graph_changed_;
   MovePlan plan_buf_;                ///< Retained compute-phase plan buffer.
   /// The start-of-round configuration observers see (RoundSnapshot::before).
   /// Refilled by copy-assignment only when on_round is set, so it reuses

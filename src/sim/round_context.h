@@ -15,14 +15,15 @@
 // Since the delta-aware round loop (see docs/PERFORMANCE.md), one context
 // PERSISTS across the whole run: begin_round() rebuilds the index into
 // retained buffers (no per-round reallocation), diffs it against the
-// previous round to expose which nodes' occupancy changed, keeps unchanged
-// nodes' state lists by handle, and lets the engine choose between three
-// broadcast paths -- full assembly, handle reuse (identical graph and
-// occupancy), or delta assembly (rebuild only the packets whose content can
-// have changed, copy the rest from the previous broadcast). Every path
-// produces a broadcast bitwise identical to full assembly; the engine's
-// packets_sent / packet_bits_sent accounting is identical on all paths.
-// Counters (not guesses) report how often each reuse actually fired.
+// previous round to find the nodes whose occupancy changed, keeps unchanged
+// nodes' state lists by handle, and retires the previous broadcast. Its one
+// broadcast entry point, publish_packets(), picks the route itself -- handle
+// reuse (identical graph and occupancy), delta assembly (rebuild only the
+// packets whose content can have changed, copy the rest from the previous
+// broadcast), or full assembly. Every route produces a broadcast bitwise
+// identical to full assembly; the engine's packets_sent / packet_bits_sent
+// accounting is identical on all routes. Counters (not guesses) report how
+// often each route ran.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,7 @@
 #include "graph/graph.h"
 #include "robots/configuration.h"
 #include "sim/byzantine.h"
+#include "sim/reuse_hints.h"
 #include "sim/sensing.h"
 #include "util/contract.h"
 
@@ -42,23 +44,14 @@ class ThreadPool;
 
 class RoundContext {
  public:
-  /// An empty context; call begin_round before use.
-  RoundContext() = default;
-
-  /// One-shot construction (tests / single-round uses): equivalent to
-  /// default-constructing and calling begin_round once.
-  RoundContext(const Configuration& conf,
-               const std::vector<StateHandle>& states) {
-    begin_round(conf, states);
-  }
-
-  /// Starts a round: rebuilds the node index (into retained buffers), diffs
-  /// occupancy against the previous round, refreshes the per-node state
-  /// lists (unchanged nodes keep their list handle when every member's
-  /// state handle is unchanged), and retires the previous round's broadcast
-  /// into the delta-assembly source. `states` holds every robot's
-  /// serialized start-of-round state (id-1 indexed; dead robots' entries
-  /// are unused) and must outlive the round. `build_state_lists` = false
+  /// Starts a round (call it before anything else each round): rebuilds the
+  /// node index (into retained buffers), diffs occupancy against the
+  /// previous round, refreshes the per-node state lists (unchanged nodes
+  /// keep their list handle when every member's state handle is unchanged),
+  /// and retires the previous round's broadcast into the source
+  /// publish_packets copies from. `states` holds every robot's serialized
+  /// start-of-round state (id-1 indexed; dead robots' entries are unused)
+  /// and must outlive the round. `build_state_lists` = false
   /// skips the per-node state-list refresh entirely -- legal only when no
   /// view of the round will read colocated_states (the engine derives this
   /// from the run's aggregated ViewNeeds).
@@ -75,48 +68,31 @@ class RoundContext {
     return node_states_[v];
   }
 
-  /// True when any node's alive-robot list differs from the previous round
-  /// (always true on the first round).
-  bool occupancy_changed() const { return occupancy_changed_; }
-
-  /// Nodes whose alive-robot list changed since the previous round,
-  /// ascending -- including nodes that became empty.
-  const std::vector<NodeId>& changed_nodes() const { return changed_nodes_; }
-
   /// XOR digest over alive robots of their (id, position) pair, mixed per
   /// robot -- the configuration half of the ReuseHints key.
   std::uint64_t conf_digest() const { return conf_digest_; }
 
-  /// Assembles the packet broadcast for the round's actual graph exactly
-  /// once: wire bits are metered during assembly (pre-tamper, matching the
-  /// honest-wire-cost metric), then the optional Byzantine model corrupts
-  /// the set, and the result is frozen behind the shared handle every view
-  /// of the round receives. Call at most one broadcast path per round.
-  void assemble_packets(const Graph& g, const Configuration& conf,
-                        bool with_neighborhood, const ByzantineModel* byzantine,
-                        ThreadPool* pool);
-
-  /// Republishes the previous round's broadcast handle unchanged. Only
-  /// legal when the graph and every node's occupancy are unchanged (the
-  /// broadcast is a pure function of both) -- the engine checks; tampered
-  /// (Byzantine) broadcasts are never republished.
-  /// Requires has_prev_packets().
-  void reuse_packets();
-
-  /// Delta assembly: packets of senders in `dirty_nodes` (ascending; the
-  /// closure of occupancy and adjacency changes) are rebuilt from `g`, all
-  /// other packets are copied from the previous broadcast together with
-  /// their metered bit sizes. The result -- content, canonical sender
-  /// order, and wire-bit total -- is bitwise identical to assemble_packets
-  /// on the same inputs without a Byzantine model.
-  /// Requires has_prev_packets().
-  void delta_packets(const Graph& g, const Configuration& conf,
-                     bool with_neighborhood,
-                     const std::vector<NodeId>& dirty_nodes, ThreadPool* pool);
-
-  /// True when the previous round produced a broadcast the delta paths can
-  /// source from.
-  bool has_prev_packets() const { return static_cast<bool>(prev_packets_); }
+  /// Publishes the round's broadcast for its actual graph `g`, exactly once
+  /// per round, by the cheapest sound route:
+  ///   * reuse -- `change` is kSame and no node's occupancy changed: the
+  ///     previous round's handle is republished, bits ledger and all;
+  ///   * delta -- `change` is kSame or kSmallDelta: packets of the dirty
+  ///     closure (occupancy-changed nodes, their neighbors in `g`, and, on
+  ///     kSmallDelta, the adjacency-changed `changed_graph_nodes`) are
+  ///     rebuilt, the rest copied from the previous broadcast with their
+  ///     metered bits;
+  ///   * full -- everything else, and every round with a Byzantine model or
+  ///     without an untampered previous broadcast to source from.
+  /// Wire bits are metered pre-tamper (the honest-wire-cost metric), then
+  /// the optional Byzantine model corrupts the set; tampered broadcasts are
+  /// never reused or copied from. The result -- content, canonical sender
+  /// order, and wire-bit total -- is bitwise identical on every route, and
+  /// is frozen behind the shared handle every view of the round receives.
+  void publish_packets(const Graph& g, const Configuration& conf,
+                       bool with_neighborhood, const ByzantineModel* byzantine,
+                       GraphChange change,
+                       const std::vector<NodeId>& changed_graph_nodes,
+                       ThreadPool* pool);
 
   /// Builds a broadcast for a candidate graph a trap adversary probes,
   /// without touching the context's own broadcast. Tampering applies (the
@@ -129,7 +105,7 @@ class RoundContext {
                                        const ByzantineModel* byzantine,
                                        ThreadPool* pool) const;
 
-  /// The round's broadcast; falsy until a broadcast path ran (or under
+  /// The round's broadcast; falsy until publish_packets ran (or under
   /// local communication, where no packets propagate).
   const PacketSet& packets() const { return packets_; }
 
@@ -137,15 +113,17 @@ class RoundContext {
   std::size_t packet_count() const { return packets_.size(); }
 
   /// Total wire bits of the round's broadcast, metered during assembly (or
-  /// carried over exactly on the reuse/delta paths).
+  /// carried over exactly on the reuse/delta routes).
   std::size_t packet_bits() const { return packet_bits_; }
 
   /// Reuse effectiveness, counted (cumulative over the context's lifetime).
   /// Observability only (DYNDISP_STATS, see util/contract.h): the
   /// digest-exclusion lint rule keeps these fields out of result digests.
   struct DYNDISP_STATS Counters {
-    std::size_t packets_copied = 0;    ///< Packets copied on delta rounds.
-    std::size_t packets_rebuilt = 0;   ///< Packets rebuilt on delta rounds.
+    std::size_t broadcasts_reused = 0;  ///< Rounds on the reuse route.
+    std::size_t broadcast_deltas = 0;   ///< Rounds on the delta route.
+    std::size_t packets_copied = 0;     ///< Packets copied on delta rounds.
+    std::size_t packets_rebuilt = 0;    ///< Packets rebuilt on delta rounds.
   };
   const Counters& counters() const { return counters_; }
 
@@ -170,8 +148,10 @@ class RoundContext {
   bool first_round_ = true;
 
   std::vector<std::shared_ptr<const std::vector<StateHandle>>> node_states_;
+  /// Nodes whose alive-robot list changed since the previous round,
+  /// ascending -- including nodes that became empty. Empty on a round with
+  /// no previous broadcast, where no route reads it.
   std::vector<NodeId> changed_nodes_;
-  bool occupancy_changed_ = true;
   std::uint64_t conf_digest_ = 0;
 
   PacketSet packets_;
@@ -186,13 +166,15 @@ class RoundContext {
   mutable ArenaPool candidate_pool_;
   /// Wire bits / sender node of each packet, aligned to packets_ order (and
   /// the prev_ pair to prev_packets_). Only maintained on untampered
-  /// broadcasts -- the delta paths' sources.
+  /// broadcasts -- the reuse and delta routes' sources.
   std::vector<std::size_t> packet_bits_each_, prev_packet_bits_each_;
   std::vector<NodeId> packet_nodes_, prev_packet_nodes_;
   std::size_t packet_bits_ = 0;
   std::size_t prev_packet_bits_ = 0;
 
-  std::vector<std::int32_t> node_to_prev_;  ///< Scratch: node -> prev index.
+  /// Delta-route scratch: node -> index of the previous packet it copies,
+  /// or -1 for the dirty closure and nodes with no previous packet.
+  std::vector<std::int32_t> node_to_prev_;
   Counters counters_;
 };
 

@@ -167,16 +167,36 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
                             const NodeIndex& index, std::size_t* wire_bits,
                             ThreadPool* pool,
                             std::vector<std::size_t>* bits_each,
-                            std::vector<NodeId>* nodes_each) {
-  g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
+                            std::vector<NodeId>* nodes_each,
+                            const PacketSource* source) {
+  if (source == nullptr)
+    g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
   const std::size_t n = conf.node_count();
   const std::size_t k = conf.robot_count();
+  assert(source == nullptr || source->node_to_packet.size() == n);
+
+  // The previous packet node `v`'s packet copies, or null when it is built.
+  const auto copied = [source](NodeId v) -> const ArenaPacket* {
+    if (source == nullptr || source->node_to_packet[v] < 0) return nullptr;
+    return &source->arena.headers[static_cast<std::size_t>(
+        source->node_to_packet[v])];
+  };
+  // A packet's pool slice is contiguous (sender robots, then each
+  // neighbor's robots in port order), so its length is the distance from
+  // its first robot to the end of its last neighbor's range.
+  const auto slice_len = [source](const ArenaPacket& h) -> std::uint32_t {
+    if (h.nb_count == 0) return h.robots_count;
+    const ArenaNeighbor& last =
+        source->arena.neighbors[h.nb_begin + h.nb_count - 1];
+    return last.robots_begin + last.robots_count - h.robots_begin;
+  };
 
   // Pass 1 (serial): one header per occupied node with every range
-  // pre-assigned off the CSR index and the graph alone -- sender robots
-  // first, then each occupied neighbor's robots, so a packet's pool slice
-  // is contiguous. Node-ascending assignment keeps the layout
-  // deterministic at any thread count.
+  // pre-assigned -- a copied packet's straight off its previous header, a
+  // built one's off the CSR index and the graph: sender robots first, then
+  // each occupied neighbor's robots, so a packet's pool slice is
+  // contiguous. Node-ascending assignment keeps the layout deterministic
+  // at any thread count.
   arena.headers.clear();
   std::uint32_t pool_cursor = 0;
   std::uint32_t nb_cursor = 0;
@@ -184,22 +204,28 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
     const std::size_t here = index.count(v);
     if (here == 0) continue;
     ArenaPacket h;
-    h.sender = *index.begin(v);
-    h.count = static_cast<std::uint32_t>(here);
-    h.degree = static_cast<std::uint32_t>(g.degree(v));
-    h.robots_begin = pool_cursor;
-    h.robots_count = h.count;
-    pool_cursor += h.robots_count;
-    h.nb_begin = nb_cursor;
-    h.nb_count = 0;
-    if (with_neighborhood) {
-      for (Port p = 1; p <= g.degree(v); ++p) {
-        const std::size_t there = index.count(g.neighbor(v, p));
-        if (there == 0) continue;
-        ++h.nb_count;
-        pool_cursor += static_cast<std::uint32_t>(there);
+    if (const ArenaPacket* prev = copied(v)) {
+      h = *prev;
+      h.robots_begin = pool_cursor;
+      pool_cursor += slice_len(*prev);
+    } else {
+      h.sender = *index.begin(v);
+      h.count = static_cast<std::uint32_t>(here);
+      h.degree = static_cast<std::uint32_t>(g.degree(v));
+      h.robots_begin = pool_cursor;
+      h.robots_count = h.count;
+      pool_cursor += h.robots_count;
+      h.nb_count = 0;
+      if (with_neighborhood) {
+        for (Port p = 1; p <= g.degree(v); ++p) {
+          const std::size_t there = index.count(g.neighbor(v, p));
+          if (there == 0) continue;
+          ++h.nb_count;
+          pool_cursor += static_cast<std::uint32_t>(there);
+        }
       }
     }
+    h.nb_begin = nb_cursor;
     nb_cursor += h.nb_count;
     // NOLINTNEXTLINE-dyndisp(hotpath-alloc): retained header table of a
     // pooled arena -- capacity is reached during warm-up, after which the
@@ -218,9 +244,11 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
               return a.sender < b.sender;
             });
 
-  // Pass 2 (parallel): fill each packet's slices and meter it. The sender's
-  // node is recovered from its smallest robot's position, so no node
-  // scratch list is needed.
+  // Pass 2 (parallel): a copied packet takes its pool slice in one shot,
+  // its neighbor entries with rebased ranges (every range in one slice
+  // shifts by the same offset) and its metered bits; a built packet fills
+  // its slices and is metered. The sender's node is recovered from its
+  // smallest robot's position, so no node scratch list is needed.
   const bool meter = wire_bits != nullptr || bits_each != nullptr;
   if (bits_each) bits_each->resize(arena.headers.size());
   if (nodes_each) nodes_each->resize(arena.headers.size());
@@ -230,6 +258,23 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
   parallel_for(pool, arena.headers.size(), [&](std::size_t i) {
     const ArenaPacket& h = arena.headers[i];
     const NodeId v = conf.position(h.sender);
+    if (nodes_each) (*nodes_each)[i] = v;
+    if (const ArenaPacket* prev = copied(v)) {
+      const PacketArena& from = source->arena;
+      std::copy(from.pool.begin() + prev->robots_begin,
+                from.pool.begin() + prev->robots_begin + slice_len(*prev),
+                arena.pool.begin() + h.robots_begin);
+      const std::uint32_t shift = h.robots_begin - prev->robots_begin;
+      for (std::uint32_t e = 0; e < prev->nb_count; ++e) {
+        ArenaNeighbor nb = from.neighbors[prev->nb_begin + e];
+        nb.robots_begin += shift;  // uint32 wraparound-safe: exact inverse
+        arena.neighbors[h.nb_begin + e] = nb;
+      }
+      if (meter)
+        (*bits)[i] = source->bits_each[static_cast<std::size_t>(
+            source->node_to_packet[v])];
+      return;
+    }
     std::copy(index.begin(v), index.end(v),
               arena.pool.begin() + h.robots_begin);
     std::uint32_t cursor = h.robots_begin + h.robots_count;
@@ -250,7 +295,6 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
       }
     }
     if (meter) (*bits)[i] = packet_bit_size(PacketView(arena, i), k, n);
-    if (nodes_each) (*nodes_each)[i] = v;
   });
   if (wire_bits) {
     std::size_t total = 0;

@@ -2,9 +2,10 @@
 // pure storage, so the arena must hold exactly the records the independent
 // struct-based reference (make_all_packets) builds, tamper exactly as the
 // Byzantine model describes, and refill in place without allocating once
-// warmed up. Engine-level identity is pinned by the golden packet traces
-// (test_packet_golden.cpp) and the faithful-planner comparison
-// (Dispersion.MemoizedModeIdenticalToFaithful).
+// warmed up; each of RoundContext::publish_packets' routes must publish
+// what a fresh assembly builds. Engine-level identity is pinned by the
+// golden packet traces (test_packet_golden.cpp) and the faithful-planner
+// comparison (Dispersion.MemoizedModeIdenticalToFaithful).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +22,9 @@
 #include "robots/placement.h"
 #include "sim/byzantine.h"
 #include "sim/packet_arena.h"
+#include "sim/round_context.h"
 #include "sim/sensing.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 /// Process-global operator-new counter, mirroring bench_roundtime's: the
@@ -181,6 +184,85 @@ TEST(PacketArena, BroadcastAllocationsCollapseAtScale) {
   ASSERT_GT(packets_assembled, rounds * k / 2);
   EXPECT_LE(allocs, kAllocCeiling)
       << allocs << " allocations re-assembling " << rounds << " rounds";
+}
+
+// ---- RoundContext: one entry point, three routes, one reference ----
+
+// Publishes three rounds through RoundContext::publish_packets -- full (no
+// previous broadcast), delta (a robot moves at one end of a path and an
+// edge is rewired at the other), and reuse (nothing changes) -- and checks
+// every published set against the independent reference. The broadcast
+// has 200-201 packets, above parallel_for's serial cutoff, so a multi-lane
+// `pool` really fans the assembly out.
+void expect_publish_routes_match_reference(ThreadPool* pool) {
+  constexpr std::size_t n = 400;
+  std::vector<NodeId> positions{0};  // robot 1 shares node 0 with robot 2
+  for (NodeId v = 0; v < n; v += 2) positions.push_back(v);
+  Configuration conf(n, positions);
+  const std::size_t k = conf.robot_count();
+  const std::vector<StateHandle> states(k);
+  Graph g = builders::path(n);
+
+  RoundContext ctx;
+  std::size_t full_routes = 0;
+  const auto publish = [&](GraphChange change,
+                           const std::vector<NodeId>& changed_graph_nodes) {
+    ctx.begin_round(conf, states, /*build_state_lists=*/false);
+    const std::size_t assemblies = packet_assembly_count();
+    ctx.publish_packets(g, conf, true, nullptr, change, changed_graph_nodes,
+                        pool);
+    full_routes += packet_assembly_count() - assemblies;
+
+    const std::vector<InfoPacket> reference = make_all_packets(g, conf, true);
+    EXPECT_TRUE(ctx.packets() == PacketSet(reference));
+    std::size_t published_bits = 0, reference_bits = 0;
+    for (std::size_t i = 0; i < ctx.packet_count(); ++i)
+      published_bits += packet_bit_size(ctx.packets()[i], k, n);
+    for (const InfoPacket& p : reference)
+      reference_bits += packet_bit_size(p, k, n);
+    EXPECT_EQ(ctx.packet_bits(), published_bits);
+    EXPECT_EQ(ctx.packet_bits(), reference_bits);
+  };
+
+  {
+    SCOPED_TRACE("round 0: full");
+    publish(GraphChange::kUnknown, {});
+  }
+  {
+    SCOPED_TRACE("round 1: delta");
+    conf.set_position(1, 1);
+    const Graph prev = g;
+    g.remove_edge(n - 2, n - 1);
+    g.add_edge(n - 3, n - 1);
+    std::vector<NodeId> changed_graph_nodes;
+    ASSERT_TRUE(g.changed_nodes_into(prev, changed_graph_nodes, n));
+    EXPECT_EQ(changed_graph_nodes, (std::vector<NodeId>{n - 3, n - 2, n - 1}));
+    publish(GraphChange::kSmallDelta, changed_graph_nodes);
+  }
+  const PacketArena* delta_arena = ctx.packets().arena_handle().get();
+  {
+    SCOPED_TRACE("round 2: reuse");
+    publish(GraphChange::kSame, {});
+    EXPECT_EQ(ctx.packets().arena_handle().get(), delta_arena);
+  }
+
+  EXPECT_EQ(full_routes, 1u);
+  EXPECT_EQ(ctx.counters().broadcast_deltas, 1u);
+  EXPECT_EQ(ctx.counters().broadcasts_reused, 1u);
+  // The delta round's dirty closure holds four occupied nodes: 0 and 1
+  // (robot 1 moved), 2 (a new-graph neighbor of 1), and n - 2 (its edge to
+  // n - 1 was rewired). The other 197 packets are copied.
+  EXPECT_EQ(ctx.counters().packets_rebuilt, 4u);
+  EXPECT_EQ(ctx.counters().packets_copied, 197u);
+}
+
+TEST(RoundContext, PublishRoutesMatchAFreshAssemblySerially) {
+  expect_publish_routes_match_reference(nullptr);
+}
+
+TEST(RoundContext, PublishRoutesMatchAFreshAssemblyOnTwoLanes) {
+  ThreadPool pool(2);
+  expect_publish_routes_match_reference(&pool);
 }
 
 }  // namespace
