@@ -31,7 +31,6 @@ Engine::Engine(Adversary& adversary, Configuration initial,
   for (const auto& r : robots_) raw_robots_.push_back(r.get());
   arrival_ports_.assign(k, kInvalidPort);
   active_.assign(k, true);
-  states_.assign(k, nullptr);
   state_bits_.assign(k, 0);
   activation_rng_ = Rng(options_.activation_seed);
   // Aggregate view needs: a field is assembled if ANY robot declares it.
@@ -40,6 +39,8 @@ Engine::Engine(Adversary& adversary, Configuration initial,
     for (std::size_t i = 1; i < robots_.size(); ++i)
       needs_.merge(robots_[i]->view_needs());
   }
+  // State handles exist only for runs whose views read exchanged states.
+  if (needs_.colocated_states) states_.assign(k, nullptr);
   if (options_.threads > 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
   // Adversaries with counter-stream builders fan graph construction over
   // the compute pool (byte-identical at any lane count; null = serial).
@@ -68,6 +69,9 @@ void Engine::refresh_state(RobotId id) {
   w.clear();
   robots_[id - 1]->serialize(w);
   state_bits_[id - 1] = w.bit_count();
+  // The meter needs only the bit count; the bytes are kept only when some
+  // view reads exchanged states.
+  if (!needs_.colocated_states) return;
   // Settled robots re-serialize to identical bytes round after round; keep
   // the existing handle then, so downstream pointer-equality reuse (per-node
   // state lists, and through them whole views) fires. Byte-compare decides
@@ -283,26 +287,26 @@ RunResult Engine::run() {
       return res;
     }
 
+    // Phase buckets (observability only; see RoundLoopStats). ph_* are
+    // boundary timestamps: graph_build = [t0,t1) (activation, the round
+    // context the adversary's probes read, emission and validation),
+    // broadcast = [t1,t2), compute phase = [t2,t3) split into plan (the
+    // serial lead step) and the remainder, move = [t3,t4).
+    const std::uint64_t ph_t0 = phase_clock_ns();
     probe_round_ = r;
     draw_activation();
-    // The round's shared artifacts: node index, occupancy diff, and state
-    // lists -- rebuilt into the persistent context's retained buffers and
-    // valid for every candidate graph probed this round. The state-list
-    // refresh is skipped when no robot of the run reads exchanged states
-    // (aggregated ViewNeeds).
+    // The round's shared artifacts: node index and state lists -- rebuilt
+    // into the persistent context's retained buffers and valid for every
+    // candidate graph probed this round. The state-list refresh is skipped
+    // when no robot of the run reads exchanged states (aggregated
+    // ViewNeeds).
     ctx_.begin_round(conf_, states_, needs_.colocated_states);
-    if (!needs_.colocated_states) ++res.stats.state_list_rounds_skipped;
     round_ctx_ = &ctx_;
     if (adversary_.wants_plan_probe()) {
       adversary_.set_plan_probe(
           [this](const Graph& g) { return probe_plan(g); });
     }
 
-    // Phase buckets (observability only; see RoundLoopStats). ph_* are
-    // boundary timestamps: graph_build = [t0,t1), broadcast = [t1,t2),
-    // compute phase = [t2,t3) split into plan (the serial lead step) and
-    // the remainder, move = [t3,t4).
-    const std::uint64_t ph_t0 = phase_clock_ns();
     bool same_graph = false;   // G_r provably operator== G_{r-1}
     bool small_delta = false;  // G_r near G_{r-1}; graph_changed_ holds the diff
     if (have_graph_ && adversary_.same_as_last(r, conf_)) {

@@ -156,11 +156,12 @@ struct DYNDISP_STATS RoundLoopStats {
   std::size_t broadcast_deltas = 0;     ///< Broadcasts delta-assembled.
   std::size_t packets_copied = 0;       ///< Packets copied on delta rounds.
   std::size_t packets_rebuilt = 0;      ///< Packets rebuilt on delta rounds.
-  std::size_t state_list_rounds_skipped = 0;  ///< begin_round state-list builds skipped (ViewNeeds).
   /// Per-phase wall-time buckets, milliseconds summed over every executed
   /// round (util/phase_clock.h; observability only, digest-excluded like
-  /// everything here). graph_build covers the adversary's next_graph plus
-  /// round-graph validation; broadcast covers packet assembly/reuse/delta;
+  /// everything here). graph_build covers the round's activation draw, the
+  /// RoundContext::begin_round node index (which the adversary's plan
+  /// probes read), the adversary's next_graph and round-graph validation;
+  /// broadcast covers packet assembly/reuse/delta;
   /// plan is this engine's serial lead step, the first stepping robot's
   /// view fill and step (for a shared PlanCache, the round's miss:
   /// Algorithm 1-3 structures + Algorithm 4 plan derivation); compute is
@@ -248,11 +249,15 @@ class Engine {
   std::size_t round_robin_cursor_ = 0;  ///< Last activated ID (kRoundRobin).
 
   /// Each robot's serialized start-of-round state (id-1 indexed), refreshed
-  /// at the end of every round a robot steps in. Shared zero-copy with the
-  /// round's views through the RoundContext, and metered directly -- the
-  /// one serialization per robot per round the simulation performs.
+  /// at the end of every round a robot steps in and shared zero-copy with
+  /// the round's views through the RoundContext. Held only when some robot
+  /// reads exchanged states (needs_.colocated_states, the DFS baselines);
+  /// otherwise empty, and refresh_state allocates and compares nothing.
   std::vector<StateHandle> states_;
-  std::vector<std::size_t> state_bits_;  ///< Bit counts of states_ entries.
+  /// Bit count of each robot's latest serialization, kept for every run:
+  /// the memory meter reads it -- the one serialization per robot per round
+  /// the simulation performs.
+  std::vector<std::size_t> state_bits_;
   BitWriter state_writer_;  ///< Reused serialization sink (refresh_state).
 
   /// The field-wise OR of every robot's declared ViewNeeds, and the
@@ -334,7 +339,9 @@ class Engine {
   /// when communication is global and no Byzantine model tampers packets.
   ReuseHints make_hints(const Graph& g) const;
 
-  /// Re-serializes robot `id`'s persistent state into states_.
+  /// Re-serializes robot `id`'s persistent state: records its bit count in
+  /// state_bits_ and, when views read exchanged states, its handle in
+  /// states_.
   void refresh_state(RobotId id);
 
   /// Draws the activation mask for one round per options_.activation.

@@ -13,7 +13,7 @@ DYNDISP_HOT
 void RoundContext::begin_round(const Configuration& conf,
                                const std::vector<StateHandle>& states,
                                bool build_state_lists) {
-  assert(states.size() == conf.robot_count());
+  assert(!build_state_lists || states.size() == conf.robot_count());
   const std::size_t n = conf.node_count();
 
   // Retire the finished round's broadcast into the delta-assembly source.
@@ -38,21 +38,12 @@ void RoundContext::begin_round(const Configuration& conf,
                            conf.position(id));
   }
 
-  // Diff occupancy against the previous round. A node-count change (never
-  // happens mid-run under one adversary, but contexts are reusable) voids
-  // the comparison basis and the retired broadcast with it; without a
-  // previous broadcast every round takes the full route, which reads no
-  // diff.
-  changed_nodes_.clear();
-  if (first_round_ || prev_index_.node_count() != n) {
-    prev_packets_.reset();
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      if (index_.count(v) != prev_index_.count(v) ||
-          !std::equal(index_.begin(v), index_.end(v), prev_index_.begin(v)))
-        changed_nodes_.push_back(v);
-    }
-  }
+  // A node-count change (never happens mid-run under one adversary, but
+  // contexts are reusable) voids the comparison basis and the retired
+  // broadcast with it; without a previous broadcast every round takes the
+  // full route, which reads no occupancy diff. The diff itself is taken by
+  // publish_packets, and only on the routes that read it.
+  if (first_round_ || prev_index_.node_count() != n) prev_packets_.reset();
   first_round_ = false;
 
   // Per-node state lists. A node keeps last round's list handle exactly
@@ -124,7 +115,21 @@ void RoundContext::publish_packets(
   const bool can_source = byzantine == nullptr && prev_packets_ &&
                           prev_packet_nodes_.size() == prev_packets_.size();
   const bool same_graph = change == GraphChange::kSame;
-  if (can_source && same_graph && changed_nodes_.empty()) {
+  const bool can_delta =
+      can_source && (same_graph || change == GraphChange::kSmallDelta);
+  if (can_delta) {
+    // Diff occupancy against the previous round: the reuse and delta
+    // routes read it; the full route (churned graph, Byzantine model, no
+    // previous broadcast) never pays for it. A previous broadcast implies
+    // prev_index_ is last round's index over the same node count.
+    changed_nodes_.clear();
+    for (NodeId v = 0; v < conf.node_count(); ++v) {
+      if (index_.count(v) != prev_index_.count(v) ||
+          !std::equal(index_.begin(v), index_.end(v), prev_index_.begin(v)))
+        changed_nodes_.push_back(v);
+    }
+  }
+  if (can_delta && same_graph && changed_nodes_.empty()) {
     // Both broadcast inputs are unchanged: republish the previous round's
     // packets by handle, bits ledger and all.
     packets_ = prev_packets_;
@@ -136,7 +141,7 @@ void RoundContext::publish_packets(
   }
 
   std::shared_ptr<PacketArena> arena = arena_pool_.acquire();
-  if (can_source && (same_graph || change == GraphChange::kSmallDelta)) {
+  if (can_delta) {
     // Delta route. A sender's packet reads its own adjacency, its own
     // robots, and the robots on each CURRENT neighbor, so the dirty closure
     // is: occupancy-changed nodes, their new-graph neighbors, and (when the

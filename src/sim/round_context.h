@@ -14,16 +14,16 @@
 //
 // Since the delta-aware round loop (see docs/PERFORMANCE.md), one context
 // PERSISTS across the whole run: begin_round() rebuilds the index into
-// retained buffers (no per-round reallocation), diffs it against the
-// previous round to find the nodes whose occupancy changed, keeps unchanged
-// nodes' state lists by handle, and retires the previous broadcast. Its one
+// retained buffers (no per-round reallocation), keeps unchanged nodes'
+// state lists by handle, and retires the previous broadcast. Its one
 // broadcast entry point, publish_packets(), picks the route itself -- handle
 // reuse (identical graph and occupancy), delta assembly (rebuild only the
 // packets whose content can have changed, copy the rest from the previous
-// broadcast), or full assembly. Every route produces a broadcast bitwise
-// identical to full assembly; the engine's packets_sent / packet_bits_sent
-// accounting is identical on all routes. Counters (not guesses) report how
-// often each route ran.
+// broadcast), or full assembly -- and diffs occupancy against the previous
+// round only when the graph allows one of the first two. Every route
+// produces a broadcast bitwise identical to full assembly; the engine's
+// packets_sent / packet_bits_sent accounting is identical on all routes.
+// Counters (not guesses) report how often each route ran.
 #pragma once
 
 #include <cstddef>
@@ -45,16 +45,17 @@ class ThreadPool;
 class RoundContext {
  public:
   /// Starts a round (call it before anything else each round): rebuilds the
-  /// node index (into retained buffers), diffs occupancy against the
-  /// previous round, refreshes the per-node state lists (unchanged nodes
-  /// keep their list handle when every member's state handle is unchanged),
-  /// and retires the previous round's broadcast into the source
-  /// publish_packets copies from. `states` holds every robot's serialized
-  /// start-of-round state (id-1 indexed; dead robots' entries are unused)
-  /// and must outlive the round. `build_state_lists` = false
-  /// skips the per-node state-list refresh entirely -- legal only when no
-  /// view of the round will read colocated_states (the engine derives this
-  /// from the run's aggregated ViewNeeds).
+  /// node index (into retained buffers, keeping last round's for
+  /// publish_packets' occupancy diff), refreshes the per-node state lists
+  /// (unchanged nodes keep their list handle when every member's state
+  /// handle is unchanged), and retires the previous round's broadcast into
+  /// the source publish_packets copies from. `states` holds every robot's
+  /// serialized start-of-round state (id-1 indexed; dead robots' entries
+  /// are unused) and must outlive the round. `build_state_lists` = false
+  /// skips the per-node state-list refresh entirely and leaves `states`
+  /// unread (it may then be empty) -- legal only when no view of the round
+  /// will read colocated_states (the engine derives this from the run's
+  /// aggregated ViewNeeds).
   void begin_round(const Configuration& conf,
                    const std::vector<StateHandle>& states,
                    bool build_state_lists = true);
@@ -149,8 +150,9 @@ class RoundContext {
 
   std::vector<std::shared_ptr<const std::vector<StateHandle>>> node_states_;
   /// Nodes whose alive-robot list changed since the previous round,
-  /// ascending -- including nodes that became empty. Empty on a round with
-  /// no previous broadcast, where no route reads it.
+  /// ascending -- including nodes that became empty. Filled by
+  /// publish_packets only on rounds that may take the reuse or delta
+  /// route, its only readers; stale on every other round.
   std::vector<NodeId> changed_nodes_;
   std::uint64_t conf_digest_ = 0;
 

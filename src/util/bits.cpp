@@ -4,38 +4,45 @@
 
 namespace dyndisp {
 
-unsigned bit_width_for(std::uint64_t n) {
-  if (n <= 2) return 1;
-  unsigned w = 0;
-  std::uint64_t v = n - 1;
-  while (v != 0) {
-    ++w;
-    v >>= 1;
-  }
-  return w;
-}
-
 void BitWriter::write(std::uint64_t value, unsigned bits) {
   assert(bits <= 64);
-  for (unsigned i = bits; i-- > 0;) {
-    const bool bit = ((value >> i) & 1u) != 0;
-    const std::size_t byte_index = bit_count_ / 8;
-    if (byte_index == bytes_.size()) bytes_.push_back(0);
-    if (bit) bytes_[byte_index] |= static_cast<std::uint8_t>(1u << (7 - bit_count_ % 8));
-    ++bit_count_;
+  if (bits == 0) return;
+  if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
+  const unsigned used = static_cast<unsigned>(bit_count_ % 8);
+  bit_count_ += bits;
+  // Top up the partially filled last byte first.
+  if (used != 0) {
+    const unsigned room = 8 - used;
+    if (bits <= room) {
+      bytes_.back() |= static_cast<std::uint8_t>(value << (room - bits));
+      return;
+    }
+    bits -= room;
+    bytes_.back() |= static_cast<std::uint8_t>(value >> bits);
   }
+  // Byte-aligned from here: whole bytes, then a zero-padded tail byte. The
+  // casts drop the bits already emitted above the current byte.
+  while (bits >= 8) {
+    bits -= 8;
+    bytes_.push_back(static_cast<std::uint8_t>(value >> bits));
+  }
+  if (bits != 0) bytes_.push_back(static_cast<std::uint8_t>(value << (8 - bits)));
 }
 
 std::uint64_t BitReader::read(unsigned bits) {
   assert(bits <= 64);
   assert(cursor_ + bits <= bit_count_);
   std::uint64_t value = 0;
-  for (unsigned i = 0; i < bits; ++i) {
-    const std::size_t byte_index = cursor_ / 8;
-    const bool bit =
-        (bytes_[byte_index] >> (7 - cursor_ % 8)) & 1u;
-    value = (value << 1) | (bit ? 1u : 0u);
-    ++cursor_;
+  // At most one partial byte at each end; whole bytes in between.
+  while (bits != 0) {
+    const unsigned avail = 8 - static_cast<unsigned>(cursor_ % 8);
+    const unsigned take = bits < avail ? bits : avail;
+    const unsigned chunk =
+        (static_cast<unsigned>(bytes_[cursor_ / 8]) >> (avail - take)) &
+        ((1u << take) - 1);
+    value = (value << take) | chunk;
+    cursor_ += take;
+    bits -= take;
   }
   return value;
 }

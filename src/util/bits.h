@@ -5,20 +5,30 @@
 // simulator requires every robot algorithm to serialize its persistent state
 // into a BitWriter at the end of each round; the produced bit count is the
 // metered memory. Temporary within-round state is, per the model, free.
+//
+// The codec runs once per active robot per round, so it moves whole bytes
+// rather than single bits: a write of w bits at any offset touches at most
+// ceil(w/8)+1 bytes. The format is fixed -- most-significant bit first,
+// last byte zero-padded, bits of `value` above the width ignored -- since
+// robots that exchange states decode each other's bytes with BitReader.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 namespace dyndisp {
 
 /// Number of bits needed to represent values in [0, n); ceil(log2(n)), >= 1.
-[[nodiscard]] unsigned bit_width_for(std::uint64_t n);
+[[nodiscard]] constexpr unsigned bit_width_for(std::uint64_t n) {
+  return n <= 2 ? 1u : static_cast<unsigned>(std::bit_width(n - 1));
+}
 
 /// Append-only bit sink.
 class BitWriter {
  public:
-  /// Writes the low `bits` bits of `value`, most-significant first.
+  /// Writes the low `bits` bits of `value` (bits <= 64), most-significant
+  /// first; higher bits of `value` are ignored.
   void write(std::uint64_t value, unsigned bits);
 
   /// Writes a single flag bit.

@@ -123,6 +123,150 @@ TEST(Memprobe, SteadyStateRoundsAreAllocationFree) {
   }
 }
 
+// A robot that stays put and counts its steps: its serialized state (ID and
+// step count / 2) is non-empty and changes every other round, so the
+// engine's end-of-round refresh really has new bytes to publish. Given a
+// log, it declares colocated_states and checks, every step, that
+// each co-located robot's exchanged state is exactly the bytes that robot
+// serialized at the start of the round, and that its own handle is fresh
+// exactly when its state changed.
+class TickRobot final : public RobotAlgorithm {
+ public:
+  struct Log {
+    std::size_t checked = 0;      ///< Exchanged states compared.
+    std::size_t mismatches = 0;   ///< Exchanged bytes != expected bytes.
+    std::size_t fresh = 0;        ///< Own handle replaced since last step.
+    std::size_t stale = 0;        ///< Changed state, same handle.
+    std::size_t churned = 0;      ///< Unchanged state, new handle.
+    /// Each robot's own handle at its previous step (id-1 indexed).
+    std::vector<const void*> last_handle;
+  };
+
+  TickRobot(RobotId id, std::shared_ptr<Log> log) : id_(id), log_(std::move(log)) {}
+
+  std::unique_ptr<RobotAlgorithm> clone() const override {
+    return std::make_unique<TickRobot>(*this);
+  }
+  Port step(const RobotView& view) override {
+    if (log_ != nullptr) check(view);
+    ++steps_;
+    return kInvalidPort;
+  }
+  void serialize(BitWriter& out) const override {
+    out.write(id_, 16);
+    out.write(steps_ / 2, 16);
+  }
+  std::string name() const override { return "tick"; }
+  bool requires_global_comm() const override { return false; }
+  bool requires_neighborhood() const override { return false; }
+  ViewNeeds view_needs() const override {
+    ViewNeeds needs;
+    needs.colocated = log_ != nullptr;
+    needs.colocated_states = log_ != nullptr;
+    needs.occupied_neighbors = false;
+    needs.empty_ports = false;
+    return needs;
+  }
+
+ private:
+  void check(const RobotView& view) {
+    // Every robot has stepped exactly steps_ times before this round.
+    for (std::size_t i = 0; i < view.colocated.size(); ++i) {
+      BitWriter expected;
+      TickRobot peer(view.colocated[i], nullptr);
+      peer.steps_ = steps_;
+      peer.serialize(expected);
+      ++log_->checked;
+      if (view.colocated_state(i) != expected.bytes()) ++log_->mismatches;
+      if (view.colocated[i] != id_) continue;
+      const void* own = (*view.colocated_states)[i].get();
+      const void*& last = log_->last_handle[id_ - 1];
+      if (steps_ > 0) {
+        const bool changed = steps_ / 2 != (steps_ - 1) / 2;
+        if (own != last) ++log_->fresh;
+        if (changed && own == last) ++log_->stale;
+        if (!changed && own != last) ++log_->churned;
+      }
+      last = own;
+    }
+  }
+
+  RobotId id_;
+  // NOLINTNEXTLINE-dyndisp(metering-serialize-fields): shared test ledger
+  // read back by assertions, not robot memory.
+  std::shared_ptr<Log> log_;
+  std::uint64_t steps_ = 0;
+};
+
+// State handles exist only for runs that exchange states: robots whose
+// non-empty state changes every other round, but which declare
+// colocated_states = false, make run() allocate no more than StayRobots
+// (empty state) on the same instance -- the engine's own buffers and the
+// graph's rows. A per-robot handle (a shared byte vector per refreshed
+// state) would cost 2 allocations per robot up front and 2 per changed
+// state after: about 90,000 more than the StayRobots here.
+TEST(Memprobe, UnreadStatesAllocateNoHandles) {
+  constexpr std::size_t kRobots = 10000;
+  const auto run_allocs = [](const AlgorithmFactory& factory,
+                             std::size_t& max_memory_bits) {
+    StaticAdversary adv(builders::path(kRobots));
+    EngineOptions opt;
+    opt.max_rounds = 8;
+    opt.threads = 1;
+    Engine engine(adv, placement::rooted(kRobots, kRobots), factory, opt);
+    memprobe::AllocGuard guard;
+    const RunResult res = engine.run();
+    const std::uint64_t allocs = guard.delta();
+    EXPECT_FALSE(res.dispersed);
+    max_memory_bits = res.max_memory_bits;
+    return allocs;
+  };
+  std::size_t stay_bits = 0, tick_bits = 0;
+  const std::uint64_t stay = run_allocs(
+      [](RobotId, std::size_t) { return std::make_unique<StayRobot>(); },
+      stay_bits);
+  const std::uint64_t tick = run_allocs(
+      [](RobotId id, std::size_t) {
+        return std::make_unique<TickRobot>(id, nullptr);
+      },
+      tick_bits);
+  EXPECT_EQ(stay_bits, 0u);
+  EXPECT_EQ(tick_bits, 32u);  // the changing state is really metered
+  RecordProperty("stay_allocs", std::to_string(stay));
+  RecordProperty("tick_allocs", std::to_string(tick));
+  // The state writer's buffer may grow once; nothing per robot.
+  EXPECT_LE(tick, stay + 4) << tick << " allocations vs " << stay
+                            << " for empty state";
+}
+
+// The twin: the same robots declaring colocated_states = true still see,
+// every round, each co-located robot's start-of-round bytes, and a robot's
+// handle is replaced exactly on the rounds its state changed.
+TEST(Memprobe, ExchangedStatesGetFreshHandlesOnChange) {
+  constexpr std::size_t kRobots = 24;
+  constexpr Round kRounds = 9;
+  auto log = std::make_shared<TickRobot::Log>();
+  log->last_handle.assign(kRobots, nullptr);
+  StaticAdversary adv(builders::path(kRobots));
+  EngineOptions opt;
+  opt.max_rounds = kRounds;
+  opt.threads = 1;
+  Engine engine(
+      adv, placement::rooted(kRobots, kRobots),
+      [log](RobotId id, std::size_t) {
+        return std::make_unique<TickRobot>(id, log);
+      },
+      opt);
+  const RunResult res = engine.run();
+  ASSERT_FALSE(res.dispersed);
+  EXPECT_EQ(log->checked, kRobots * kRobots * kRounds);
+  EXPECT_EQ(log->mismatches, 0u);
+  // Steps 2, 4, 6, 8 (rounds 2..8) follow a state change: 4 per robot.
+  EXPECT_EQ(log->fresh, kRobots * 4);
+  EXPECT_EQ(log->stale, 0u);
+  EXPECT_EQ(log->churned, 0u);
+}
+
 // Adversary-side twin of the steady-state pin: every ring strategy refills
 // a warmed-up Graph in place. One warm-up emission sizes the rows; the next
 // 100 emissions over changing configurations (cuts move, the worst-edge

@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/csv.h"
@@ -166,6 +169,121 @@ TEST(Bits, RawByteReader) {
   BitReader r(w.bytes());
   EXPECT_EQ(r.read(8), 0xABu);
   EXPECT_EQ(r.read(8), 0xCDu);
+}
+
+// Bit-at-a-time reference codec: the seed's loops, kept here only so the
+// byte-wise codec can be checked against them bit for bit.
+class RefBitWriter {
+ public:
+  void write(std::uint64_t value, unsigned bits) {
+    for (unsigned i = bits; i-- > 0;) {
+      const std::size_t byte_index = bit_count_ / 8;
+      if (byte_index == bytes_.size()) bytes_.push_back(0);
+      if ((value >> i) & 1u)
+        bytes_[byte_index] |= static_cast<std::uint8_t>(1u << (7 - bit_count_ % 8));
+      ++bit_count_;
+    }
+  }
+  std::size_t bit_count() const { return bit_count_; }
+  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t bit_count_ = 0;
+};
+
+std::uint64_t ref_read(const std::vector<std::uint8_t>& bytes,
+                       std::size_t& cursor, unsigned bits) {
+  std::uint64_t value = 0;
+  for (unsigned i = 0; i < bits; ++i, ++cursor)
+    value = (value << 1) | ((bytes[cursor / 8] >> (7 - cursor % 8)) & 1u);
+  return value;
+}
+
+unsigned ref_bit_width_for(std::uint64_t n) {
+  if (n <= 2) return 1;
+  unsigned w = 0;
+  for (std::uint64_t v = n - 1; v != 0; v >>= 1) ++w;
+  return w;
+}
+
+std::uint64_t low_bits(std::uint64_t v, unsigned bits) {
+  return bits == 64 ? v : v & ((std::uint64_t{1} << bits) - 1);
+}
+
+TEST(BitWidth, MatchesReferenceAroundEveryPowerOfTwo) {
+  for (unsigned j = 0; j <= 63; ++j) {
+    const std::uint64_t p = std::uint64_t{1} << j;
+    for (const std::uint64_t n : {p - 1, p, p + 1})
+      EXPECT_EQ(bit_width_for(n), ref_bit_width_for(n)) << "n = " << n;
+  }
+  EXPECT_EQ(bit_width_for(0), 1u);
+  EXPECT_EQ(bit_width_for(UINT64_MAX), 64u);
+  EXPECT_EQ(bit_width_for(UINT64_MAX), ref_bit_width_for(UINT64_MAX));
+}
+
+TEST(Bits, EveryWidthAtEveryOffsetMatchesReference) {
+  // Values carry set bits above the width: the codec must ignore them.
+  const std::uint64_t patterns[] = {0, UINT64_MAX, 0xA5A5A5A5A5A5A5A5ULL,
+                                    0x0123456789ABCDEFULL,
+                                    0x8000000000000001ULL};
+  for (unsigned offset = 0; offset < 8; ++offset) {
+    for (unsigned width = 0; width <= 64; ++width) {
+      for (const std::uint64_t v : patterns) {
+        BitWriter w;
+        RefBitWriter ref;
+        w.write(UINT64_MAX, offset);
+        ref.write(UINT64_MAX, offset);
+        w.write(v, width);
+        ref.write(v, width);
+        ASSERT_EQ(w.bit_count(), ref.bit_count());
+        ASSERT_EQ(w.bytes(), ref.bytes())
+            << "offset " << offset << " width " << width << " value " << v;
+        BitReader r(w);
+        EXPECT_EQ(r.read(offset), low_bits(UINT64_MAX, offset));
+        EXPECT_EQ(r.read(width), low_bits(v, width))
+            << "offset " << offset << " width " << width << " value " << v;
+        EXPECT_EQ(r.remaining(), 0u);
+      }
+    }
+  }
+}
+
+TEST(Bits, MixedWriteSequencesMatchReference) {
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    BitWriter w;
+    RefBitWriter ref;
+    std::vector<std::pair<std::uint64_t, unsigned>> fields;
+    const int count = 1 + static_cast<int>(rng.next_u64() % 24);
+    for (int f = 0; f < count; ++f) {
+      const unsigned width = static_cast<unsigned>(rng.next_u64() % 65);
+      const std::uint64_t v = rng.next_u64();
+      w.write(v, width);
+      ref.write(v, width);
+      fields.emplace_back(v, width);
+    }
+    ASSERT_EQ(w.bit_count(), ref.bit_count());
+    ASSERT_EQ(w.bytes(), ref.bytes()) << "trial " << trial;
+    // The byte-wise reader agrees with the reference reader on the raw
+    // payload, field by field.
+    BitReader r(w.bytes());
+    std::size_t cursor = 0;
+    for (const auto& [v, width] : fields) {
+      const std::uint64_t got = r.read(width);
+      EXPECT_EQ(got, ref_read(ref.bytes(), cursor, width));
+      EXPECT_EQ(got, low_bits(v, width));
+    }
+  }
+}
+
+TEST(Bits, ClearRestartsAtByteZero) {
+  BitWriter w;
+  w.write(UINT64_MAX, 13);
+  w.clear();
+  w.write(0b101, 3);
+  ASSERT_EQ(w.bytes().size(), 1u);
+  EXPECT_EQ(w.bytes()[0], 0b10100000u);
 }
 
 TEST(Summary, BasicStatistics) {
