@@ -106,11 +106,12 @@ constexpr std::size_t kSingleRepK = 1000000;
 /// is exact) and peak RSS at this scale is dominated by n-proportional
 /// state, so both are stable across machines, and only a real regression
 /// trips them, not noise. The RSS margin is ~1.5x the measured value. The
-/// allocation ceiling sits ~1.13x above the measured 709,964: per-robot
-/// state handles for a run that never exchanges states (2 allocations per
-/// robot, 841,051 in all) must trip it, as must a planner workspace that
-/// stops reusing its buffers (6.1M), a reintroduced retained copy or a
-/// per-round allocation leak.
+/// allocation ceiling sits ~1.13x above the measured 709,964: two extra
+/// allocations per robot (841,051 in all) must trip it, as must a planner
+/// workspace that stops reusing its buffers (6.1M), a reintroduced
+/// retained copy or a per-round allocation leak. One extra buffer per
+/// robot (~775k) stays under it, so Memprobe.UnreadStatesAllocateNoHandles
+/// pins that a run that never exchanges states keeps no state buffers.
 constexpr std::size_t kMegaSmokeK = 65536;
 constexpr std::uint64_t kMegaSmokeAllocCeiling = 800'000;
 constexpr double kMegaSmokeRssCeilingMb = 150;

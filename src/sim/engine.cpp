@@ -24,6 +24,13 @@ Engine::Engine(Adversary& adversary, Configuration initial,
     throw std::invalid_argument(
         "engine: adversary and configuration disagree on node count");
   }
+  // Written so that NaN fails too.
+  if (options_.activation == Activation::kRandomSubset &&
+      !(options_.activation_probability > 0.0 &&
+        options_.activation_probability <= 1.0)) {
+    throw std::invalid_argument(
+        "engine: activation probability must be in (0, 1]");
+  }
   const std::size_t k = conf_.robot_count();
   robots_.reserve(k);
   for (RobotId id = 1; id <= k; ++id) robots_.push_back(factory(id, k));
@@ -39,8 +46,8 @@ Engine::Engine(Adversary& adversary, Configuration initial,
     for (std::size_t i = 1; i < robots_.size(); ++i)
       needs_.merge(robots_[i]->view_needs());
   }
-  // State handles exist only for runs whose views read exchanged states.
-  if (needs_.colocated_states) states_.assign(k, nullptr);
+  // The state store exists only for runs whose views read exchanged states.
+  if (needs_.colocated_states) states_.resize(k);
   if (options_.threads > 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
   // Adversaries with counter-stream builders fan graph construction over
   // the compute pool (byte-identical at any lane count; null = serial).
@@ -70,15 +77,9 @@ void Engine::refresh_state(RobotId id) {
   robots_[id - 1]->serialize(w);
   state_bits_[id - 1] = w.bit_count();
   // The meter needs only the bit count; the bytes are kept only when some
-  // view reads exchanged states.
-  if (!needs_.colocated_states) return;
-  // Settled robots re-serialize to identical bytes round after round; keep
-  // the existing handle then, so downstream pointer-equality reuse (per-node
-  // state lists, and through them whole views) fires. Byte-compare decides
-  // -- a changed state always gets a fresh handle.
-  const StateHandle& slot = states_[id - 1];
-  if (slot && *slot == w.bytes()) return;
-  states_[id - 1] = std::make_shared<const std::vector<std::uint8_t>>(w.bytes());
+  // view reads exchanged states. Copy-assignment reuses the buffer's
+  // capacity, so a warmed-up run copies without allocating.
+  if (needs_.colocated_states) states_[id - 1] = w.bytes();
 }
 
 ReuseHints Engine::make_hints(const Graph& g) const {
@@ -97,6 +98,7 @@ std::uint64_t Engine::plan_on(const Graph& g, const Configuration& conf,
                               const std::vector<bool>& active,
                               const std::vector<RobotAlgorithm*>& robots,
                               const RoundContext& ctx, PacketSet packets,
+                              const std::vector<std::vector<std::uint8_t>>& states,
                               const ReuseHints& hints, ThreadPool* pool,
                               std::vector<RobotView>& views,
                               const ViewNeeds& needs, MovePlan& plan) {
@@ -125,11 +127,10 @@ std::uint64_t Engine::plan_on(const Graph& g, const Configuration& conf,
     fill_view(view, g, conf, id, round, options.comm, neighborhood,
               ctx.index(), needs);
     view.arrival_port = arrival_ports[i];
-    if (needs.colocated_states)
-      view.colocated_states = ctx.node_states(conf.position(id));
     view.reuse = hints;
-    // Borrowed: `packets` outlives every step of this call.
+    // Borrowed: `packets` and `states` outlive every step of this call.
     view.shared_packets = &packets;
+    if (needs.colocated_states) view.borrow_states(&states);
     const Port p = robots[i]->step(view);
     if (p != kInvalidPort && p > view.degree) {
       std::ostringstream os;
@@ -161,9 +162,8 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
   // Dry-run copies of the robots so the probe leaves persistent state
   // untouched -- the adversary predicts, it does not perturb. The copies
   // live in a retained arena refilled in place each probe, so no state
-  // leaks from one probe into the next. State snapshots and the node index
-  // are reused from the round context; only the candidate's own packet
-  // broadcast is assembled.
+  // leaks from one probe into the next. The state store and the node index
+  // are the round's; only the candidate's own packet broadcast is assembled.
   const std::size_t k = robots_.size();
   if (probe_robots_.size() != k) {
     probe_robots_.resize(k);
@@ -191,8 +191,8 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
   // content compare, so probing can never leak a wrong plan.
   MovePlan plan;
   plan_on(candidate, conf_, probe_round_, options_, arrival_ports_, active_,
-          probe_raw_, *round_ctx_, std::move(packets), make_hints(candidate),
-          nullptr, views_arena_, needs_, plan);
+          probe_raw_, *round_ctx_, std::move(packets), states_,
+          make_hints(candidate), nullptr, views_arena_, needs_, plan);
   return plan;
 }
 
@@ -205,8 +205,8 @@ MovePlan& Engine::compute_plan(const Graph& g, Round round,
   ReuseHints hints = make_hints(g);
   hints.change = round_change_;
   lead_ns = plan_on(g, conf_, round, options_, arrival_ports_, active_,
-                    raw_robots_, ctx, ctx.packets(), hints, pool_.get(),
-                    views_arena_, needs_, plan_buf_);
+                    raw_robots_, ctx, ctx.packets(), states_, hints,
+                    pool_.get(), views_arena_, needs_, plan_buf_);
   return plan_buf_;
 }
 
@@ -295,12 +295,10 @@ RunResult Engine::run() {
     const std::uint64_t ph_t0 = phase_clock_ns();
     probe_round_ = r;
     draw_activation();
-    // The round's shared artifacts: node index and state lists -- rebuilt
-    // into the persistent context's retained buffers and valid for every
-    // candidate graph probed this round. The state-list refresh is skipped
-    // when no robot of the run reads exchanged states (aggregated
-    // ViewNeeds).
-    ctx_.begin_round(conf_, states_, needs_.colocated_states);
+    // The round's node index, rebuilt into the persistent context's
+    // retained buffers and valid for every candidate graph probed this
+    // round.
+    ctx_.begin_round(conf_);
     round_ctx_ = &ctx_;
     if (adversary_.wants_plan_probe()) {
       adversary_.set_plan_probe(

@@ -7,12 +7,15 @@
 //   1. the adversary emits G_r (trap adversaries may first dry-run the
 //      robots through the installed plan probe);
 //   2. Communicate: packets are assembled per the communication model and
-//      1-neighborhood switch, and every alive robot observes its view;
+//      1-neighborhood switch, and every alive robot observes its view (which
+//      borrows the round's broadcast and, for algorithms that read them,
+//      the engine's per-robot store of start-of-round states);
 //   3. Compute: each alive robot's step() returns an exit port;
 //   4. robots scheduled to crash *after* Communicate vanish (they computed,
 //      and other robots planned around them, but they do not move);
-//   5. Move: remaining moves are applied simultaneously; persistent memory
-//      is metered.
+//   5. Move: remaining moves are applied simultaneously; robots that
+//      stepped re-serialize their persistent state (into the state store
+//      when it is kept), which is metered.
 // Dispersion is detected between rounds (global communication makes this
 // detectable by the robots themselves; for local algorithms the engine's
 // check is an external oracle that merely stops the clock).
@@ -109,7 +112,8 @@ struct EngineOptions {
   CommModel comm = CommModel::kGlobal;
   bool neighborhood_knowledge = true;
   Activation activation = Activation::kSynchronous;
-  /// Per-robot, per-round activation probability under kRandomSubset.
+  /// Per-robot, per-round activation probability under kRandomSubset; the
+  /// engine rejects values outside (0, 1] there.
   double activation_probability = 1.0;
   std::uint64_t activation_seed = 1;
   /// Hard stop; impossibility benches use this as the containment horizon.
@@ -248,12 +252,14 @@ class Engine {
   Rng activation_rng_{1};
   std::size_t round_robin_cursor_ = 0;  ///< Last activated ID (kRoundRobin).
 
-  /// Each robot's serialized start-of-round state (id-1 indexed), refreshed
-  /// at the end of every round a robot steps in and shared zero-copy with
-  /// the round's views through the RoundContext. Held only when some robot
-  /// reads exchanged states (needs_.colocated_states, the DFS baselines);
-  /// otherwise empty, and refresh_state allocates and compares nothing.
-  std::vector<StateHandle> states_;
+  /// Each robot's serialized start-of-round state (id-1 indexed): one byte
+  /// buffer per robot, overwritten in place (its capacity reused) at the
+  /// end of every round the robot steps in, and borrowed by the round's
+  /// views for their steps -- no robot writes it before the Move phase, so
+  /// every view reads start-of-round bytes. Kept only when some robot reads
+  /// exchanged states (needs_.colocated_states, the DFS baselines);
+  /// otherwise empty, and refresh_state copies nothing.
+  std::vector<std::vector<std::uint8_t>> states_;
   /// Bit count of each robot's latest serialization, kept for every run:
   /// the memory meter reads it -- the one serialization per robot per round
   /// the simulation performs.
@@ -302,7 +308,7 @@ class Engine {
   Configuration before_;
 
   /// Dry-runs all alive robots' compute phases on a candidate graph,
-  /// reusing the current round's context (state snapshots, node index).
+  /// reusing the current round's node index and state store.
   MovePlan probe_plan(const Graph& candidate) const;
 
   /// Runs the real compute phase on `g`, mutating robot state; `lead_ns`
@@ -318,8 +324,9 @@ class Engine {
   /// view just before its step; views read only the start-of-round
   /// snapshot, so state exchange stays synchronous. `packets` is the
   /// (possibly candidate) broadcast for `g`, which every view borrows for
-  /// the call; shared round artifacts come from `ctx`; `hints`
-  /// ride into every view (invalid hints when the broadcast is not a pure
+  /// the call, as it borrows the per-robot state store `states` when
+  /// `needs` declares exchanged states. The node index comes from `ctx`;
+  /// `hints` ride into every view (invalid hints when the broadcast is not a pure
   /// function of (g, conf, model)). Views are filled in place into `views`'
   /// slots under `needs` gating. `plan` is an out-parameter refilled via
   /// assign() so the round loop's retained buffer never reallocates in
@@ -331,6 +338,7 @@ class Engine {
                                const std::vector<bool>& active,
                                const std::vector<RobotAlgorithm*>& robots,
                                const RoundContext& ctx, PacketSet packets,
+                               const std::vector<std::vector<std::uint8_t>>& states,
                                const ReuseHints& hints, ThreadPool* pool,
                                std::vector<RobotView>& views,
                                const ViewNeeds& needs, MovePlan& plan);
@@ -340,8 +348,8 @@ class Engine {
   ReuseHints make_hints(const Graph& g) const;
 
   /// Re-serializes robot `id`'s persistent state: records its bit count in
-  /// state_bits_ and, when views read exchanged states, its handle in
-  /// states_.
+  /// state_bits_ and, when views read exchanged states, copies its bytes
+  /// into its states_ buffer.
   void refresh_state(RobotId id);
 
   /// Draws the activation mask for one round per options_.activation.

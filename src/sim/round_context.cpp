@@ -10,10 +10,7 @@
 namespace dyndisp {
 
 DYNDISP_HOT
-void RoundContext::begin_round(const Configuration& conf,
-                               const std::vector<StateHandle>& states,
-                               bool build_state_lists) {
-  assert(!build_state_lists || states.size() == conf.robot_count());
+void RoundContext::begin_round(const Configuration& conf) {
   const std::size_t n = conf.node_count();
 
   // Retire the finished round's broadcast into the delta-assembly source.
@@ -45,46 +42,6 @@ void RoundContext::begin_round(const Configuration& conf,
   // publish_packets, and only on the routes that read it.
   if (first_round_ || prev_index_.node_count() != n) prev_packets_.reset();
   first_round_ = false;
-
-  // Per-node state lists. A node keeps last round's list handle exactly
-  // when the list it needs now is the list it already holds: same robots,
-  // and every member's state handle still the one serialized for it. The
-  // pointer compare IS the full condition -- robots that stepped get a
-  // fresh handle from the engine, so stale content can never be retained.
-  // Skipped wholesale when the run's views never read exchanged states;
-  // a stale list kept across skipped rounds can never leak, because reuse
-  // always re-compares member handles against the current `states`.
-  if (node_states_.size() != n) node_states_.assign(n, nullptr);
-  if (!build_state_lists) return;
-  for (NodeId v = 0; v < n; ++v) {
-    if (index_.empty(v)) {
-      node_states_[v] = nullptr;
-      continue;
-    }
-    const RobotId* here = index_.begin(v);
-    const std::size_t count = index_.count(v);
-    const auto& old = node_states_[v];
-    bool reusable = old != nullptr && old->size() == count;
-    if (reusable) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if ((*old)[i] != states[here[i] - 1]) {
-          reusable = false;
-          break;
-        }
-      }
-    }
-    if (reusable) continue;
-    // NOLINTNEXTLINE-dyndisp(hotpath-alloc): state lists are rebuilt only
-    // for nodes whose occupancy changed; unchanged nodes keep their list
-    // by handle.
-    auto list = std::make_shared<std::vector<StateHandle>>();
-    list->reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      // NOLINTNEXTLINE-dyndisp(hotpath-alloc): fills the freshly allocated
-      // list above -- same changed-node slow path, reserved to exact size.
-      list->push_back(states[here[i] - 1]);
-    node_states_[v] = std::move(list);
-  }
 }
 
 std::shared_ptr<PacketArena> RoundContext::ArenaPool::acquire() {

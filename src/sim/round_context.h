@@ -2,28 +2,27 @@
 // -- and, across rounds, assembled incrementally where the configuration and
 // graph permit.
 //
-// One CCM round under global communication needs three shared products:
-//   * the node -> alive-robots index (NodeIndex),
-//   * the per-occupied-node lists of serialized start-of-round states that
-//     co-located robots exchange during Communicate, and
+// One CCM round under global communication needs two shared products:
+//   * the node -> alive-robots index (NodeIndex), and
 //   * the packet broadcast for the round's graph, with its wire-bit size.
 // The seed engine rebuilt the index and the broadcast twice per round (once
-// to meter bits, once to plan) and deep-copied state bytes into every view;
-// RoundContext assembles each exactly once and hands out reference-counted
-// handles instead.
+// to meter bits, once to plan); RoundContext assembles each exactly once,
+// and every view of the round borrows the one broadcast. The states that
+// co-located robots exchange are not kept here: the engine holds one
+// per-robot store of them, which views borrow directly.
 //
 // Since the delta-aware round loop (see docs/PERFORMANCE.md), one context
 // PERSISTS across the whole run: begin_round() rebuilds the index into
-// retained buffers (no per-round reallocation), keeps unchanged nodes'
-// state lists by handle, and retires the previous broadcast. Its one
-// broadcast entry point, publish_packets(), picks the route itself -- handle
-// reuse (identical graph and occupancy), delta assembly (rebuild only the
-// packets whose content can have changed, copy the rest from the previous
-// broadcast), or full assembly -- and diffs occupancy against the previous
-// round only when the graph allows one of the first two. Every route
-// produces a broadcast bitwise identical to full assembly; the engine's
-// packets_sent / packet_bits_sent accounting is identical on all routes.
-// Counters (not guesses) report how often each route ran.
+// retained buffers (no per-round reallocation) and retires the previous
+// broadcast. Its one broadcast entry point, publish_packets(), picks the
+// route itself -- handle reuse (identical graph and occupancy), delta
+// assembly (rebuild only the packets whose content can have changed, copy
+// the rest from the previous broadcast), or full assembly -- and diffs
+// occupancy against the previous round only when the graph allows one of
+// the first two. Every route produces a broadcast bitwise identical to full
+// assembly; the engine's packets_sent / packet_bits_sent accounting is
+// identical on all routes. Counters (not guesses) report how often each
+// route ran.
 #pragma once
 
 #include <cstddef>
@@ -46,28 +45,11 @@ class RoundContext {
  public:
   /// Starts a round (call it before anything else each round): rebuilds the
   /// node index (into retained buffers, keeping last round's for
-  /// publish_packets' occupancy diff), refreshes the per-node state lists
-  /// (unchanged nodes keep their list handle when every member's state
-  /// handle is unchanged), and retires the previous round's broadcast into
-  /// the source publish_packets copies from. `states` holds every robot's
-  /// serialized start-of-round state (id-1 indexed; dead robots' entries
-  /// are unused) and must outlive the round. `build_state_lists` = false
-  /// skips the per-node state-list refresh entirely and leaves `states`
-  /// unread (it may then be empty) -- legal only when no view of the round
-  /// will read colocated_states (the engine derives this from the run's
-  /// aggregated ViewNeeds).
-  void begin_round(const Configuration& conf,
-                   const std::vector<StateHandle>& states,
-                   bool build_state_lists = true);
+  /// publish_packets' occupancy diff) and retires the previous round's
+  /// broadcast into the source publish_packets copies from.
+  void begin_round(const Configuration& conf);
 
   const NodeIndex& index() const { return index_; }
-
-  /// The shared state list of node `v` (null for unoccupied nodes), parallel
-  /// to index()[v]. Every view assembled on `v` attaches this same handle.
-  const std::shared_ptr<const std::vector<StateHandle>>& node_states(
-      NodeId v) const {
-    return node_states_[v];
-  }
 
   /// XOR digest over alive robots of their (id, position) pair, mixed per
   /// robot -- the configuration half of the ReuseHints key.
@@ -148,7 +130,6 @@ class RoundContext {
   NodeIndex prev_index_;  ///< Double buffer: last round's index.
   bool first_round_ = true;
 
-  std::vector<std::shared_ptr<const std::vector<StateHandle>>> node_states_;
   /// Nodes whose alive-robot list changed since the previous round,
   /// ascending -- including nodes that became empty. Filled by
   /// publish_packets only on rounds that may take the reuse or delta

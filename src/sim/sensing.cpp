@@ -107,7 +107,7 @@ void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
   if (needs.colocated) out.colocated.assign(index.begin(v), index.end(v));
   // Engine-owned fields: reset exactly as a fresh make_view result.
   out.arrival_port = kInvalidPort;
-  out.colocated_states = nullptr;
+  out.borrow_states(nullptr);
   out.reuse = ReuseHints{};
 
   out.neighborhood_knowledge = neighborhood;

@@ -5,11 +5,15 @@
 //   * CommModel::Local  + neighborhood  -> Theorem 1 setting (impossible)
 //   * CommModel::Global + !neighborhood -> Theorem 2 setting (impossible)
 //   * CommModel::Global + neighborhood  -> Algorithm 4 setting (Theta(k))
+//
+// The round's shared artifacts are borrowed, never copied, into a view: the
+// engine's views point at the round's one packet broadcast and at its one
+// per-robot store of start-of-round states, and both outlive the steps.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -28,12 +32,6 @@ enum class CommModel {
   kGlobal,  ///< A robot talks to every robot in the graph.
 };
 
-/// Reference-counted handle to one robot's serialized persistent state.
-/// Serialized once per robot per round and shared by every view that carries
-/// it; copying the byte vector per view would make crowded rounds Theta(k^2)
-/// in state volume.
-using StateHandle = std::shared_ptr<const std::vector<std::uint8_t>>;
-
 /// Everything one robot observes in the Communicate phase of one round.
 struct RobotView {
   RobotId self = kNoRobot;
@@ -48,18 +46,24 @@ struct RobotView {
   /// Meaningful for static-graph algorithms; on dynamic graphs the edge may
   /// no longer exist.
   Port arrival_port = kInvalidPort;
-  /// Serialized persistent states of the co-located robots, ascending by
-  /// robot ID (parallel to `colocated`), as at the START of the round.
-  /// Local communication lets same-node robots exchange arbitrary state;
-  /// the DFS baselines read the settled robot's parent/rotor through this.
-  /// The list is assembled once per occupied node and shared by every robot
-  /// standing there (a zero-copy handle); null when the engine has no
-  /// states to exchange (bare make_view results).
-  std::shared_ptr<const std::vector<StateHandle>> colocated_states;
-
-  /// The serialized state of the i-th co-located robot (`colocated[i]`).
+  /// The serialized persistent state of the i-th co-located robot
+  /// (`colocated[i]`), as at the START of the round. Local communication
+  /// lets same-node robots exchange arbitrary state; the DFS baselines read
+  /// the settled robot's parent/rotor through this. The bytes live in the
+  /// engine's per-robot store, which the view borrows for the step (see
+  /// borrow_states); this accessor is the only way to reach them, so a
+  /// robot sees the states of its co-located robots and no others.
   const std::vector<std::uint8_t>& colocated_state(std::size_t i) const {
-    return *(*colocated_states)[i];
+    assert(states_ != nullptr && "no exchanged states attached to this view");
+    assert(i < colocated.size());
+    return (*states_)[colocated[i] - 1];
+  }
+
+  /// Attaches (or, with null, detaches) the engine's store of every robot's
+  /// start-of-round serialized state, id-1 indexed. The store must outlive
+  /// every colocated_state call; bare make_view results attach none.
+  void borrow_states(const std::vector<std::vector<std::uint8_t>>* states) {
+    states_ = states;
   }
 
   bool neighborhood_knowledge = false;
@@ -94,6 +98,9 @@ struct RobotView {
   const PacketSet& packets() const {
     return shared_packets != nullptr ? *shared_packets : own_packets;
   }
+
+ private:
+  const std::vector<std::vector<std::uint8_t>>* states_ = nullptr;
 };
 
 /// Node -> alive robot IDs there, ascending, as a CSR (compressed sparse
@@ -135,7 +142,7 @@ class NodeIndex {
 /// on full views.
 struct ViewNeeds {
   bool colocated = true;           ///< RobotView::colocated IDs.
-  bool colocated_states = true;    ///< Exchanged per-node state lists.
+  bool colocated_states = true;    ///< Exchanged co-located states.
   bool occupied_neighbors = true;  ///< Per-neighbor robot lists.
   bool empty_ports = true;         ///< Ports toward empty neighbors.
 
@@ -225,9 +232,9 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
 /// declares (plus the unconditional scalars: self, round, k, degree,
 /// node_count, empty_neighbor_count, global_comm), reusing `out`'s vector
 /// capacities across rounds. Undeclared fields are left cleared.
-/// arrival_port, colocated_states, and reuse are reset for the engine to
-/// fill, as in make_view. The packet fields are left as they are: the
-/// engine points shared_packets at the round's set itself.
+/// arrival_port, the borrowed state store, and reuse are reset for the
+/// engine to fill, as in make_view. The packet fields are left as they
+/// are: the engine points shared_packets at the round's set itself.
 void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
                const NodeIndex& index, const ViewNeeds& needs);

@@ -3,6 +3,8 @@
 // adversary plan probe.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/experiment.h"
 #include "core/dispersion.h"
 #include "dynamic/random_adversary.h"
@@ -90,6 +92,27 @@ TEST(Engine, AllowModelMismatchOverrides) {
   opt.max_rounds = 1;
   // Construction succeeds; the algorithm itself asserts on mismatched views,
   // so do not run it -- construction is what this test covers.
+  EXPECT_NO_THROW(
+      Engine(adv, placement::rooted(4, 2), core::dispersion_factory(), opt));
+}
+
+TEST(Engine, RejectsRandomSubsetProbabilityOutsideUnitInterval) {
+  StaticAdversary adv(builders::path(4));
+  EngineOptions opt;
+  opt.activation = Activation::kRandomSubset;
+  for (const double p : {0.0, -0.5, 1.5, std::nan("")}) {
+    SCOPED_TRACE(p);
+    opt.activation_probability = p;
+    EXPECT_THROW(
+        Engine(adv, placement::rooted(4, 2), core::dispersion_factory(), opt),
+        std::invalid_argument);
+  }
+  opt.activation_probability = 1.0;
+  EXPECT_NO_THROW(
+      Engine(adv, placement::rooted(4, 2), core::dispersion_factory(), opt));
+  // The probability is read only under kRandomSubset.
+  opt.activation = Activation::kSynchronous;
+  opt.activation_probability = std::nan("");
   EXPECT_NO_THROW(
       Engine(adv, placement::rooted(4, 2), core::dispersion_factory(), opt));
 }

@@ -200,14 +200,13 @@ void expect_publish_routes_match_reference(ThreadPool* pool) {
   for (NodeId v = 0; v < n; v += 2) positions.push_back(v);
   Configuration conf(n, positions);
   const std::size_t k = conf.robot_count();
-  const std::vector<StateHandle> states(k);
   Graph g = builders::path(n);
 
   RoundContext ctx;
   std::size_t full_routes = 0;
   const auto publish = [&](GraphChange change,
                            const std::vector<NodeId>& changed_graph_nodes) {
-    ctx.begin_round(conf, states, /*build_state_lists=*/false);
+    ctx.begin_round(conf);
     const std::size_t assemblies = packet_assembly_count();
     ctx.publish_packets(g, conf, true, nullptr, change, changed_graph_nodes,
                         pool);

@@ -233,6 +233,31 @@ TEST(ThreadDeterminism, StraddlesTheSerialCutoff) {
   }
 }
 
+TEST(ThreadDeterminism, LocalDfsReadsExchangedStatesFromEveryLane) {
+  // The DFS baseline decodes its co-located robots' start-of-round states
+  // from the engine's state store. With k above the serial cutoff, rooted
+  // robots read that store from several lanes at once while the store
+  // holds the same bytes for all of them; no lane may see another round's.
+  const std::size_t k = kParallelForSerialCutoff + 8;
+  const std::size_t n = 3 * k / 2;
+  auto run_dfs = [&](std::size_t threads) {
+    RandomAdversary adv(n, n / 3, 17);
+    EngineOptions opt;
+    opt.comm = CommModel::kLocal;
+    opt.neighborhood_knowledge = false;
+    opt.threads = threads;
+    opt.max_rounds = 60;
+    Engine engine(adv, placement::rooted(n, k),
+                  baselines::dfs_dispersion_factory(), opt);
+    return engine.run();
+  };
+  const RunResult serial = run_dfs(1);
+  EXPECT_GT(serial.total_moves, 0u);
+  EXPECT_GT(serial.max_memory_bits, 0u);
+  expect_identical(serial, run_dfs(2), "local DFS, 2 threads");
+  expect_identical(serial, run_dfs(4), "local DFS, 4 threads");
+}
+
 TEST(ThreadDeterminism, ProbeDrivenTrapAdversary) {
   // The path trap dry-runs cloned robots against candidate graphs through
   // Engine::probe_plan, which shares the round's state snapshots and the

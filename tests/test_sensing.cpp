@@ -113,5 +113,19 @@ TEST(Views, NoNeighborhoodHidesOccupancy) {
   EXPECT_EQ(v.degree, 2u);  // own degree is observable (ports 1..deg exist)
 }
 
+TEST(Views, ColocatedStateReadsTheBorrowedStoreByColocatedId) {
+  // Robots 1 and 2 share node 0; the store holds every robot's bytes, but
+  // the view reaches only its co-located robots', in `colocated` order.
+  Fixture f;
+  const std::vector<std::vector<std::uint8_t>> store{{0x11}, {0x22, 0x23},
+                                                     {0x33}, {0x44}};
+  RobotView v = make_view(f.g, f.conf, 2, 0, CommModel::kLocal, false,
+                          nullptr);
+  v.borrow_states(&store);
+  ASSERT_EQ(v.colocated, (std::vector<RobotId>{1, 2}));
+  EXPECT_EQ(v.colocated_state(0), store[0]);
+  EXPECT_EQ(v.colocated_state(1), store[1]);
+}
+
 }  // namespace
 }  // namespace dyndisp

@@ -59,7 +59,8 @@ flags (all optional):
   --comm C             default | global | local (default: what the
                        algorithm needs)
   --knowledge B        1-neighborhood knowledge on/off (default: as needed)
-  --activation P       semi-synchronous activation probability (default 1.0)
+  --activation P       semi-synchronous activation probability, in (0, 1]
+                       (default 1.0)
   --scheduler S        sync | round-robin (default sync; round-robin
                        activates one robot per round)
   --threads T          compute-phase worker threads (default 1; results
@@ -133,6 +134,9 @@ int main(int argc, char** argv) {
 
     if (trials == 0)
       throw std::invalid_argument("--trials must be at least 1");
+    // Written so that NaN fails too.
+    if (!(activation > 0.0 && activation <= 1.0))
+      throw std::invalid_argument("--activation must be in (0, 1]");
     std::shared_ptr<ByzantineModel> byzantine;
     if (liars > 0) {
       ByzantineLie lie = ByzantineLie::kHideMultiplicity;
