@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <typeinfo>
 #include <utility>
+#include <vector>
 
 #include "core/dispersion.h"
 #include "dynamic/random_adversary.h"
@@ -29,15 +30,17 @@ class PlantedDisconnectAdversary final : public Adversary {
       inner_.next_graph_into(r, conf, out);
       return;
     }
-    out.reset_assembly(n_);
     const std::size_t half = n_ / 2;
-    for (NodeId v = 1; v < half; ++v) out.add_edge(v - 1, v);
-    for (NodeId v = half + 1; v < n_; ++v) out.add_edge(v - 1, v);
+    edges_.clear();
+    for (NodeId v = 1; v < half; ++v) edges_.emplace_back(v - 1, v);
+    for (NodeId v = half + 1; v < n_; ++v) edges_.emplace_back(v - 1, v);
+    out.assign_edges(n_, edges_);
   }
 
  private:
   std::size_t n_;
   RandomAdversary inner_;
+  std::vector<std::pair<NodeId, NodeId>> edges_;  ///< The two paths.
 };
 
 /// Wraps a real Algorithm 4 robot but refuses to move from kLazyRound on

@@ -28,7 +28,7 @@ void ChurnAdversary::mutate() {
     for (std::size_t attempt = 0; attempt < 8 && !done; ++attempt) {
       const auto& e = edges[rng_.below(edges.size())];
       graph_.remove_edge(e.u, e.v);
-      if (is_connected(graph_)) {
+      if (is_connected(graph_, bfs_scratch_)) {
         done = true;
         ++removed;
       } else {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
+#include "graph/algorithms.h"
 #include "util/rng.h"
 
 namespace dyndisp {
@@ -24,7 +25,7 @@ class ChurnAdversary final : public Adversary {
 
   /// Mutates the evolving graph in place (the churn itself is inherently
   /// sequential state evolution), then copy-assigns it into `out` --
-  /// recycling out's row capacities round over round.
+  /// recycling out's arrays round over round.
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override;
 
@@ -38,6 +39,8 @@ class ChurnAdversary final : public Adversary {
   /// Edge-list scratch for the removal draws, reused across rounds (the
   /// seed re-materialized the full edge list per removal attempt).
   std::vector<Graph::Edge> edges_scratch_;
+  /// The connectivity check's storage, reused by every removal attempt.
+  BfsScratch bfs_scratch_;
 };
 
 }  // namespace dyndisp

@@ -7,23 +7,24 @@ namespace dyndisp {
 
 CliqueTrapAdversary::CliqueTrapAdversary(std::size_t n) : n_(n) {}
 
-void CliqueTrapAdversary::build_probe_graph(Graph& g) const {
-  g.reset_assembly(n_);
+void CliqueTrapAdversary::build_probe_graph(Graph& g) {
   const std::size_t alpha = occupied_.size();
+  edges_.clear();
   // Clique over occupied nodes minus the pair (occupied[0], occupied[1]).
   for (std::size_t i = 0; i < alpha; ++i)
     for (std::size_t j = i + 1; j < alpha; ++j)
-      if (!(i == 0 && j == 1)) g.add_edge(occupied_[i], occupied_[j]);
+      if (!(i == 0 && j == 1)) edges_.emplace_back(occupied_[i], occupied_[j]);
   // Path H over the empty nodes.
   for (std::size_t i = 1; i < empty_.size(); ++i)
-    g.add_edge(empty_[i - 1], empty_[i]);
+    edges_.emplace_back(empty_[i - 1], empty_[i]);
   // The two replacement edges standing in for the removed clique edge.
   if (!empty_.empty() && alpha >= 2) {
-    g.add_edge(occupied_[0], empty_.front());
-    g.add_edge(occupied_[1], empty_.back());
+    edges_.emplace_back(occupied_[0], empty_.front());
+    edges_.emplace_back(occupied_[1], empty_.back());
   } else if (!empty_.empty()) {
-    g.add_edge(occupied_[0], empty_.front());
+    edges_.emplace_back(occupied_[0], empty_.front());
   }
+  g.assign_edges(n_, edges_);
 }
 
 Port CliqueTrapAdversary::free_slot(NodeId v, std::size_t degree) const {
@@ -50,8 +51,9 @@ void CliqueTrapAdversary::next_graph_into(Round, const Configuration& conf,
       occupied_.size() < 3) {
     // Dispersed, degenerate, or too few occupied nodes for a clique trap.
     if (conf.multiplicity_count() != 0) ++degenerate_;
-    out.reset_assembly(n_);
-    for (NodeId v = 1; v < n_; ++v) out.add_edge(0, v);
+    edges_.clear();
+    for (NodeId v = 1; v < n_; ++v) edges_.emplace_back(0, v);
+    out.assign_edges(n_, edges_);
     return;
   }
 
@@ -103,15 +105,14 @@ void CliqueTrapAdversary::next_graph_into(Round, const Configuration& conf,
 
   // Build the emitted graph: clique minus {u*, v*}, H, and the two
   // replacement edges placed exactly at the free slots su / sv.
-  Graph& g = emitted_;
-  g.reset_assembly(n_);
+  edges_.clear();
   for (std::size_t i = 1; i < empty_.size(); ++i)
-    g.add_edge(empty_[i - 1], empty_[i]);
+    edges_.emplace_back(empty_[i - 1], empty_[i]);
   for (std::size_t i = 0; i < alpha; ++i) {
     for (std::size_t j = i + 1; j < alpha; ++j) {
       const NodeId a = occupied_[i], b = occupied_[j];
       if (a == u_star || a == v_star || b == u_star || b == v_star) continue;
-      g.add_edge(a, b);
+      edges_.emplace_back(a, b);
     }
   }
   auto add_constrained = [&](NodeId center, NodeId redirect_to, Port slot) {
@@ -119,10 +120,12 @@ void CliqueTrapAdversary::next_graph_into(Round, const Configuration& conf,
     for (const NodeId w : occupied_)
       if (w != center && w != u_star && w != v_star) targets_.push_back(w);
     targets_.insert(targets_.begin() + (slot - 1), redirect_to);
-    for (const NodeId t : targets_) g.add_edge(center, t);
+    for (const NodeId t : targets_) edges_.emplace_back(center, t);
   };
   add_constrained(u_star, empty_.front(), su);
   add_constrained(v_star, empty_.back(), sv);
+  Graph& g = emitted_;
+  g.assign_edges(n_, edges_);
 
   // Audit: re-probe on the graph actually emitted. For algorithms without
   // 1-neighborhood knowledge this equals `plan` (identical views); for

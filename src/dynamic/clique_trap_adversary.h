@@ -58,12 +58,14 @@ class CliqueTrapAdversary final : public Adversary {
   std::vector<std::size_t> planned_count_;  ///< Distinct ports per node.
   std::vector<NodeId> by_free_;   ///< occupied_, fewest planned ports first.
   std::vector<NodeId> targets_;   ///< add_constrained's port order.
+  /// The edge list of the graph being built, in port order.
+  std::vector<std::pair<NodeId, NodeId>> edges_;
   Graph probe_graph_, emitted_;
   Configuration after_;           ///< The audit probe's outcome.
 
   /// Clique over occupied_ minus {occupied_[0], occupied_[1]}, a path over
   /// empty_, and the two replacement edges, into `g`.
-  void build_probe_graph(Graph& g) const;
+  void build_probe_graph(Graph& g);
 
   /// The first port slot in [1, degree] that no robot on `v` plans to use,
   /// or kInvalidPort.

@@ -35,10 +35,10 @@ using PlanProbe = std::function<MovePlan(const Graph&)>;
 ///
 /// An adversary emits through exactly one override, next_graph_into. The
 /// engine double-buffers graphs and hands the round-before-last's Graph back
-/// in, so regenerating adversaries refill its adjacency rows in place
-/// instead of allocating n fresh rows per round; copy-assigning a fixed
-/// graph into a warm `out` already recycles row capacity. next_graph is the
-/// by-value convenience over it for tests and tools.
+/// in, so regenerating adversaries refill its offset and half-edge arrays
+/// in place instead of allocating a fresh graph per round; copy-assigning a
+/// fixed graph into a warm `out` already reuses both arrays' capacity.
+/// next_graph is the by-value convenience over it for tests and tools.
 class Adversary {
  public:
   virtual ~Adversary() = default;

@@ -24,14 +24,16 @@ void PathTrapAdversary::build_candidate(const NodeId* order,
                                         const std::vector<bool>& flip,
                                         std::size_t flip_offset, Graph& g) {
   const std::size_t alpha = base_.size();
-  g.reset_assembly(n_);
-  for (std::size_t i = 1; i < alpha; ++i) g.add_edge(order[i - 1], order[i]);
+  edges_.clear();
+  for (std::size_t i = 1; i < alpha; ++i)
+    edges_.emplace_back(order[i - 1], order[i]);
   if (!empty_.empty()) {
     const NodeId center = empty_.front();
-    g.add_edge(order[alpha - 1], center);
+    edges_.emplace_back(order[alpha - 1], center);
     for (std::size_t i = 1; i < empty_.size(); ++i)
-      g.add_edge(center, empty_[i]);
+      edges_.emplace_back(center, empty_[i]);
   }
+  g.assign_edges(n_, edges_);
   // Orientation flips: swapping the two ports of a degree-2 path node makes
   // "the port I used last time" / "port 1" style rules walk backward.
   for (std::size_t i = 0; i < alpha; ++i) {
@@ -50,8 +52,9 @@ void PathTrapAdversary::next_graph_into(Round, const Configuration& conf,
 
   if (base_.empty() || conf.multiplicity_count() == 0) {
     // Dispersed (or no robots): the game is over; any connected graph works.
-    out.reset_assembly(n_);
-    for (NodeId v = 1; v < n_; ++v) out.add_edge(0, v);
+    edges_.clear();
+    for (NodeId v = 1; v < n_; ++v) edges_.emplace_back(0, v);
+    out.assign_edges(n_, edges_);
     return;
   }
 

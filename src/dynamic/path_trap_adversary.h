@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
@@ -60,6 +61,7 @@ class PathTrapAdversary final : public Adversary {
   Graph candidate_, best_;
   Configuration after_;        ///< A candidate's probed outcome.
   std::vector<HalfEdge> port_scratch_;
+  std::vector<std::pair<NodeId, NodeId>> edges_;  ///< A candidate's edges.
 
   /// Builds path-over-occupied (`order`, alpha nodes) + empty star blob at
   /// the far end into `g`; `flip[i]` swaps the two path ports of interior

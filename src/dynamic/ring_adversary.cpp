@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "util/contract.h"
 
@@ -55,12 +54,11 @@ std::size_t worst_edge(std::size_t n, const Configuration& conf) {
 /// a node that lost one of its edges keeps the other on port 1.
 void emit_ring_without(std::size_t n, std::size_t cut, Graph& out) {
   const auto prev_edge = [n](std::size_t v) { return (v + n - 1) % n; };
-  out.reset_assembly(n);
-  for (NodeId v = 0; v < n; ++v) {
-    std::vector<HalfEdge>& row = out.assembly_row(v);
-    row.reserve(2);  // degree 1 now, 2 later: keep the refill in place
-    row.resize(v == cut || prev_edge(v) == cut ? 1 : 2);
-  }
+  const std::size_t m = cut == n ? n : n - 1;
+  const auto [off, slots] = out.begin_assembly(n, 2 * m);
+  off[0] = 0;
+  for (NodeId v = 0; v < n; ++v)
+    off[v + 1] = off[v] + (v == cut || prev_edge(v) == cut ? 1 : 2);
   std::uint64_t fp_edges = 0;
   for (std::size_t e = 0; e < n; ++e) {
     if (e == cut) continue;
@@ -69,11 +67,11 @@ void emit_ring_without(std::size_t n, std::size_t cut, Graph& out) {
     // e is u's clockwise edge and w's counter-clockwise edge.
     const Port pu = u != 0 && prev_edge(u) != cut ? 2 : 1;
     const Port pw = w == 0 && w != cut ? 2 : 1;
-    out.assembly_row(u)[pu - 1] = HalfEdge{w, pw};
-    out.assembly_row(w)[pw - 1] = HalfEdge{u, pu};
+    slots[off[u] + pu - 1] = HalfEdge{w, pw};
+    slots[off[w] + pw - 1] = HalfEdge{u, pu};
     fp_edges ^= fp_edge_term(u, w, pu, pw);
   }
-  out.commit_assembly(cut == n ? n : n - 1, fp_edges);
+  out.commit_assembly(m, fp_edges);
 }
 
 }  // namespace

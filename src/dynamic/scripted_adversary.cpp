@@ -1,5 +1,6 @@
 #include "dynamic/scripted_adversary.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -49,6 +50,9 @@ std::string ScriptedAdversary::serialize_script(
 }
 
 std::vector<Graph> ScriptedAdversary::parse_script(const std::string& text) {
+  // The shortest edge line, "0 1 1 1" and one separator: the text left
+  // after a header bounds how many edges it can still hold.
+  constexpr std::size_t kMinEdgeChars = 8;
   std::istringstream is(text);
   std::vector<Graph> script;
   std::string tag;
@@ -59,8 +63,17 @@ std::vector<Graph> ScriptedAdversary::parse_script(const std::string& text) {
     std::size_t n = 0, m = 0;
     if (!(is >> n >> m))
       throw std::invalid_argument("script: malformed graph header");
+    // Checked before anything is sized. A script may hold a disconnected
+    // graph (a shrunk round-graph violation replays exactly that), so
+    // NodeId's range is the only bound on n.
+    if (n > kInvalidNode)
+      throw std::invalid_argument("script: node count " + std::to_string(n) +
+                                  " beyond NodeId");
+    const std::streamoff read = is.tellg();  // -1 once the text is spent
+    const std::size_t left =
+        read < 0 ? 0 : text.size() - static_cast<std::size_t>(read);
     std::vector<Graph::Edge> edges;
-    edges.reserve(m);
+    edges.reserve(std::min(m, left / kMinEdgeChars));
     for (std::size_t i = 0; i < m; ++i) {
       Graph::Edge e;
       if (!(is >> e.u >> e.v >> e.port_u >> e.port_v))

@@ -46,7 +46,10 @@ class ScriptedAdversary final : public Adversary {
   static std::string serialize_script(const std::vector<Graph>& script);
 
   /// Parses the serialize_script format; throws std::invalid_argument on
-  /// malformed input (bad header, truncated edges, invalid port labeling).
+  /// malformed input (bad header, n beyond NodeId, truncated edges, invalid
+  /// port labeling). Nothing but the node count is sized from a
+  /// number the text does not back: edge storage is bounded by the text
+  /// left, and ports by their endpoint's edge count.
   static std::vector<Graph> parse_script(const std::string& text);
 
  private:

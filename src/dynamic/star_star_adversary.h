@@ -11,6 +11,8 @@
 #pragma once
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dynamic/dynamic_graph.h"
 #include "util/rng.h"
@@ -33,6 +35,9 @@ class StarStarAdversary final : public Adversary {
   std::size_t n_;
   bool shuffle_ports_;
   Rng rng_;
+  // Per-round scratch, retained so capacities survive across rounds.
+  std::vector<NodeId> occupied_, empty_;  ///< Both ascending.
+  std::vector<std::pair<NodeId, NodeId>> edges_;  ///< The two stars' edges.
 };
 
 }  // namespace dyndisp

@@ -37,7 +37,7 @@ class TIntervalAdversary final : public Adversary {
 
   /// Window starts regenerate through the inner adversary's in-place path
   /// (its storage recycling and parallelism carry through); replay rounds
-  /// copy-assign the cached window graph into the recycled rows.
+  /// copy-assign the cached window graph into the recycled arrays.
   void next_graph_into(Round r, const Configuration& conf,
                        Graph& out) override;
   void set_thread_pool(ThreadPool* pool) override {

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <queue>
 
+#include "util/contract.h"
+
 namespace dyndisp {
 
 std::vector<std::size_t> bfs_distances(const Graph& g, NodeId source) {
@@ -25,10 +27,29 @@ std::vector<std::size_t> bfs_distances(const Graph& g, NodeId source) {
 }
 
 bool is_connected(const Graph& g) {
-  if (g.node_count() <= 1) return true;
-  const auto dist = bfs_distances(g, 0);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](std::size_t d) { return d == kUnreachable; });
+  BfsScratch scratch;
+  return is_connected(g, scratch);
+}
+
+DYNDISP_HOT
+bool is_connected(const Graph& g, BfsScratch& scratch) {
+  const std::size_t n = g.node_count();
+  if (n <= 1) return true;
+  scratch.seen.assign(n, 0);
+  scratch.order.resize(n);
+  // order[0, tail) holds every node reached so far, each once, and
+  // order[head, tail) is the frontier still to expand.
+  std::size_t head = 0, tail = 0;
+  scratch.seen[0] = 1;
+  scratch.order[tail++] = 0;
+  while (head < tail) {
+    for (const HalfEdge& he : g.incident(scratch.order[head++])) {
+      if (scratch.seen[he.to]) continue;
+      scratch.seen[he.to] = 1;
+      scratch.order[tail++] = he.to;
+    }
+  }
+  return tail == n;
 }
 
 std::vector<std::size_t> connected_components(const Graph& g) {

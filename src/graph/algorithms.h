@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -19,6 +20,18 @@ std::vector<std::size_t> bfs_distances(const Graph& g, NodeId source);
 
 /// True if the graph is connected (vacuously true for n <= 1).
 bool is_connected(const Graph& g);
+
+/// Storage for repeated connectivity checks, kept by callers that check a
+/// graph every round: the visited marks and the BFS order, both sized to n
+/// by the first check and reused after.
+struct BfsScratch {
+  std::vector<std::uint8_t> seen;
+  std::vector<NodeId> order;
+};
+
+/// is_connected over caller-kept scratch: a flat BFS that allocates
+/// nothing once the scratch has seen n nodes.
+bool is_connected(const Graph& g, BfsScratch& scratch);
 
 /// Connected components; returns component index per node (0-based,
 /// numbered by smallest contained node).

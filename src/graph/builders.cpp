@@ -5,179 +5,18 @@
 #include <functional>
 #include <numeric>
 #include <queue>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "util/contract.h"
 #include "util/parallel.h"
 
 namespace dyndisp::builders {
 
-Graph path(std::size_t n) {
-  assert(n >= 1);
-  Graph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
-}
-
-Graph cycle(std::size_t n) {
-  assert(n >= 3);
-  Graph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  g.add_edge(static_cast<NodeId>(n - 1), 0);
-  return g;
-}
-
-Graph star(std::size_t n) {
-  assert(n >= 1);
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
-}
-
-Graph complete(std::size_t n) {
-  assert(n >= 1);
-  Graph g(n);
-  for (NodeId u = 0; u < n; ++u)
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
-  return g;
-}
-
-Graph complete_bipartite(std::size_t a, std::size_t b) {
-  Graph g(a + b);
-  for (NodeId u = 0; u < a; ++u)
-    for (NodeId v = 0; v < b; ++v) g.add_edge(u, static_cast<NodeId>(a + v));
-  return g;
-}
-
-Graph grid(std::size_t rows, std::size_t cols) {
-  assert(rows >= 1 && cols >= 1);
-  Graph g(rows * cols);
-  auto id = [cols](std::size_t r, std::size_t c) {
-    return static_cast<NodeId>(r * cols + c);
-  };
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
-    }
-  }
-  return g;
-}
-
-Graph torus(std::size_t rows, std::size_t cols) {
-  assert(rows >= 3 && cols >= 3);
-  Graph g(rows * cols);
-  auto id = [cols](std::size_t r, std::size_t c) {
-    return static_cast<NodeId>(r * cols + c);
-  };
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      g.add_edge(id(r, c), id(r, (c + 1) % cols));
-      g.add_edge(id(r, c), id((r + 1) % rows, c));
-    }
-  }
-  return g;
-}
-
-Graph hypercube(std::size_t d) {
-  assert(d >= 1 && d < 32);
-  const std::size_t n = std::size_t{1} << d;
-  Graph g(n);
-  for (NodeId v = 0; v < n; ++v) {
-    for (std::size_t bit = 0; bit < d; ++bit) {
-      const NodeId u = v ^ static_cast<NodeId>(1u << bit);
-      if (v < u) g.add_edge(v, u);
-    }
-  }
-  return g;
-}
-
-Graph binary_tree(std::size_t n) {
-  assert(n >= 1);
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge((v - 1) / 2, v);
-  return g;
-}
-
-Graph lollipop(std::size_t m, std::size_t p) {
-  assert(m >= 1);
-  Graph g(m + p);
-  for (NodeId u = 0; u < m; ++u)
-    for (NodeId v = u + 1; v < m; ++v) g.add_edge(u, v);
-  for (std::size_t i = 0; i < p; ++i) {
-    const NodeId tail = static_cast<NodeId>(m + i);
-    g.add_edge(tail == m ? static_cast<NodeId>(m - 1) : tail - 1, tail);
-  }
-  return g;
-}
-
-Graph random_tree(std::size_t n, Rng& rng) {
-  assert(n >= 1);
-  Graph g(n);
-  if (n == 1) return g;
-  if (n == 2) {
-    g.add_edge(0, 1);
-    return g;
-  }
-  // Decode a uniformly random Prufer sequence: repeatedly join the smallest
-  // remaining leaf to the next sequence element.
-  std::vector<NodeId> prufer(n - 2);
-  for (auto& x : prufer) x = static_cast<NodeId>(rng.below(n));
-  std::vector<std::size_t> deg(n, 1);
-  for (NodeId x : prufer) ++deg[x];
-  // deg[v] is exactly v's final tree degree, so every adjacency list can be
-  // sized once up front instead of growing through add_edge.
-  for (NodeId v = 0; v < n; ++v) g.reserve_ports(v, deg[v]);
-  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> leaves;
-  for (NodeId v = 0; v < n; ++v)
-    if (deg[v] == 1) leaves.push(v);
-  for (NodeId x : prufer) {
-    const NodeId leaf = leaves.top();
-    leaves.pop();
-    g.add_edge(leaf, x);
-    if (--deg[x] == 1) leaves.push(x);
-  }
-  const NodeId a = leaves.top();
-  leaves.pop();
-  const NodeId b = leaves.top();
-  g.add_edge(a, b);
-  return g;
-}
-
-Graph random_connected(std::size_t n, std::size_t extra_edges, Rng& rng) {
-  Graph g = random_tree(n, rng);
-  const std::size_t max_edges = n * (n - 1) / 2;
-  std::size_t budget = std::min(extra_edges, max_edges - g.edge_count());
-  std::size_t attempts = 0;
-  const std::size_t attempt_cap = 50 * (budget + 1) + 100;
-  while (budget > 0 && attempts++ < attempt_cap) {
-    const NodeId u = static_cast<NodeId>(rng.below(n));
-    const NodeId v = static_cast<NodeId>(rng.below(n));
-    if (u == v || g.has_edge(u, v)) continue;
-    g.add_edge(u, v);
-    --budget;
-  }
-  // Fall back to a deterministic sweep when rejection sampling stalls
-  // (dense graphs): add the lexicographically first missing edges.
-  if (budget > 0) {
-    for (NodeId u = 0; u < n && budget > 0; ++u)
-      for (NodeId v = u + 1; v < n && budget > 0; ++v)
-        if (!g.has_edge(u, v)) {
-          g.add_edge(u, v);
-          --budget;
-        }
-  }
-  return g;
-}
-
-Graph random_connected_p(std::size_t n, double p, Rng& rng) {
-  Graph g = random_tree(n, rng);
-  for (NodeId u = 0; u < n; ++u)
-    for (NodeId v = u + 1; v < n; ++v)
-      if (!g.has_edge(u, v) && rng.chance(p)) g.add_edge(u, v);
-  return g;
-}
-
 namespace {
+
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
 /// Open-addressing membership over canonical (min<<32|max) edge keys; the
 /// key is never the empty sentinel because min < max forces the high word
@@ -187,6 +26,14 @@ constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 std::uint64_t edge_key(std::uint32_t u, std::uint32_t v) {
   if (u > v) std::swap(u, v);
   return (static_cast<std::uint64_t>(u) << 32) | v;
+}
+
+/// Empties `table` and sizes it to a power of two that keeps the load
+/// factor of `max_keys` keys at or below 1/2, reusing its storage.
+void table_reset(std::vector<std::uint64_t>& table, std::size_t max_keys) {
+  std::size_t size = 1;
+  while (size < 2 * (max_keys + 1)) size <<= 1;
+  table.assign(size, kEmptySlot);
 }
 
 /// Inserts `key`; false when already present. `table` is a power of two.
@@ -201,7 +48,196 @@ bool table_insert(std::vector<std::uint64_t>& table, std::uint64_t key) {
   return true;
 }
 
+bool table_contains(const std::vector<std::uint64_t>& table,
+                    std::uint64_t key) {
+  const std::size_t mask = table.size() - 1;
+  for (std::size_t h = fp_mix(key) & mask; table[h] != kEmptySlot;
+       h = (h + 1) & mask)
+    if (table[h] == key) return true;
+  return false;
+}
+
+/// Appends the edges of a uniform random labeled tree on n >= 1 nodes, in
+/// the order random_tree numbers their ports: a random Prüfer sequence
+/// decoded by repeatedly joining the smallest remaining leaf to the next
+/// sequence element.
+void random_tree_edges(std::size_t n, Rng& rng, EdgeList& edges) {
+  if (n == 1) return;
+  if (n == 2) {
+    edges.emplace_back(0, 1);
+    return;
+  }
+  std::vector<NodeId> prufer(n - 2);
+  for (auto& x : prufer) x = static_cast<NodeId>(rng.below(n));
+  std::vector<std::size_t> deg(n, 1);
+  for (NodeId x : prufer) ++deg[x];
+  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> leaves;
+  for (NodeId v = 0; v < n; ++v)
+    if (deg[v] == 1) leaves.push(v);
+  for (NodeId x : prufer) {
+    const NodeId leaf = leaves.top();
+    leaves.pop();
+    edges.emplace_back(leaf, x);
+    if (--deg[x] == 1) leaves.push(x);
+  }
+  const NodeId a = leaves.top();
+  leaves.pop();
+  edges.emplace_back(a, leaves.top());
+}
+
 }  // namespace
+
+Graph path(std::size_t n) {
+  assert(n >= 1);
+  EdgeList edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  return Graph::from_edges(n, edges);
+}
+
+Graph cycle(std::size_t n) {
+  assert(n >= 3);
+  EdgeList edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  edges.emplace_back(static_cast<NodeId>(n - 1), 0);
+  return Graph::from_edges(n, edges);
+}
+
+Graph star(std::size_t n) {
+  assert(n >= 1);
+  EdgeList edges;
+  for (NodeId v = 1; v < n; ++v) edges.emplace_back(0, v);
+  return Graph::from_edges(n, edges);
+}
+
+Graph complete(std::size_t n) {
+  assert(n >= 1);
+  EdgeList edges;
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+  return Graph::from_edges(n, edges);
+}
+
+Graph complete_bipartite(std::size_t a, std::size_t b) {
+  EdgeList edges;
+  for (NodeId u = 0; u < a; ++u)
+    for (NodeId v = 0; v < b; ++v)
+      edges.emplace_back(u, static_cast<NodeId>(a + v));
+  return Graph::from_edges(a + b, edges);
+}
+
+Graph grid(std::size_t rows, std::size_t cols) {
+  assert(rows >= 1 && cols >= 1);
+  auto id = [cols](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * cols + c);
+  };
+  EdgeList edges;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) edges.emplace_back(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
+    }
+  }
+  return Graph::from_edges(rows * cols, edges);
+}
+
+Graph torus(std::size_t rows, std::size_t cols) {
+  assert(rows >= 3 && cols >= 3);
+  auto id = [cols](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * cols + c);
+  };
+  EdgeList edges;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      edges.emplace_back(id(r, c), id(r, (c + 1) % cols));
+      edges.emplace_back(id(r, c), id((r + 1) % rows, c));
+    }
+  }
+  return Graph::from_edges(rows * cols, edges);
+}
+
+Graph hypercube(std::size_t d) {
+  assert(d >= 1 && d < 32);
+  const std::size_t n = std::size_t{1} << d;
+  EdgeList edges;
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::size_t bit = 0; bit < d; ++bit) {
+      const NodeId u = v ^ static_cast<NodeId>(1u << bit);
+      if (v < u) edges.emplace_back(v, u);
+    }
+  }
+  return Graph::from_edges(n, edges);
+}
+
+Graph binary_tree(std::size_t n) {
+  assert(n >= 1);
+  EdgeList edges;
+  for (NodeId v = 1; v < n; ++v) edges.emplace_back((v - 1) / 2, v);
+  return Graph::from_edges(n, edges);
+}
+
+Graph lollipop(std::size_t m, std::size_t p) {
+  assert(m >= 1);
+  EdgeList edges;
+  for (NodeId u = 0; u < m; ++u)
+    for (NodeId v = u + 1; v < m; ++v) edges.emplace_back(u, v);
+  for (std::size_t i = 0; i < p; ++i) {
+    const NodeId tail = static_cast<NodeId>(m + i);
+    edges.emplace_back(tail == m ? static_cast<NodeId>(m - 1) : tail - 1,
+                       tail);
+  }
+  return Graph::from_edges(m + p, edges);
+}
+
+Graph random_tree(std::size_t n, Rng& rng) {
+  assert(n >= 1);
+  EdgeList edges;
+  random_tree_edges(n, rng, edges);
+  return Graph::from_edges(n, edges);
+}
+
+Graph random_connected(std::size_t n, std::size_t extra_edges, Rng& rng) {
+  assert(n >= 1);
+  EdgeList edges;
+  random_tree_edges(n, rng, edges);
+  const std::size_t max_edges = n * (n - 1) / 2;
+  std::size_t budget = std::min(extra_edges, max_edges - edges.size());
+  std::vector<std::uint64_t> table;
+  table_reset(table, edges.size() + budget);
+  for (const auto& [u, v] : edges) table_insert(table, edge_key(u, v));
+  std::size_t attempts = 0;
+  const std::size_t attempt_cap = 50 * (budget + 1) + 100;
+  while (budget > 0 && attempts++ < attempt_cap) {
+    const NodeId u = static_cast<NodeId>(rng.below(n));
+    const NodeId v = static_cast<NodeId>(rng.below(n));
+    if (u == v || !table_insert(table, edge_key(u, v))) continue;
+    edges.emplace_back(u, v);
+    --budget;
+  }
+  // Fall back to a deterministic sweep when rejection sampling stalls
+  // (dense graphs): add the lexicographically first missing edges.
+  for (NodeId u = 0; u < n && budget > 0; ++u)
+    for (NodeId v = u + 1; v < n && budget > 0; ++v)
+      if (table_insert(table, edge_key(u, v))) {
+        edges.emplace_back(u, v);
+        --budget;
+      }
+  return Graph::from_edges(n, edges);
+}
+
+Graph random_connected_p(std::size_t n, double p, Rng& rng) {
+  assert(n >= 1);
+  EdgeList edges;
+  random_tree_edges(n, rng, edges);
+  std::vector<std::uint64_t> tree;
+  table_reset(tree, edges.size());
+  for (const auto& [u, v] : edges) table_insert(tree, edge_key(u, v));
+  // Each pair is visited once, so only the tree's edges can already exist.
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v)
+      if (!table_contains(tree, edge_key(u, v)) && rng.chance(p))
+        edges.emplace_back(u, v);
+  return Graph::from_edges(n, edges);
+}
 
 DYNDISP_HOT
 void random_connected_counter(std::size_t n, std::size_t extra_edges,
@@ -211,7 +247,7 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
   assert(n >= 1);
   if (n == 1) {
     // No Prüfer sequence and no edge: the lone node is the whole graph.
-    out.reset_assembly(1);
+    out.assign_edges(1, {});
     return;
   }
   const CounterRng base(seed, draw);
@@ -272,12 +308,7 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
   //    through one open-addressing table (load factor <= 1/2, recycled
   //    across rounds) instead of per-attempt adjacency scans. Each attempt
   //    consumes exactly two indexed draws, accepted or not.
-  std::size_t table_size = 1;
-  while (table_size < 2 * (m_target + 1)) table_size <<= 1;
-  if (s.table.size() != table_size)
-    s.table.assign(table_size, kEmptySlot);
-  else
-    std::fill(s.table.begin(), s.table.end(), kEmptySlot);
+  table_reset(s.table, m_target);
   for (std::size_t e = 0; e < n - 1; ++e)
     table_insert(s.table, edge_key(s.eu[e], s.ev[e]));
   std::size_t attempts = 0;
@@ -304,64 +335,59 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
         --budget;
       }
 
-  // 4. Incidence CSR over final degrees; canonical slot order at every node
-  //    is edge-id order, the anchor the port permutation shuffles from.
-  //    Each edge records the slot of both its sides, so the port passes
-  //    below read ports straight off the slots.
+  // 4. The graph's own row offsets over final degrees, written straight
+  //    into `out`, and every edge's two sides staged at their canonical
+  //    slots (edge-id order at every node, the anchor the port permutation
+  //    shuffles from), each holding the twin side's slot.
   s.deg.assign(n, 0);
   for (std::size_t e = 0; e < m; ++e) {
     ++s.deg[s.eu[e]];
     ++s.deg[s.ev[e]];
   }
-  s.offsets.resize(n + 1);
-  s.offsets[0] = 0;
-  for (std::size_t v = 0; v < n; ++v) s.offsets[v + 1] = s.offsets[v] + s.deg[v];
-  s.cursor.assign(s.offsets.begin(), s.offsets.end() - 1);
-  s.inc.resize(2 * m);
-  s.su.resize(m);
-  s.sv.resize(m);
+  const auto [off, slots] = out.begin_assembly(n, 2 * m);
+  off[0] = 0;
+  for (std::size_t v = 0; v < n; ++v) off[v + 1] = off[v] + s.deg[v];
+  s.cursor.assign(off.begin(), off.end() - 1);
+  s.staged.resize(2 * m);
   for (std::size_t e = 0; e < m; ++e) {
-    s.su[e] = s.cursor[s.eu[e]]++;
-    s.sv[e] = s.cursor[s.ev[e]]++;
-    s.inc[s.su[e]] = static_cast<std::uint32_t>(e);
-    s.inc[s.sv[e]] = static_cast<std::uint32_t>(e);
+    const std::uint32_t su = s.cursor[s.eu[e]]++;
+    const std::uint32_t sv = s.cursor[s.ev[e]]++;
+    s.staged[su] = HalfEdge{s.ev[e], static_cast<Port>(sv)};
+    s.staged[sv] = HalfEdge{s.eu[e], static_cast<Port>(su)};
   }
 
   // 5. Per-node Fisher-Yates port permutation from the node's forked
-  //    stream, written into each node's own CSR segment only (lanes write
+  //    stream, written into each node's own row of slots only (lanes write
   //    disjoint contiguous ranges, never a shared line but at a boundary).
   s.slot_port.resize(2 * m);
   parallel_for(pool, n, [&](std::size_t v) {
-    const std::size_t off = s.offsets[v];
-    const std::size_t d = s.offsets[v + 1] - off;
-    Port* seg = s.slot_port.data() + off;
+    const std::size_t d = off[v + 1] - off[v];
+    Port* seg = s.slot_port.data() + off[v];
     for (std::size_t i = 0; i < d; ++i) seg[i] = static_cast<Port>(i + 1);
     const CounterRng node = port_rng.fork(v);
     for (std::size_t j = d; j > 1; --j)
       std::swap(seg[j - 1], seg[node.below(j, j)]);
   });
 
-  // 6. Row fill (needs both sides' ports, hence the barrier between the
-  //    passes) straight into the recycled adjacency rows, then one XOR
-  //    sweep for the fingerprint.
-  out.reset_assembly(n);
+  // 6. Row fill (it reads the twin's port from another row, hence the
+  //    barrier after step 5): each staged side lands in its own row at its
+  //    port, carrying its twin's port. One fan-out, row-local writes.
   parallel_for(pool, n, [&](std::size_t v) {
-    const std::size_t off = s.offsets[v];
-    const std::size_t d = s.offsets[v + 1] - off;
-    std::vector<HalfEdge>& row = out.assembly_row(static_cast<NodeId>(v));
-    row.resize(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      const std::uint32_t e = s.inc[off + i];
-      const bool at_u = s.eu[e] == v;
-      const NodeId to = at_u ? s.ev[e] : s.eu[e];
-      const Port back = s.slot_port[at_u ? s.sv[e] : s.su[e]];
-      row[s.slot_port[off + i] - 1] = HalfEdge{to, back};
+    HalfEdge* row = slots.data() + off[v];
+    for (std::size_t i = off[v]; i < off[v + 1]; ++i) {
+      const HalfEdge side = s.staged[i];
+      row[s.slot_port[i] - 1] =
+          HalfEdge{side.to, s.slot_port[side.reverse_port]};
     }
   });
+  // One sequential sweep for the fingerprint, each edge once.
   std::uint64_t fp = 0;
-  for (std::size_t e = 0; e < m; ++e)
-    fp ^= fp_edge_term(s.eu[e], s.ev[e], s.slot_port[s.su[e]],
-                       s.slot_port[s.sv[e]]);
+  for (std::size_t v = 0; v < n; ++v)
+    for (std::size_t i = off[v]; i < off[v + 1]; ++i)
+      if (v < slots[i].to)
+        fp ^= fp_edge_term(static_cast<NodeId>(v), slots[i].to,
+                           static_cast<Port>(i - off[v] + 1),
+                           slots[i].reverse_port);
   out.commit_assembly(m, fp);
 }
 

@@ -65,11 +65,10 @@ struct CounterBuildScratch {
   std::vector<std::uint32_t> prufer;
   std::vector<std::uint32_t> deg;      ///< Final degree per node.
   std::vector<std::uint32_t> eu, ev;   ///< Edge endpoints (tree then chords).
-  std::vector<std::uint32_t> offsets;  ///< CSR incidence offsets (n + 1).
-  std::vector<std::uint32_t> cursor;   ///< CSR fill cursors.
-  std::vector<std::uint32_t> inc;      ///< CSR incident edge ids (2m).
-  std::vector<std::uint32_t> su, sv;   ///< Each edge side's CSR slot.
-  std::vector<Port> slot_port;         ///< Shuffled port per incidence slot.
+  std::vector<std::uint32_t> cursor;   ///< Row fill cursors.
+  /// Each edge side at its canonical slot: {neighbor, twin's slot} (2m).
+  std::vector<HalfEdge> staged;
+  std::vector<Port> slot_port;         ///< Shuffled port per slot (2m).
   std::vector<std::uint64_t> table;    ///< Open-addressing edge membership.
 };
 

@@ -2,7 +2,7 @@
 //
 // The fingerprint is an XOR of one mixed term per edge (a commutative
 // accumulator), finalized with the node count, so Graph can maintain it
-// INCREMENTALLY through every mutator: add/remove/rewire touch O(deg)
+// INCREMENTALLY through every mutator: add/remove/permute touch O(deg)
 // terms, and reading the fingerprint is O(1). Two graphs with equal edge
 // sets and equal port labelings always produce equal fingerprints; unequal
 // graphs collide with probability ~2^-64 per pair. Consumers that need a

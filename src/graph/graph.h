@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,12 +35,24 @@ struct HalfEdge {
 /// `half_edge(v, p)` resolves port p. The class maintains the invariant that
 /// reverse ports are consistent: if half_edge(v, p) == {u, q} then
 /// half_edge(u, q) == {v, p}.
+///
+/// Storage is compressed sparse rows: one (n + 1)-entry offset array and one
+/// array of 2m half-edges, where node v's row -- its half-edges in port
+/// order -- is [offsets[v], offsets[v + 1]). The adversaries emit a fresh
+/// graph every round, so a Graph that is refilled in place (assign_edges,
+/// the bulk assembly below, copy-assignment) reuses both arrays' capacity
+/// and a warm refill allocates nothing. Inserting or deleting one edge
+/// shifts every later row: add_edge and remove_edge are O(n + m), for tests,
+/// tools and mutation-based adversaries; builders assemble whole graphs.
 class Graph {
  public:
+  /// Offset of a row into the half-edge array; 2m must fit.
+  using Offset = std::uint32_t;
+
   Graph() = default;
 
   /// Creates an edgeless graph with `n` nodes.
-  explicit Graph(std::size_t n) : adj_(n) {}
+  explicit Graph(std::size_t n) : offsets_(n + 1, 0) {}
 
   /// Builds a graph from an edge list; ports are assigned in list order
   /// (the i-th edge incident to v gets port i+1 at v).
@@ -52,26 +65,35 @@ class Graph {
   /// endpoints -- the exact inverse of edges(), so a graph whose ports were
   /// shuffled round-trips bit-identically (scripted-adversary replay relies
   /// on this). Throws std::invalid_argument when the list is not a valid
-  /// port-labeled simple graph (duplicate/missing ports, self-loops,
-  /// out-of-range endpoints).
+  /// port-labeled simple graph (duplicate/missing ports, a port above its
+  /// endpoint's edge count, self-loops, parallel edges, out-of-range
+  /// endpoints, n beyond NodeId). Ports are checked against their
+  /// endpoint's edge count before any row is sized, so a hostile port
+  /// number costs no memory.
   static Graph from_port_edges(std::size_t n, const std::vector<Edge>& edges);
 
-  std::size_t node_count() const { return adj_.size(); }
+  std::size_t node_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
   std::size_t edge_count() const { return edge_count_; }
 
-  std::size_t degree(NodeId v) const { return adj_[v].size(); }
+  std::size_t degree(NodeId v) const { return offsets_[v + 1] - offsets_[v]; }
 
   /// Maximum degree over all nodes (Delta_r in the paper); 0 if edgeless.
   std::size_t max_degree() const;
 
   /// Resolves port `p` in [1, degree(v)] at node `v`.
-  const HalfEdge& half_edge(NodeId v, Port p) const { return adj_[v][p - 1]; }
+  const HalfEdge& half_edge(NodeId v, Port p) const {
+    return half_[offsets_[v] + p - 1];
+  }
 
   /// The neighbor reached from `v` via port `p`.
   NodeId neighbor(NodeId v, Port p) const { return half_edge(v, p).to; }
 
   /// All incident half-edges of `v`, indexed by port-1.
-  const std::vector<HalfEdge>& incident(NodeId v) const { return adj_[v]; }
+  std::span<const HalfEdge> incident(NodeId v) const {
+    return {half_.data() + offsets_[v], degree(v)};
+  }
 
   /// True if {u, v} is an edge (linear scan; graphs here are sparse).
   bool has_edge(NodeId u, NodeId v) const;
@@ -80,30 +102,21 @@ class Graph {
   Port port_to(NodeId u, NodeId v) const;
 
   /// Adds the edge {u, v}; returns the (port at u, port at v) pair.
-  /// Requires u != v and that the edge is not already present.
+  /// Requires u != v and that the edge is not already present. O(n + m).
   std::pair<Port, Port> add_edge(NodeId u, NodeId v);
-
-  /// Capacity hint: pre-sizes `v`'s adjacency for `degree` incident edges.
-  /// Purely an allocation optimization for builders that know final degrees
-  /// up front (adversaries regenerate a graph every round, so the growth
-  /// reallocations of plain add_edge dominate generation at n >= 10^5).
-  void reserve_ports(NodeId v, std::size_t degree) {
-    adj_[v].reserve(degree);
-  }
 
   /// Removes the edge {u, v} if present, compacting port labels so they stay
   /// contiguous (the ports of later edges shift down by one at each
-  /// endpoint). Returns true if an edge was removed.
+  /// endpoint). Returns true if an edge was removed. O(n + m).
   bool remove_edge(NodeId u, NodeId v);
 
-  /// Replaces the edge {u, v} with the two edges {u, x} and {v, y} while
-  /// keeping the port layout at u and v intact: the port that led from u to v
-  /// now leads to x, and the port that led from v to u now leads to y. The
-  /// new half-edges at x and y are appended (highest ports). This is the
-  /// surgical rewiring used by the Theorem 2 clique-trap adversary, which
-  /// must not disturb any port a robot could have planned to use.
-  /// Requires {u, v} present, {u, x} and {v, y} absent, x != u, y != v.
-  void rewire_edge(NodeId u, NodeId v, NodeId x, NodeId y);
+  /// Replaces the whole graph by `n` nodes and `edges`, numbering ports in
+  /// list order exactly as from_edges does, into the recycled arrays. The
+  /// model's contract (endpoints in range, no self-loop, no parallel edge)
+  /// is asserted at add_edge's per-edge cost. Every per-round emitter that
+  /// builds from an edge list goes through here.
+  void assign_edges(std::size_t n,
+                    std::span<const std::pair<NodeId, NodeId>> edges);
 
   /// Randomly permutes the port labels of every node. Models the adversary's
   /// freedom to choose arbitrary port numberings each round.
@@ -120,7 +133,7 @@ class Graph {
 
   /// Applies an explicit port permutation at node `v`: `perm[i]` is the new
   /// 0-based position of the half-edge currently at 0-based position i.
-  /// `perm` must be a permutation of [0, degree(v)).
+  /// `perm` must be a permutation of [0, degree(v)). O(degree(v)).
   void permute_ports(NodeId v, const std::vector<std::size_t>& perm);
 
   /// permute_ports with caller-owned scratch: callers that permute many
@@ -145,19 +158,23 @@ class Graph {
 
   /// -- Bulk assembly (trusted deterministic builders only) ----------------
   ///
-  /// The flat counter-based builders assemble every adjacency row and the
-  /// edge fingerprint themselves (possibly across threads), then commit the
-  /// aggregate counters in one step -- the incremental bookkeeping of
-  /// add_edge would serialize them. reset_assembly() sizes the graph to `n`
-  /// nodes and clears every row WITHOUT releasing row capacity, so a
-  /// regenerating adversary that recycles one Graph re-fills rows in place.
-  /// Writers fill rows via assembly_row() (row[p-1] = {neighbor, reverse
-  /// port}); commit_assembly() then installs the caller-computed edge count
-  /// and XOR-of-fp_edge_term fingerprint. Debug builds re-validate the
-  /// invariants; release builds trust the builder (the conformance suite
-  /// pins builder output against the incremental path).
-  void reset_assembly(std::size_t n);
-  std::vector<HalfEdge>& assembly_row(NodeId v) { return adj_[v]; }
+  /// Builders that know every degree up front (the counter-based random
+  /// graph, the dynamic ring) write the two arrays themselves, possibly
+  /// across threads, and commit the aggregate counters in one step.
+  /// begin_assembly(n, half_edges) sizes the graph to `n` nodes and
+  /// `half_edges` slots, keeping both arrays' capacity, and hands both
+  /// arrays to the caller, who fills every entry: offsets[0] = 0,
+  /// non-decreasing, offsets[n] = half_edges, and port p of node v in
+  /// slots[offsets[v] + p - 1] = {neighbor, reverse port}.
+  /// commit_assembly() installs the caller-computed edge count and
+  /// XOR-of-fp_edge_term fingerprint and asserts validate() (asserts are on
+  /// in every build, so this pays one extra validation per assembled
+  /// graph).
+  struct Assembly {
+    std::span<Offset> offsets;
+    std::span<HalfEdge> slots;
+  };
+  Assembly begin_assembly(std::size_t n, std::size_t half_edges);
   void commit_assembly(std::size_t edge_count, std::uint64_t fp_edges);
 
   /// Deterministic 64-bit structural fingerprint of the port-labeled edge
@@ -165,7 +182,8 @@ class Graph {
   /// incrementally by every mutator, so this is O(1). Equal graphs always
   /// have equal fingerprints; the converse holds up to ~2^-64 collisions.
   std::uint64_t fingerprint() const {
-    return fp_mix(fp_edges_ ^ fp_mix(static_cast<std::uint64_t>(adj_.size())));
+    return fp_mix(fp_edges_ ^
+                  fp_mix(static_cast<std::uint64_t>(node_count())));
   }
 
   /// The structural difference against `prev` (typically last round's
@@ -180,21 +198,21 @@ class Graph {
   bool changed_nodes_into(const Graph& prev, std::vector<NodeId>& out,
                           std::size_t cap) const;
 
-  /// Verifies internal consistency (reverse ports, contiguity, simplicity).
-  /// Returns an empty string when valid, else a description of the violation.
+  /// Verifies internal consistency (reverse ports, simplicity, the edge
+  /// count); contiguity holds by construction. Returns an empty string when
+  /// valid, else a description of the violation.
   std::string validate() const;
 
-  bool operator==(const Graph& other) const {
-    return adj_ == other.adj_;
-  }
+  bool operator==(const Graph& other) const;
 
  private:
-  std::vector<std::vector<HalfEdge>> adj_;
+  /// Row bounds: node v's half-edges are half_[offsets_[v], offsets_[v+1]).
+  /// Empty (not {0}) only for a default-constructed or moved-from graph.
+  std::vector<Offset> offsets_;
+  std::vector<HalfEdge> half_;
   std::size_t edge_count_ = 0;
   /// XOR of fp_edge_term over all edges; folded into fingerprint().
   std::uint64_t fp_edges_ = 0;
-
-  friend bool operator==(const HalfEdge&, const HalfEdge&);
 };
 
 inline bool operator==(const HalfEdge& a, const HalfEdge& b) {

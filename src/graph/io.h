@@ -20,8 +20,8 @@ std::string to_dot(const Graph& g,
 std::string to_edge_list(const Graph& g);
 
 /// Parses the to_edge_list format. Throws std::invalid_argument on
-/// malformed input (bad counts, out-of-range endpoints, self-loops,
-/// duplicate edges).
+/// malformed input (bad counts, n beyond NodeId, out-of-range endpoints,
+/// self-loops, duplicate edges); edge storage is bounded by the text left.
 Graph from_edge_list(const std::string& text);
 
 }  // namespace dyndisp

@@ -315,7 +315,7 @@ RunResult Engine::run() {
       ++res.stats.graph_reuses;
     } else {
       // Double-buffered emission: the adversary refills the round-before-
-      // last's Graph in place (next_graph_into recycles its rows), and a
+      // last's Graph in place (next_graph_into recycles its arrays), and a
       // swap promotes it -- no per-round Graph allocation in steady state.
       adversary_.next_graph_into(r, conf_, scratch_graph_);
       const Graph& g = scratch_graph_;
@@ -345,7 +345,8 @@ RunResult Engine::run() {
       // re-derive the same verdict.
       ++res.stats.validations_skipped;
     } else if (std::string err =
-                   validate_round_graph(graph_, conf_.node_count());
+                   validate_round_graph(graph_, conf_.node_count(),
+                                        validate_scratch_);
                !err.empty()) {
       round_ctx_ = nullptr;
       throw InvariantViolation(r, "round-graph",

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
+#include "graph/algorithms.h"
 #include "robots/configuration.h"
 #include "sim/algorithm.h"
 #include "sim/byzantine.h"
@@ -287,12 +288,14 @@ class Engine {
   RoundContext ctx_;
   Graph graph_;
   /// Double buffer for adversary emission: next_graph_into fills this (the
-  /// round-before-last's graph, whose row capacities regenerating
-  /// adversaries recycle) and a swap promotes it to graph_.
+  /// round-before-last's graph, whose arrays regenerating adversaries
+  /// refill in place) and a swap promotes it to graph_.
   Graph scratch_graph_;
   bool have_graph_ = false;
   bool graph_validated_ = false;
   std::uint64_t validated_fp_ = 0;
+  /// The round-graph check's connectivity BFS storage, kept across rounds.
+  BfsScratch validate_scratch_;
   /// This round's graph-vs-last-round classification, stamped into the
   /// REAL round's hints (probes stay kUnknown: a candidate graph has no
   /// cross-round relation).

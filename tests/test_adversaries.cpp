@@ -223,6 +223,37 @@ TEST(ScriptedAdversary, ParseRejectsMalformedText) {
                std::invalid_argument);  // truncated edge list
 }
 
+// Hostile counts get a typed error before any large allocation: edge
+// storage is bounded by the text left, the node count by NodeId, and a port
+// by its endpoint's edge count.
+TEST(ScriptedAdversary, ParseRejectsEdgeCountTheTextCannotHold) {
+  EXPECT_THROW(ScriptedAdversary::parse_script("g 3 99999999999999"),
+               std::invalid_argument);
+}
+
+TEST(ScriptedAdversary, ParseRejectsNodeCountBeyondNodeId) {
+  EXPECT_THROW(ScriptedAdversary::parse_script("g 99999999999999 0"),
+               std::invalid_argument);
+}
+
+TEST(ScriptedAdversary, ParseRejectsPortAboveEdgeCount) {
+  EXPECT_THROW(ScriptedAdversary::parse_script("g 3 1\n0 1 10000000 1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(ScriptedAdversary::parse_script("g 2 1\n0 1 4000000000 1\n"),
+               std::invalid_argument);
+}
+
+// A shrunk round-graph violation replays a disconnected graph, so the
+// parser accepts one; the engine's round-graph check is what rejects it.
+TEST(ScriptedAdversary, ParseKeepsDisconnectedGraphs) {
+  const std::vector<Graph> parsed =
+      ScriptedAdversary::parse_script("g 3 1\n0 1 1 1\n");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].edge_count(), 1u);
+  EXPECT_NE(validate_round_graph(parsed[0], 3).find("not connected"),
+            std::string::npos);
+}
+
 TEST(ChurnAdversary, PreservesEdgeCountApproximately) {
   Rng rng(3);
   const Graph initial = builders::random_connected(15, 10, rng);

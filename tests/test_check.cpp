@@ -9,6 +9,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/scheduler.h"
 #include "check/differential.h"
@@ -298,9 +300,10 @@ class LateDisconnectAdversary final : public Adversary {
       return;
     }
     const std::size_t n = node_count();
-    out.reset_assembly(n);
-    for (NodeId v = 1; v < n / 2; ++v) out.add_edge(v - 1, v);
-    for (NodeId v = n / 2 + 1; v < n; ++v) out.add_edge(v - 1, v);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId v = 1; v < n / 2; ++v) edges.emplace_back(v - 1, v);
+    for (NodeId v = n / 2 + 1; v < n; ++v) edges.emplace_back(v - 1, v);
+    out.assign_edges(n, edges);
   }
 
  private:

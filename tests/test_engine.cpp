@@ -195,6 +195,40 @@ TEST(Engine, MaxRoundsStopsNonTerminatingRun) {
   EXPECT_EQ(r.stalled_rounds, 17u);
 }
 
+// Emits one fixed graph and counts the emissions asked of it.
+class CountingAdversary final : public Adversary {
+ public:
+  explicit CountingAdversary(Graph g) : graph_(std::move(g)) {}
+  std::string name() const override { return "counting"; }
+  std::size_t node_count() const override { return graph_.node_count(); }
+  void next_graph_into(Round, const Configuration&, Graph& out) override {
+    ++calls;
+    out = graph_;
+  }
+  std::size_t calls = 0;
+
+ private:
+  Graph graph_;
+};
+
+// A zero round budget plays no round: no graph is asked for, no observer
+// fires, and an undispersed start stays undispersed.
+TEST(Engine, ZeroMaxRoundsRunsNoRound) {
+  CountingAdversary adv(builders::path(3));
+  EngineOptions opt;
+  opt.max_rounds = 0;
+  std::size_t observed = 0;
+  opt.on_round = [&observed](const RoundSnapshot&) { ++observed; };
+  Engine engine(adv, placement::rooted(3, 2), core::dispersion_factory(), opt);
+  const RunResult r = engine.run();
+  EXPECT_FALSE(r.dispersed);
+  EXPECT_EQ(r.rounds, 0u);
+  EXPECT_EQ(adv.calls, 0u);
+  EXPECT_EQ(observed, 0u);
+  EXPECT_EQ(r.packets_sent, 0u);
+  EXPECT_EQ(r.total_moves, 0u);
+}
+
 TEST(Engine, StalledRoundsZeroForAlgorithmFour) {
   RandomAdversary adv(10, 4, 3);
   EngineOptions opt;

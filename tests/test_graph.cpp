@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
+#include "graph/builders.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -135,42 +138,17 @@ TEST(Graph, EdgesListsEachEdgeOnce) {
   }
 }
 
-TEST(Graph, RewireEdgePreservesPortLayout) {
-  // Clique on {0,1,2,3}; nodes 4,5 isolated targets.
-  Graph g(6);
-  for (NodeId u = 0; u < 4; ++u)
-    for (NodeId v = u + 1; v < 4; ++v) g.add_edge(u, v);
-  const Port p01_at0 = g.port_to(0, 1);
-  const Port p01_at1 = g.port_to(1, 0);
-  const std::size_t deg0 = g.degree(0), deg1 = g.degree(1);
-
-  g.rewire_edge(0, 1, 4, 5);
-
-  EXPECT_FALSE(g.has_edge(0, 1));
-  EXPECT_EQ(g.degree(0), deg0);  // same degree: one edge swapped in place
-  EXPECT_EQ(g.degree(1), deg1);
-  EXPECT_EQ(g.neighbor(0, p01_at0), 4u);  // the exact port now leads to 4
-  EXPECT_EQ(g.neighbor(1, p01_at1), 5u);
-  // Other ports at 0 and 1 untouched.
-  for (Port p = 1; p <= g.degree(0); ++p) {
-    if (p != p01_at0) {
-      EXPECT_LT(g.neighbor(0, p), 4u);
-    }
-  }
-  EXPECT_TRUE(g.validate().empty());
-  EXPECT_EQ(g.edge_count(), 7u);  // 6 - 1 + 2
-}
-
-TEST(Graph, RewireEdgeToSameTarget) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.rewire_edge(0, 1, 3, 3);  // both replacements land on node 3
-  EXPECT_TRUE(g.has_edge(0, 3));
-  EXPECT_TRUE(g.has_edge(1, 3));
-  EXPECT_EQ(g.degree(3), 2u);
-  EXPECT_TRUE(g.validate().empty());
+TEST(Graph, FromPortEdgesRejectsPortAboveEdgeCount) {
+  // Node 0 has one edge, so port 2 leaves a gap below it, and a port near
+  // 2^32 would ask for gigabytes if rows were sized by their highest port.
+  EXPECT_THROW(Graph::from_port_edges(2, {{0, 1, 2, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph::from_port_edges(2, {{0, 1, 4000000000u, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph::from_port_edges(3, {{0, 1, 1, 1}, {0, 2, 1, 1}}),
+               std::invalid_argument);  // duplicate port at node 0
+  EXPECT_THROW(Graph::from_port_edges(2, {{0, 1, 1, 1}, {1, 0, 2, 2}}),
+               std::invalid_argument);  // parallel edge
 }
 
 TEST(Graph, FromEdgesMatchesManualConstruction) {
@@ -179,6 +157,26 @@ TEST(Graph, FromEdgesMatchesManualConstruction) {
   b.add_edge(0, 1);
   b.add_edge(1, 2);
   EXPECT_EQ(a, b);
+}
+
+TEST(Graph, AssignEdgesRefillsAWarmGraphLikeAddEdge) {
+  // Shrinking, then growing, a recycled graph: each refill must equal the
+  // add_edge sequence over the same list, fingerprint included.
+  Graph g = builders::complete(6);
+  const std::vector<std::pair<NodeId, NodeId>> lists[] = {
+      {{2, 0}, {0, 1}, {3, 0}, {1, 2}},
+      {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {0, 7}, {2, 6}},
+      {}};
+  const std::size_t sizes[] = {4, 8, 3};
+  for (std::size_t i = 0; i < 3; ++i) {
+    g.assign_edges(sizes[i], lists[i]);
+    Graph manual(sizes[i]);
+    for (const auto& [u, v] : lists[i]) manual.add_edge(u, v);
+    EXPECT_EQ(g, manual) << "list " << i;
+    EXPECT_EQ(g.fingerprint(), manual.fingerprint()) << "list " << i;
+    EXPECT_EQ(g.edge_count(), lists[i].size());
+    EXPECT_TRUE(g.validate().empty()) << g.validate();
+  }
 }
 
 TEST(Graph, EqualityDetectsPortDifferences) {
@@ -247,9 +245,6 @@ TEST(GraphFingerprint, IncrementalMatchesRecomputeAcrossMutations) {
   g.permute_ports(0, {1, 0});
   EXPECT_EQ(g.fingerprint(), recomputed_fingerprint(g));
   g.shuffle_ports(rng);
-  EXPECT_EQ(g.fingerprint(), recomputed_fingerprint(g));
-
-  g.rewire_edge(2, 3, 7, 0);
   EXPECT_EQ(g.fingerprint(), recomputed_fingerprint(g));
   EXPECT_TRUE(g.validate().empty());
 }

@@ -110,6 +110,14 @@ TEST(GraphIo, EdgeListRejectsMalformed) {
   EXPECT_THROW(from_edge_list("2 1\n0 5\n"), std::invalid_argument);  // range
   EXPECT_THROW(from_edge_list("2 1\n1 1\n"), std::invalid_argument);  // loop
   EXPECT_THROW(from_edge_list("2 2\n0 1\n0 1\n"), std::invalid_argument);
+  // The same edge listed the other way round is a duplicate too.
+  EXPECT_THROW(from_edge_list("3 3\n0 1\n1 2\n1 0\n"),
+               std::invalid_argument);
+}
+
+TEST(GraphIo, EdgeListRejectsHostileCountsBeforeSizing) {
+  EXPECT_THROW(from_edge_list("99999999999999 0"), std::invalid_argument);
+  EXPECT_THROW(from_edge_list("3 99999999999999"), std::invalid_argument);
 }
 
 TEST(GraphIo, DotContainsNodesAndEdges) {

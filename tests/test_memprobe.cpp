@@ -17,6 +17,7 @@
 #include "core/dispersion.h"
 #include "core/planner.h"
 #include "dynamic/path_trap_adversary.h"
+#include "dynamic/random_adversary.h"
 #include "dynamic/ring_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "graph/builders.h"
@@ -255,6 +256,43 @@ TEST(Memprobe, ExchangedStatesAreExactAndWarmRoundsAllocateNothing) {
   EXPECT_EQ(log->checked, kRobots * kRobots * kRounds);
   EXPECT_EQ(log->mismatches, 0u);
   ASSERT_EQ(marks.size(), static_cast<std::size_t>(kRounds));
+  for (Round r = kWarmup; r < kRounds; ++r) {
+    EXPECT_EQ(marks[r] - marks[r - 1], 0u) << "allocation in round " << r;
+  }
+}
+
+// The same pin under full churn: RandomAdversary regenerates a fresh
+// connected graph every round into the engine's recycled Graph, and the
+// engine validates it, checks its connectivity and rebuilds the broadcast.
+// The round's graph has the same node and edge counts every round, so once
+// the offset and half-edge arrays, the builder's scratch and the BFS
+// scratch are warm, a round allocates nothing.
+TEST(Memprobe, RegeneratedGraphRoundsAreAllocationFree) {
+  constexpr std::size_t kRobots = 10000;
+  constexpr Round kRounds = 30;
+  constexpr Round kWarmup = 10;
+
+  RandomAdversary adv(kRobots, kRobots / 3, 11);
+  EngineOptions opt;
+  opt.max_rounds = kRounds;
+  opt.threads = 1;
+  std::vector<std::uint64_t> marks;  // allocation count after each round
+  marks.reserve(kRounds);
+  std::size_t changed_rounds = 0;
+  std::uint64_t last_fp = 0;
+  opt.on_round = [&](const RoundSnapshot& snap) {
+    marks.push_back(memprobe::allocation_count());
+    changed_rounds += snap.graph.fingerprint() != last_fp;
+    last_fp = snap.graph.fingerprint();
+  };
+  Engine engine(
+      adv, placement::rooted(kRobots, kRobots),
+      [](RobotId, std::size_t) { return std::make_unique<StayRobot>(); },
+      opt);
+  const RunResult res = engine.run();
+  ASSERT_FALSE(res.dispersed);
+  ASSERT_EQ(marks.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(changed_rounds, static_cast<std::size_t>(kRounds));
   for (Round r = kWarmup; r < kRounds; ++r) {
     EXPECT_EQ(marks[r] - marks[r - 1], 0u) << "allocation in round " << r;
   }
