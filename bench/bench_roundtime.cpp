@@ -106,13 +106,14 @@ constexpr std::size_t kSingleRepK = 1000000;
 /// is exact) and peak RSS at this scale is dominated by n-proportional
 /// state, so both are stable across machines, and only a real regression
 /// trips them, not noise. The RSS ceiling is ~2x the measured 74 MB. The
-/// allocation ceiling sits ~1.13x above the measured 187,120: one extra
-/// allocation per robot (252,655 in all) must trip it, as must graph rows
-/// allocated per node again (the per-node row layout measured 709,963), a
-/// planner workspace that stops reusing its buffers (6.1M), a reintroduced
-/// retained copy or a per-round allocation leak.
+/// allocation ceiling sits ~1.13x above the measured 691: a view fill that
+/// allocates per robot again must trip it (the per-robot empty-port
+/// vectors measured 187,120), as must graph rows allocated per node (the
+/// per-node row layout measured 709,963), a planner workspace that stops
+/// reusing its buffers (6.1M), a reintroduced retained copy or a per-round
+/// allocation leak.
 constexpr std::size_t kMegaSmokeK = 65536;
-constexpr std::uint64_t kMegaSmokeAllocCeiling = 212'000;
+constexpr std::uint64_t kMegaSmokeAllocCeiling = 780;
 constexpr double kMegaSmokeRssCeilingMb = 150;
 
 struct Row {

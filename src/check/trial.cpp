@@ -53,6 +53,9 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
   if (!doc.is_object())
     throw std::invalid_argument("trial config must be a JSON object");
   TrialConfig c;
+  // The script is parsed after every key is read: its node counts are
+  // bounded by the trial's n, and JSON member order is free.
+  const JsonValue* script = nullptr;
   for (const auto& [key, value] : doc.members()) {
     if (key == "algorithm") c.algorithm = value.as_string();
     else if (key == "adversary") c.adversary = value.as_string();
@@ -69,13 +72,14 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
     else if (key == "threads") c.threads = static_cast<std::size_t>(value.as_uint());
     else if (key == "max_rounds") c.max_rounds = value.as_uint();
     else if (key == "seed") c.seed = value.as_uint();
-    else if (key == "script")
-      c.script = ScriptedAdversary::parse_script(value.as_string());
+    else if (key == "script") script = &value;
     // Repro artifacts written before the engine became one path carry the
     // retired engine keys; true is accepted, false is a typed error.
     else if (!campaign::accept_retired_engine_key(key, value))
       throw std::invalid_argument("trial config: unknown key '" + key + "'");
   }
+  if (script != nullptr)
+    c.script = ScriptedAdversary::parse_script(script->as_string(), c.n);
   return c;
 }
 

@@ -49,7 +49,8 @@ std::string ScriptedAdversary::serialize_script(
   return os.str();
 }
 
-std::vector<Graph> ScriptedAdversary::parse_script(const std::string& text) {
+std::vector<Graph> ScriptedAdversary::parse_script(const std::string& text,
+                                                   std::size_t max_nodes) {
   // The shortest edge line, "0 1 1 1" and one separator: the text left
   // after a header bounds how many edges it can still hold.
   constexpr std::size_t kMinEdgeChars = 8;
@@ -64,11 +65,15 @@ std::vector<Graph> ScriptedAdversary::parse_script(const std::string& text) {
     if (!(is >> n >> m))
       throw std::invalid_argument("script: malformed graph header");
     // Checked before anything is sized. A script may hold a disconnected
-    // graph (a shrunk round-graph violation replays exactly that), so
-    // NodeId's range is the only bound on n.
+    // graph (a shrunk round-graph violation replays exactly that), so n
+    // cannot be bounded by m; the caller's bound and NodeId's range do.
     if (n > kInvalidNode)
       throw std::invalid_argument("script: node count " + std::to_string(n) +
                                   " beyond NodeId");
+    if (n > max_nodes)
+      throw std::invalid_argument("script: node count " + std::to_string(n) +
+                                  " above the bound " +
+                                  std::to_string(max_nodes));
     const std::streamoff read = is.tellg();  // -1 once the text is spent
     const std::size_t left =
         read < 0 ? 0 : text.size() - static_cast<std::size_t>(read);

@@ -17,7 +17,8 @@ std::string StaticAdversary::name() const {
 void StaticAdversary::next_graph_into(Round, const Configuration&,
                                       Graph& out) {
   if (reshuffle_ports_)
-    graph_.shuffle_ports_counter(seed_, emissions_++, pool_);
+    graph_.shuffle_ports_counter(seed_, emissions_++, pool_,
+                                 shuffle_scratch_);
   has_emitted_ = true;
   out = graph_;
 }

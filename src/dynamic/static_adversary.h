@@ -35,6 +35,7 @@ class StaticAdversary final : public Adversary {
 
  private:
   Graph graph_;
+  Graph::ShuffleScratch shuffle_scratch_;  ///< Relabeling staging, reused.
   bool reshuffle_ports_;
   std::uint64_t seed_;
   std::uint64_t emissions_ = 0;  ///< Draw index of the next relabeling.

@@ -338,7 +338,8 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
   // 4. The graph's own row offsets over final degrees, written straight
   //    into `out`, and every edge's two sides staged at their canonical
   //    slots (edge-id order at every node, the anchor the port permutation
-  //    shuffles from), each holding the twin side's slot.
+  //    shuffles from), each holding the twin side's slot. Each edge keeps
+  //    both slots, so the fingerprint below folds edge by edge.
   s.deg.assign(n, 0);
   for (std::size_t e = 0; e < m; ++e) {
     ++s.deg[s.eu[e]];
@@ -349,11 +350,15 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
   for (std::size_t v = 0; v < n; ++v) off[v + 1] = off[v] + s.deg[v];
   s.cursor.assign(off.begin(), off.end() - 1);
   s.staged.resize(2 * m);
+  s.su.resize(m);
+  s.sv.resize(m);
   for (std::size_t e = 0; e < m; ++e) {
     const std::uint32_t su = s.cursor[s.eu[e]]++;
     const std::uint32_t sv = s.cursor[s.ev[e]]++;
     s.staged[su] = HalfEdge{s.ev[e], static_cast<Port>(sv)};
     s.staged[sv] = HalfEdge{s.eu[e], static_cast<Port>(su)};
+    s.su[e] = su;
+    s.sv[e] = sv;
   }
 
   // 5. Per-node Fisher-Yates port permutation from the node's forked
@@ -380,14 +385,14 @@ void random_connected_counter(std::size_t n, std::size_t extra_edges,
           HalfEdge{side.to, s.slot_port[side.reverse_port]};
     }
   });
-  // One sequential sweep for the fingerprint, each edge once.
+  // The fingerprint folds every edge once, in edge order, from its two
+  // canonical slots: no per-half-edge test for which side owns the edge,
+  // and two reads of slot_port per edge, the only ones out of order. XOR
+  // is order-free, so the value equals a sweep over the rows.
   std::uint64_t fp = 0;
-  for (std::size_t v = 0; v < n; ++v)
-    for (std::size_t i = off[v]; i < off[v + 1]; ++i)
-      if (v < slots[i].to)
-        fp ^= fp_edge_term(static_cast<NodeId>(v), slots[i].to,
-                           static_cast<Port>(i - off[v] + 1),
-                           slots[i].reverse_port);
+  for (std::size_t e = 0; e < m; ++e)
+    fp ^= fp_edge_term(s.eu[e], s.ev[e], s.slot_port[s.su[e]],
+                       s.slot_port[s.sv[e]]);
   out.commit_assembly(m, fp);
 }
 

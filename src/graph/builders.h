@@ -68,6 +68,7 @@ struct CounterBuildScratch {
   std::vector<std::uint32_t> cursor;   ///< Row fill cursors.
   /// Each edge side at its canonical slot: {neighbor, twin's slot} (2m).
   std::vector<HalfEdge> staged;
+  std::vector<std::uint32_t> su, sv;   ///< Each edge's slots at eu, ev (m).
   std::vector<Port> slot_port;         ///< Shuffled port per slot (2m).
   std::vector<std::uint64_t> table;    ///< Open-addressing edge membership.
 };

@@ -265,13 +265,14 @@ void Graph::shuffle_ports(Rng& rng) {
 
 DYNDISP_HOT
 void Graph::shuffle_ports_counter(std::uint64_t seed, std::uint64_t draw,
-                                  ThreadPool* pool) {
+                                  ThreadPool* pool, ShuffleScratch& scratch) {
   const std::size_t n = node_count();
   const CounterRng streams(seed, draw);
   // new_port[s] is the new 1-based port of the half-edge currently in slot
   // s: each node permutes its own row's slots from its forked stream, so
   // the pass is lane-safe and order-independent.
-  std::vector<Port> new_port(half_.size());
+  std::vector<Port>& new_port = scratch.new_port;
+  new_port.resize(half_.size());
   parallel_for(pool, n, [&](std::size_t v) {
     Port* seg = new_port.data() + offsets_[v];
     const std::size_t d = degree(static_cast<NodeId>(v));
@@ -283,7 +284,8 @@ void Graph::shuffle_ports_counter(std::uint64_t seed, std::uint64_t draw,
   // Relabeled rows are staged into a second array: the rebuild reads OTHER
   // nodes' old slots (for reverse ports), so writing half_ in place would
   // race across lanes. The rows keep their offsets.
-  std::vector<HalfEdge> rebuilt(half_.size());
+  std::vector<HalfEdge>& rebuilt = scratch.rebuilt;
+  rebuilt.resize(half_.size());
   parallel_for(pool, n, [&](std::size_t v) {
     const std::size_t base = offsets_[v];
     for (std::size_t s = base; s < offsets_[v + 1]; ++s) {
@@ -293,7 +295,10 @@ void Graph::shuffle_ports_counter(std::uint64_t seed, std::uint64_t draw,
     }
   });
   half_.swap(rebuilt);
-  // Every port changed; rebuild the edge fingerprint in one sweep.
+  // Every port changed; rebuild the edge fingerprint in one sweep. With no
+  // edge list to fold from, each edge counts at its lower endpoint; masking
+  // the other side's term instead of branching computes 2m terms, which
+  // measured slower than the mispredicted branch.
   std::uint64_t fp = 0;
   for (NodeId v = 0; v < n; ++v) {
     const std::span<const HalfEdge> row = incident(v);
@@ -345,9 +350,6 @@ DYNDISP_HOT
 void Graph::commit_assembly(std::size_t edge_count, std::uint64_t fp_edges) {
   edge_count_ = edge_count;
   fp_edges_ = fp_edges;
-  // Asserts are on in every build, so every assembled graph is validated
-  // here, once more than the engine's own round-graph check.
-  assert(validate().empty() && "bulk assembly produced an invalid graph");
 }
 
 bool Graph::changed_nodes_into(const Graph& prev, std::vector<NodeId>& out,

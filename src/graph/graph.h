@@ -122,6 +122,15 @@ class Graph {
   /// freedom to choose arbitrary port numberings each round.
   void shuffle_ports(Rng& rng);
 
+  /// Staging for shuffle_ports_counter, kept by its caller across calls:
+  /// the relabeled rows are built into `rebuilt` and swapped in, so a
+  /// caller that relabels a graph every round trades the same two buffers
+  /// back and forth and a warm call allocates nothing.
+  struct ShuffleScratch {
+    std::vector<Port> new_port;    ///< New port of each slot's half-edge.
+    std::vector<HalfEdge> rebuilt; ///< The relabeled rows.
+  };
+
   /// Counter-stream sibling of shuffle_ports: every node's ports are
   /// independently Fisher-Yates-permuted from the per-node fork of the
   /// (seed, draw) stream, fanned over `pool` (null runs serially). Equal to
@@ -129,7 +138,7 @@ class Graph {
   /// any thread count for a fixed (seed, draw), which is what lets the
   /// port-relabeling adversaries go parallel without losing determinism.
   void shuffle_ports_counter(std::uint64_t seed, std::uint64_t draw,
-                             ThreadPool* pool);
+                             ThreadPool* pool, ShuffleScratch& scratch);
 
   /// Applies an explicit port permutation at node `v`: `perm[i]` is the new
   /// 0-based position of the half-edge currently at 0-based position i.
@@ -167,9 +176,9 @@ class Graph {
   /// non-decreasing, offsets[n] = half_edges, and port p of node v in
   /// slots[offsets[v] + p - 1] = {neighbor, reverse port}.
   /// commit_assembly() installs the caller-computed edge count and
-  /// XOR-of-fp_edge_term fingerprint and asserts validate() (asserts are on
-  /// in every build, so this pays one extra validation per assembled
-  /// graph).
+  /// XOR-of-fp_edge_term fingerprint. It does not validate: every round
+  /// graph is validated once by the engine's round-graph check, and the
+  /// builders' tests validate their output directly.
   struct Assembly {
     std::span<Offset> offsets;
     std::span<HalfEdge> slots;

@@ -101,6 +101,7 @@ std::uint64_t Engine::plan_on(const Graph& g, const Configuration& conf,
                               const std::vector<std::vector<std::uint8_t>>& states,
                               const ReuseHints& hints, ThreadPool* pool,
                               std::vector<RobotView>& views,
+                              EmptyPortIndex& empty_ports,
                               const ViewNeeds& needs, MovePlan& plan) {
   const bool neighborhood = options.neighborhood_knowledge;
   const std::size_t k = conf.robot_count();
@@ -114,6 +115,7 @@ std::uint64_t Engine::plan_on(const Graph& g, const Configuration& conf,
                        active[lead]))
     ++lead;
   if (lead == k) return 0;
+  if (neighborhood) empty_ports.build(g, ctx.index(), pool);
 
   // One robot's compute phase: assemble its view against the synchronous
   // snapshot (its slot of the persistent arena is refilled in place, and
@@ -125,7 +127,7 @@ std::uint64_t Engine::plan_on(const Graph& g, const Configuration& conf,
     if (!conf.alive(id) || !active[i]) return;
     RobotView& view = views[i];
     fill_view(view, g, conf, id, round, options.comm, neighborhood,
-              ctx.index(), needs);
+              ctx.index(), empty_ports, needs);
     view.arrival_port = arrival_ports[i];
     view.reuse = hints;
     // Borrowed: `packets` and `states` outlive every step of this call.
@@ -192,7 +194,8 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
   MovePlan plan;
   plan_on(candidate, conf_, probe_round_, options_, arrival_ports_, active_,
           probe_raw_, *round_ctx_, std::move(packets), states_,
-          make_hints(candidate), nullptr, views_arena_, needs_, plan);
+          make_hints(candidate), nullptr, views_arena_, empty_ports_, needs_,
+          plan);
   return plan;
 }
 
@@ -206,7 +209,8 @@ MovePlan& Engine::compute_plan(const Graph& g, Round round,
   hints.change = round_change_;
   lead_ns = plan_on(g, conf_, round, options_, arrival_ports_, active_,
                     raw_robots_, ctx, ctx.packets(), states_, hints,
-                    pool_.get(), views_arena_, needs_, plan_buf_);
+                    pool_.get(), views_arena_, empty_ports_, needs_,
+                    plan_buf_);
   return plan_buf_;
 }
 

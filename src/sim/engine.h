@@ -273,6 +273,9 @@ class Engine {
   /// run strictly sequentially).
   ViewNeeds needs_;
   mutable std::vector<RobotView> views_arena_;
+  /// The per-node empty-port lists the views of one plan_on call borrow,
+  /// rebuilt in place by every call (mutable for the same reason).
+  mutable EmptyPortIndex empty_ports_;
 
   /// Compute-phase pool (null when options_.threads <= 1).
   std::unique_ptr<ThreadPool> pool_;
@@ -328,7 +331,9 @@ class Engine {
   /// snapshot, so state exchange stays synchronous. `packets` is the
   /// (possibly candidate) broadcast for `g`, which every view borrows for
   /// the call, as it borrows the per-robot state store `states` when
-  /// `needs` declares exchanged states. The node index comes from `ctx`;
+  /// `needs` declares exchanged states, and each view's empty ports borrow
+  /// `empty_ports`, rebuilt for `g` when the model grants neighborhood
+  /// knowledge. The node index comes from `ctx`;
   /// `hints` ride into every view (invalid hints when the broadcast is not a pure
   /// function of (g, conf, model)). Views are filled in place into `views`'
   /// slots under `needs` gating. `plan` is an out-parameter refilled via
@@ -344,6 +349,7 @@ class Engine {
                                const std::vector<std::vector<std::uint8_t>>& states,
                                const ReuseHints& hints, ThreadPool* pool,
                                std::vector<RobotView>& views,
+                               EmptyPortIndex& empty_ports,
                                const ViewNeeds& needs, MovePlan& plan);
 
   /// Hints describing the broadcast for graph `g` this round; valid only

@@ -45,21 +45,15 @@ struct ArenaPacket {
   std::uint32_t nb_count = 0;
 };
 
-/// The whole round's broadcast in three flat arrays. Headers are sorted by
-/// sender after assembly; each packet's pool slice is contiguous (sender
-/// robots first, then each neighbor's robots in port order), so a delta
-/// rebuild can copy a clean packet with one pool memcpy. Ranges are
-/// explicit, which means sorting the header table never moves the pool.
+/// The whole round's broadcast in three flat arrays. Headers are in sender
+/// order; each packet's pool slice is contiguous (sender robots first, then
+/// each neighbor's robots in port order), so a delta rebuild can copy a
+/// clean packet with one pool memcpy. Ranges are explicit, so a reader never
+/// infers a range from the header order.
 struct PacketArena {
   std::vector<ArenaPacket> headers;
   std::vector<ArenaNeighbor> neighbors;
   std::vector<RobotId> pool;
-
-  void clear() {
-    headers.clear();
-    neighbors.clear();
-    pool.clear();
-  }
 };
 
 /// Read-only view of one occupied-neighbor record inside an arena.

@@ -45,12 +45,13 @@ void RoundContext::begin_round(const Configuration& conf) {
 }
 
 std::shared_ptr<PacketArena> RoundContext::ArenaPool::acquire() {
-  for (const std::shared_ptr<PacketArena>& a : buffers_) {
-    if (a.use_count() == 1) {
-      a->clear();
-      return a;
-    }
-  }
+  // A reused buffer keeps its old contents: the assembler resizes every
+  // array and overwrites every entry. Resizing from the old sizes grows the
+  // arrays geometrically, where clearing first would regrow each to its
+  // exact new size whenever the broadcast gains a packet, which a rooted
+  // start does every round.
+  for (const std::shared_ptr<PacketArena>& a : buffers_)
+    if (a.use_count() == 1) return a;
   // All pooled buffers are pinned elsewhere (views, cache entries); a fresh
   // buffer joins the pool up to the cap, beyond which it lives and dies with
   // its broadcast.

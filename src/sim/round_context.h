@@ -119,7 +119,8 @@ class RoundContext {
     /// plan-cache key, or structure-cache entry is skipped BY
     /// CONSTRUCTION, so in-place refill can never corrupt a broadcast
     /// someone still reads), else a fresh one. The pool is capped;
-    /// overflow buffers are simply not retained.
+    /// overflow buffers are simply not retained. A reused buffer still
+    /// holds its previous broadcast, which the assembler overwrites.
     std::shared_ptr<PacketArena> acquire();
 
    private:

@@ -55,11 +55,33 @@ void NodeIndex::build(const Configuration& conf) {
   offsets_.assign(n + 1, 0);
   for (RobotId id = 1; id <= k; ++id)
     if (conf.alive(id)) ++offsets_[conf.position(id) + 1];
-  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+  std::size_t occupied = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    occupied += offsets_[v + 1] != 0;
+    offsets_[v + 1] += offsets_[v];
+  }
   ids_.resize(offsets_[n]);
-  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  for (RobotId id = 1; id <= k; ++id)
-    if (conf.alive(id)) ids_[cursor_[conf.position(id)]++] = id;
+  senders_.resize(occupied);
+  // Each cursor starts with a fresh-node bit, cleared by the node's first
+  // (smallest) robot, which thereby records the node as the next sender.
+  // Testing the cursor itself keeps the placement at one random read per
+  // robot; comparing the cursor with offsets_ read a second array.
+  constexpr std::uint32_t kFresh = std::uint32_t{1} << 31;
+  assert(offsets_[n] < kFresh);
+  cursor_.resize(n);
+  for (std::size_t v = 0; v < n; ++v) cursor_[v] = offsets_[v] | kFresh;
+  std::size_t next_sender = 0;
+  for (RobotId id = 1; id <= k; ++id) {
+    if (!conf.alive(id)) continue;
+    const NodeId v = conf.position(id);
+    std::uint32_t slot = cursor_[v];
+    if (slot & kFresh) {
+      senders_[next_sender++] = v;
+      slot &= ~kFresh;
+    }
+    ids_[slot] = id;
+    cursor_[v] = slot + 1;
+  }
 }
 
 InfoPacket make_packet(const Graph& g, const Configuration& conf, NodeId v,
@@ -92,9 +114,34 @@ std::vector<InfoPacket> make_all_packets(const Graph& g,
 }
 
 DYNDISP_HOT
+void EmptyPortIndex::build(const Graph& g, const NodeIndex& index,
+                           ThreadPool* pool) {
+  const std::span<const NodeId> occupied = index.sender_nodes();
+  ranges_.resize(g.node_count());
+  // A degree-sized block per occupied node bounds its list, so the blocks
+  // are laid out before any scan and the scans need no second pass.
+  std::uint32_t cursor = 0;
+  for (const NodeId v : occupied) {
+    ranges_[v].begin = cursor;
+    cursor += static_cast<std::uint32_t>(g.degree(v));
+  }
+  ports_.resize(cursor);
+  parallel_for(pool, occupied.size(), [&](std::size_t i) {
+    const NodeId v = occupied[i];
+    Range& range = ranges_[v];
+    Port* out = ports_.data() + range.begin;
+    std::uint32_t count = 0;
+    for (Port p = 1; p <= g.degree(v); ++p)
+      if (index.empty(g.neighbor(v, p))) out[count++] = p;
+    range.count = count;
+  });
+}
+
+DYNDISP_HOT
 void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
-               const NodeIndex& index, const ViewNeeds& needs) {
+               const NodeIndex& index, const EmptyPortIndex& empty,
+               const ViewNeeds& needs) {
   assert(conf.alive(id));
   const NodeId v = conf.position(id);
 
@@ -111,30 +158,28 @@ void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
   out.reuse = ReuseHints{};
 
   out.neighborhood_knowledge = neighborhood;
-  out.empty_ports.clear();
+  out.empty_ports = {};
   out.empty_neighbor_count = 0;
   std::size_t neighbors_filled = 0;
   if (neighborhood) {
-    for (Port p = 1; p <= g.degree(v); ++p) {
-      const NodeId w = g.neighbor(v, p);
-      if (index.empty(w)) {
-        ++out.empty_neighbor_count;
-        // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena slot
-        // refilled in place; capacity is steady once warmed up.
-        if (needs.empty_ports) out.empty_ports.push_back(p);
-        continue;
+    const std::span<const Port> empty_here = empty.at(v);
+    out.empty_neighbor_count = empty_here.size();
+    if (needs.empty_ports) out.empty_ports = empty_here;
+    if (needs.occupied_neighbors) {
+      for (Port p = 1; p <= g.degree(v); ++p) {
+        const NodeId w = g.neighbor(v, p);
+        if (index.empty(w)) continue;
+        // Reuse the slot (and its robots capacity) left from a prior fill.
+        if (neighbors_filled == out.occupied_neighbors.size())
+          // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena
+          // slot growth only while warming up; refilled in place afterwards.
+          out.occupied_neighbors.emplace_back();
+        NeighborInfo& info = out.occupied_neighbors[neighbors_filled++];
+        info.port = p;
+        info.min_robot = *index.begin(w);
+        info.count = index.count(w);
+        info.robots.assign(index.begin(w), index.end(w));
       }
-      if (!needs.occupied_neighbors) continue;
-      // Reuse the slot (and its robots capacity) left from a prior fill.
-      if (neighbors_filled == out.occupied_neighbors.size())
-        // NOLINTNEXTLINE-dyndisp(hotpath-alloc): persistent view-arena slot
-        // growth only while warming up; refilled in place afterwards.
-        out.occupied_neighbors.emplace_back();
-      NeighborInfo& info = out.occupied_neighbors[neighbors_filled++];
-      info.port = p;
-      info.min_robot = *index.begin(w);
-      info.count = index.count(w);
-      info.robots.assign(index.begin(w), index.end(w));
     }
   }
   if (out.occupied_neighbors.size() > neighbors_filled)
@@ -191,24 +236,26 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
     return last.robots_begin + last.robots_count - h.robots_begin;
   };
 
-  // Pass 1 (serial): one header per occupied node with every range
-  // pre-assigned -- a copied packet's straight off its previous header, a
-  // built one's off the CSR index and the graph: sender robots first, then
-  // each occupied neighbor's robots, so a packet's pool slice is
-  // contiguous. Node-ascending assignment keeps the layout deterministic
-  // at any thread count.
-  arena.headers.clear();
+  // Pass 1 (serial): one header per occupied node, in sender order, with
+  // every range pre-assigned -- a copied packet's straight off its previous
+  // header, a built one's off the CSR index and the graph: sender robots
+  // first, then each occupied neighbor's robots, so a packet's pool slice
+  // is contiguous. The index lists nodes by their smallest robot, so the
+  // headers come out in the canonical sender-ascending order with no sort,
+  // and the layout is deterministic at any thread count.
+  const std::span<const NodeId> senders = index.sender_nodes();
+  arena.headers.resize(senders.size());
   std::uint32_t pool_cursor = 0;
   std::uint32_t nb_cursor = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::size_t here = index.count(v);
-    if (here == 0) continue;
-    ArenaPacket h;
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    const NodeId v = senders[i];
+    ArenaPacket& h = arena.headers[i];
     if (const ArenaPacket* prev = copied(v)) {
       h = *prev;
       h.robots_begin = pool_cursor;
       pool_cursor += slice_len(*prev);
     } else {
+      const std::size_t here = index.count(v);
       h.sender = *index.begin(v);
       h.count = static_cast<std::uint32_t>(here);
       h.degree = static_cast<std::uint32_t>(g.degree(v));
@@ -227,28 +274,14 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
     }
     h.nb_begin = nb_cursor;
     nb_cursor += h.nb_count;
-    // NOLINTNEXTLINE-dyndisp(hotpath-alloc): retained header table of a
-    // pooled arena -- capacity is reached during warm-up, after which the
-    // refill is in place (the zero-alloc memprobe test pins this).
-    arena.headers.push_back(h);
   }
   arena.neighbors.resize(nb_cursor);
   arena.pool.resize(pool_cursor);
 
-  // Canonical sender-ascending order, sorted in place: ranges are explicit,
-  // so reordering headers never moves the pool, and the parallel fill below
-  // is order-independent. Senders are unique (one packet per node over
-  // disjoint robot sets), so the order is deterministic.
-  std::sort(arena.headers.begin(), arena.headers.end(),
-            [](const ArenaPacket& a, const ArenaPacket& b) {
-              return a.sender < b.sender;
-            });
-
   // Pass 2 (parallel): a copied packet takes its pool slice in one shot,
   // its neighbor entries with rebased ranges (every range in one slice
   // shifts by the same offset) and its metered bits; a built packet fills
-  // its slices and is metered. The sender's node is recovered from its
-  // smallest robot's position, so no node scratch list is needed.
+  // its slices and is metered.
   const bool meter = wire_bits != nullptr || bits_each != nullptr;
   if (bits_each) bits_each->resize(arena.headers.size());
   if (nodes_each) nodes_each->resize(arena.headers.size());
@@ -257,7 +290,7 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
   std::vector<std::size_t>* bits = bits_each ? bits_each : &local_bits;
   parallel_for(pool, arena.headers.size(), [&](std::size_t i) {
     const ArenaPacket& h = arena.headers[i];
-    const NodeId v = conf.position(h.sender);
+    const NodeId v = senders[i];
     if (nodes_each) (*nodes_each)[i] = v;
     if (const ArenaPacket* prev = copied(v)) {
       const PacketArena& from = source->arena;
@@ -308,8 +341,14 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
                     PacketSet packets) {
   NodeIndex index;
   index.build(conf);
+  EmptyPortIndex empty;
+  if (neighborhood) empty.build(g, index, nullptr);
   RobotView view;
-  fill_view(view, g, conf, id, round, comm, neighborhood, index, ViewNeeds{});
+  fill_view(view, g, conf, id, round, comm, neighborhood, index, empty,
+            ViewNeeds{});
+  view.own_empty_ports.assign(view.empty_ports.begin(),
+                              view.empty_ports.end());
+  view.empty_ports = view.own_empty_ports;
   if (view.global_comm) view.own_packets = std::move(packets);
   return view;
 }

@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -74,7 +75,11 @@ struct RobotView {
   /// Populated only when neighborhood_knowledge is true.
   std::size_t empty_neighbor_count = 0;
   /// Ports of the robot's node leading to empty neighbors, ascending.
-  std::vector<Port> empty_ports;
+  /// Borrowed: the engine's views point into the round's EmptyPortIndex,
+  /// which outlives the steps; make_view results point into
+  /// own_empty_ports (so a copy of such a view still reads the original's).
+  std::span<const Port> empty_ports;
+  std::vector<Port> own_empty_ports;
 
   bool global_comm = false;
   /// All packets in the system, ascending by sender ID (one per occupied
@@ -113,8 +118,15 @@ struct RobotView {
 class NodeIndex {
  public:
   /// Rebuilds the index for `conf` (counting sort over alive robots; robot
-  /// IDs ascend within each node's segment). Reuses retained buffers.
+  /// IDs ascend within each node's segment). Reuses retained buffers. The
+  /// sort places robots in ascending ID, so the first robot it places on a
+  /// node is the node's smallest -- its packet's sender -- and the order in
+  /// which nodes receive their first robot is the broadcast's sender order.
   void build(const Configuration& conf);
+
+  /// The occupied nodes, ascending by their smallest robot ID (the order of
+  /// the broadcast's packets), one entry per occupied node.
+  std::span<const NodeId> sender_nodes() const { return senders_; }
 
   std::size_t node_count() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -130,7 +142,34 @@ class NodeIndex {
  private:
   std::vector<std::uint32_t> offsets_;  // n + 1
   std::vector<RobotId> ids_;            // all alive robots, node-major
+  std::vector<NodeId> senders_;         // occupied nodes, sender order
   std::vector<std::uint32_t> cursor_;   // build scratch
+};
+
+/// Each occupied node's ports toward empty neighbors, for one graph and one
+/// NodeIndex, in one flat buffer: robots on a node share the node's list,
+/// so the scan runs once per occupied node instead of once per robot, and
+/// views borrow their node's range. Rebuilt in place, so a warm rebuild
+/// allocates nothing.
+class EmptyPortIndex {
+ public:
+  /// Rebuilds the lists of every node `index` lists as occupied, each
+  /// ascending, fanning the scans across `pool` (null runs serially).
+  void build(const Graph& g, const NodeIndex& index, ThreadPool* pool);
+
+  /// Ports of occupied node `v` leading to empty neighbors, ascending.
+  /// Meaningless for a node the last build saw empty.
+  std::span<const Port> at(NodeId v) const {
+    return {ports_.data() + ranges_[v].begin, ranges_[v].count};
+  }
+
+ private:
+  struct Range {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<Range> ranges_;  // n; written for occupied nodes only
+  std::vector<Port> ports_;    // each occupied node's degree-sized block
 };
 
 /// Which optional RobotView fields an algorithm's step() actually reads.
@@ -199,14 +238,16 @@ struct PacketSource {
 };
 
 /// The broadcast assembler: builds one packet per occupied node into
-/// `arena` (cleared and refilled in place -- allocation-free once its
-/// arrays have grown to steady state), headers sorted by sender, each
-/// packet's pool slice contiguous, and meters the total wire size in the
-/// same traversal (when `wire_bits` is non-null). Per-node construction
-/// fans across `pool` when one is supplied; the output is identical at any
-/// thread count and record for record equal to make_all_packets. When
-/// `bits_each` / `nodes_each` are non-null they receive each packet's wire
-/// bits / sender node, aligned to the sorted header order -- the per-packet
+/// `arena` (every array resized and every entry overwritten, whatever it
+/// held -- allocation-free once its arrays have grown to steady state),
+/// headers in sender order as
+/// `index.sender_nodes()` lists them (no sort), each packet's pool slice
+/// contiguous, and meters the total wire size in the same traversal (when
+/// `wire_bits` is non-null). Per-node construction fans across `pool` when
+/// one is supplied; the output is identical at any thread count and record
+/// for record equal to make_all_packets. When `bits_each` / `nodes_each`
+/// are non-null they receive each packet's wire bits / sender node,
+/// aligned to the header order -- the per-packet
 /// ledger a later delta assembly copies from. With a `source`, a node it
 /// maps to a previous packet gets that packet's header, pool slice and
 /// metered bits copied instead of rebuilt; the result is the same.
@@ -231,12 +272,15 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
 /// `out` with exactly what make_view would produce for the fields `needs`
 /// declares (plus the unconditional scalars: self, round, k, degree,
 /// node_count, empty_neighbor_count, global_comm), reusing `out`'s vector
-/// capacities across rounds. Undeclared fields are left cleared.
+/// capacities across rounds. Undeclared fields are left cleared. With
+/// `neighborhood`, the empty-neighbor count and ports come from `empty`,
+/// built for `g` and `index`, whose range empty_ports borrows.
 /// arrival_port, the borrowed state store, and reuse are reset for the
 /// engine to fill, as in make_view. The packet fields are left as they
 /// are: the engine points shared_packets at the round's set itself.
 void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
-               const NodeIndex& index, const ViewNeeds& needs);
+               const NodeIndex& index, const EmptyPortIndex& empty,
+               const ViewNeeds& needs);
 
 }  // namespace dyndisp

@@ -65,35 +65,13 @@ bool Rng::chance(double p) {
 
 Rng Rng::split() { return Rng(next_u64() ^ 0xA5A5A5A5DEADBEEFULL); }
 
-namespace {
-
-/// splitmix64's stateless finalizer (the mixing rounds without the stream
-/// increment).
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 CounterRng::CounterRng(std::uint64_t seed, std::uint64_t stream)
-    : key_(mix64(mix64(seed + 0x9E3779B97F4A7C15ULL) ^
-                 (stream * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL))) {}
-
-std::uint64_t CounterRng::at(std::uint64_t i) const {
-  return mix64(key_ + i * 0x9E3779B97F4A7C15ULL);
-}
-
-std::uint64_t CounterRng::below(std::uint64_t bound, std::uint64_t i) const {
-  assert(bound > 0);
-  return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(at(i)) * bound) >> 64);
-}
+    : key_(mix(mix(seed + 0x9E3779B97F4A7C15ULL) ^
+               (stream * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL))) {}
 
 CounterRng CounterRng::fork(std::uint64_t sub) const {
   return CounterRng(
-      mix64(key_ ^ (sub * 0xD1B54A32D192ED03ULL + 0x9E3779B97F4A7C15ULL)));
+      mix(key_ ^ (sub * 0xD1B54A32D192ED03ULL + 0x9E3779B97F4A7C15ULL)));
 }
 
 }  // namespace dyndisp

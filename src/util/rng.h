@@ -6,6 +6,7 @@
 // fast, and has no global state.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -66,15 +67,22 @@ class CounterRng {
  public:
   CounterRng(std::uint64_t seed, std::uint64_t stream);
 
-  /// Raw 64-bit draw at index `i`.
-  std::uint64_t at(std::uint64_t i) const;
+  /// Raw 64-bit draw at index `i`. Inline, like below(): the builders
+  /// call both once per port and per Prüfer position.
+  std::uint64_t at(std::uint64_t i) const {
+    return mix(key_ + i * 0x9E3779B97F4A7C15ULL);
+  }
 
   /// Integer in [0, bound) from draw `i`, via the fixed-point multiply map
   /// (at(i) * bound) >> 64. Unlike Rng::below's rejection loop this
   /// consumes exactly one indexed draw -- a counter stream cannot retry
   /// without losing its index structure -- at the price of a bias below
   /// bound/2^64, negligible for every bound this library draws.
-  std::uint64_t below(std::uint64_t bound, std::uint64_t i) const;
+  std::uint64_t below(std::uint64_t bound, std::uint64_t i) const {
+    assert(bound > 0);
+    __extension__ using Wide = unsigned __int128;
+    return static_cast<std::uint64_t>((static_cast<Wide>(at(i)) * bound) >> 64);
+  }
 
   /// Derives the stream for sub-entity `sub` (per-node port streams and the
   /// like); forks of distinct subs are independent of each other and of the
@@ -83,6 +91,13 @@ class CounterRng {
 
  private:
   explicit CounterRng(std::uint64_t key) : key_(key) {}
+  /// splitmix64's stateless finalizer (the mixing rounds without the
+  /// stream increment).
+  static std::uint64_t mix(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
   std::uint64_t key_;
 };
 

@@ -394,6 +394,35 @@ TEST(CounterBuilder, PoolAndSerialOutputsAreByteIdentical) {
   }
 }
 
+// The builder commits its graph unvalidated (the engine's round-graph check
+// validates every round graph once), so every build is validated here:
+// several sizes and seeds, serial and on two lanes, one recycled scratch.
+// The fingerprint it folds edge by edge equals the one from_port_edges
+// derives from the graph's own edges.
+TEST(CounterBuilder, EveryBuildIsValidAndFingerprintsItsEdges) {
+  ThreadPool two_lanes(2);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two_lanes}) {
+    builders::CounterBuildScratch scratch;
+    for (const std::size_t n : {1u, 2u, 3u, 17u, 191u, 193u, 1000u, 5000u}) {
+      for (const std::uint64_t seed : {3ull, 8ull, 21ull}) {
+        // n / 3 chords as the adversaries draw, and a dense draw that runs
+        // the sweep fallback on the small sizes.
+        for (const std::size_t extra : {n / 3, 4 * n}) {
+          Graph g;
+          builders::random_connected_counter(n, extra, seed, seed + n, pool,
+                                             scratch, g);
+          ASSERT_EQ(g.validate(), "")
+              << "n=" << n << " seed=" << seed << " extra=" << extra;
+          EXPECT_TRUE(is_connected(g));
+          ASSERT_EQ(g.fingerprint(),
+                    Graph::from_port_edges(n, g.edges()).fingerprint())
+              << "n=" << n << " seed=" << seed << " extra=" << extra;
+        }
+      }
+    }
+  }
+}
+
 TEST(CounterBuilder, ScratchReuseDoesNotLeakAcrossBuilds) {
   // One scratch across different (n, draw) pairs must give the same graphs
   // as fresh scratch per build -- the recycling contract of the adversaries.

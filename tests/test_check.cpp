@@ -59,6 +59,22 @@ TEST(TrialConfig, JsonRoundTripsEveryFieldIncludingScript) {
   EXPECT_EQ(back.script[1], c.script[1]);
 }
 
+// A script header is bounded by the trial's n wherever the script member
+// sits in the object: the script is parsed after every key is read.
+TEST(TrialConfig, ScriptNodeCountIsBoundedByTheTrialsN) {
+  for (const char* json :
+       {R"({"n": 8, "script": "g 4294967294 0\n"})",
+        R"({"script": "g 4294967294 0\n", "n": 8})",
+        R"({"script": "g 9 0\n", "n": 8})"}) {
+    EXPECT_THROW((void)TrialConfig::parse_json(json), std::invalid_argument)
+        << json;
+  }
+  const TrialConfig ok =
+      TrialConfig::parse_json(R"({"script": "g 8 1\n0 1 1 1\n", "n": 8})");
+  ASSERT_EQ(ok.script.size(), 1u);
+  EXPECT_EQ(ok.script[0].node_count(), 8u);
+}
+
 TEST(TrialConfig, ParseRejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(TrialConfig::parse_json("{\"algorithm\": \"alg4\", \"nope\": 1}"),
                std::exception);

@@ -142,6 +142,33 @@ TEST(RingAdversary, EmitsValidConnectedGraphs) {
   }
 }
 
+// The ring emitter commits its rows unvalidated (the engine's round-graph
+// check validates every round graph once), so every strategy's emission is
+// validated here, refilled in place over changing configurations, with the
+// fingerprint it folds equal to the one from_port_edges derives.
+TEST(RingAdversary, EveryEmissionIsValidAndFingerprintsItsEdges) {
+  for (const auto strategy :
+       {RingAdversary::Strategy::kRandomEdge,
+        RingAdversary::Strategy::kWorstEdge,
+        RingAdversary::Strategy::kFixedRing}) {
+    for (const std::size_t n : {3u, 4u, 9u, 96u}) {
+      RingAdversary adv(n, strategy, 13);
+      Rng rng(n);
+      Graph out;
+      for (Round r = 0; r < 40; ++r) {
+        const Configuration conf =
+            placement::uniform_random(n, 1 + rng.below(n), rng);
+        adv.next_graph_into(r, conf, out);
+        ASSERT_EQ(out.validate(), "") << adv.name() << " n=" << n;
+        ASSERT_TRUE(validate_round_graph(out, n).empty());
+        ASSERT_EQ(out.fingerprint(),
+                  Graph::from_port_edges(n, out.edges()).fingerprint())
+            << adv.name() << " n=" << n << " round " << r;
+      }
+    }
+  }
+}
+
 TEST(RingAdversary, FixedRingKeepsAllEdges) {
   RingAdversary adv(6, RingAdversary::Strategy::kFixedRing);
   const Configuration conf = placement::rooted(6, 3);

@@ -7,6 +7,7 @@
 
 #include "graph/builders.h"
 #include "graph/graph.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace dyndisp {
@@ -121,6 +122,28 @@ TEST(Graph, ShufflePortsPreservesTopology) {
   EXPECT_EQ(g.edge_count(), 6u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(5, 0));
+}
+
+// The counter relabeling refolds its fingerprint from the new rows; it
+// stays valid, equal to the one from_port_edges derives, and equal on one
+// and two lanes, with each caller's staging reused across calls.
+TEST(Graph, ShufflePortsCounterStaysValidAndFingerprinted) {
+  Rng rng(19);
+  ThreadPool two_lanes(2);
+  Graph::ShuffleScratch serial_scratch, pooled_scratch;
+  for (const std::size_t n : {1u, 2u, 40u, 300u}) {
+    Graph serial = builders::random_connected(n, n, rng);
+    Graph pooled = serial;
+    for (std::uint64_t draw = 0; draw < 4; ++draw) {
+      serial.shuffle_ports_counter(5, draw, nullptr, serial_scratch);
+      pooled.shuffle_ports_counter(5, draw, &two_lanes, pooled_scratch);
+      ASSERT_EQ(serial.validate(), "") << "n=" << n << " draw=" << draw;
+      ASSERT_TRUE(serial == pooled) << "n=" << n << " draw=" << draw;
+      ASSERT_EQ(serial.fingerprint(),
+                Graph::from_port_edges(n, serial.edges()).fingerprint())
+          << "n=" << n << " draw=" << draw;
+    }
+  }
 }
 
 TEST(Graph, EdgesListsEachEdgeOnce) {

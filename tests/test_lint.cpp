@@ -677,7 +677,7 @@ TEST(LintDriver, JustifiedSuppressionTotalIsPinned) {
   options.paths = {repo_root() + "/src", repo_root() + "/tests",
                    repo_root() + "/tools"};
   const LintReport report = lint_paths(options);
-  EXPECT_EQ(report.suppressed, 22u)
+  EXPECT_EQ(report.suppressed, 20u)
       << "justified-suppression total changed; re-audit the directives and "
          "update the pin";
 }

@@ -298,6 +298,57 @@ TEST(Memprobe, RegeneratedGraphRoundsAreAllocationFree) {
   }
 }
 
+// Algorithm 4 itself under full churn: random placement, a fresh random
+// graph every round, empty-port views. Views borrow their node's range of
+// the round's empty-port lists, so a warm round allocates nothing per
+// robot: only the plan its PlanCache miss publishes (the shared SlidePlan
+// and its mover vector; see WarmPlanMissAllocatesAtMostThePlan), plus the
+// regrowth of the retained buffers sized by the broadcast (the planner
+// workspace's and the arena's, about two dozen), which grow while the
+// occupied set does -- every round until dispersion. A per-robot fill
+// allocation reads hundreds per round here.
+TEST(Memprobe, WarmAlgorithmFourRoundsAllocateAtMostThePlan) {
+  constexpr std::size_t kNodes = 6000;
+  constexpr std::size_t kRobots = 4000;
+  constexpr Round kWarmup = 5;
+  constexpr std::uint64_t kPlanAllocs = 2;
+  constexpr std::uint64_t kRetainedBufferGrowth = 30;
+
+  RandomAdversary adv(kNodes, kNodes / 3, 17);
+  Rng rng(23);
+  EngineOptions opt;
+  opt.threads = 1;
+  std::vector<std::uint64_t> marks;  // allocation count after each round
+  marks.reserve(kRobots);
+  opt.on_round = [&marks](const RoundSnapshot&) {
+    marks.push_back(memprobe::allocation_count());
+  };
+  Engine engine(adv, placement::uniform_random(kNodes, kRobots, rng),
+                core::dispersion_factory_memoized(), opt);
+  const RunResult res = engine.run();
+  ASSERT_TRUE(res.dispersed);
+  ASSERT_GT(marks.size(), static_cast<std::size_t>(kWarmup) + 3);
+  for (std::size_t r = kWarmup; r < marks.size(); ++r) {
+    EXPECT_LE(marks[r] - marks[r - 1], kPlanAllocs + kRetainedBufferGrowth)
+        << "allocations in round " << r;
+  }
+}
+
+// The port-relabeling static adversary keeps its relabeling staging, so a
+// warm emission (relabel, then copy into the recycled output graph)
+// allocates nothing.
+TEST(Memprobe, StaticReshuffleEmitsWithoutAllocating) {
+  constexpr std::size_t kNodes = 1000;
+  StaticAdversary adv(builders::path(kNodes), /*reshuffle_ports=*/true, 3);
+  const Configuration conf = placement::rooted(kNodes, 10);
+  Graph out;
+  adv.next_graph_into(0, conf, out);
+  adv.next_graph_into(1, conf, out);
+  memprobe::AllocGuard guard;
+  for (Round r = 2; r < 12; ++r) adv.next_graph_into(r, conf, out);
+  EXPECT_EQ(guard.delta(), 0u);
+}
+
 // Adversary-side twin of the steady-state pin: every ring strategy refills
 // a warmed-up Graph in place. One warm-up emission sizes the rows; the next
 // 100 emissions over changing configurations (cuts move, the worst-edge

@@ -109,6 +109,29 @@ TEST(PacketArena, AssemblyMatchesLegacyRecordForRecord) {
     EXPECT_EQ(packet_bit_size(flat[i], k, n), packet_bit_size(vec[i], k, n));
 }
 
+// The round's arena pool hands back buffers that still hold an earlier
+// (possibly tampered) broadcast; assembly must overwrite all of it, at
+// larger and smaller sizes alike.
+TEST(PacketArena, AssemblyOverwritesAReusedArena) {
+  Rng rng(31);
+  NodeIndex index;
+  PacketArena arena;
+  const ByzantineModel liar({1, 2}, ByzantineLie::kHideMultiplicity);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 2 + rng.below(40);
+    const std::size_t k = 1 + rng.below(n);
+    const Graph g = builders::random_connected(n, rng.below(n), rng);
+    const Configuration conf = placement::uniform_random(n, k, rng);
+    const bool neighborhood = rng.chance(0.7);
+    index.build(conf);
+    assemble_arena_metered(arena, g, conf, neighborhood, index, nullptr);
+    ASSERT_TRUE(PacketSet(std::make_shared<const PacketArena>(arena)) ==
+                PacketSet(make_all_packets(g, conf, neighborhood)))
+        << "trial " << trial;
+    if (trial % 3 == 0) liar.tamper(arena);
+  }
+}
+
 TEST(PacketArena, TamperRewritesOnlyLiarPackets) {
   // The lie rewrites the liar's header in place and leaves every honest
   // packet untouched.

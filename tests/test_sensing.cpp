@@ -1,9 +1,14 @@
 // Tests for packet assembly and robot views under the four model settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/builders.h"
 #include "robots/configuration.h"
+#include "robots/placement.h"
 #include "sim/sensing.h"
+#include "util/rng.h"
 
 namespace dyndisp {
 namespace {
@@ -125,6 +130,91 @@ TEST(Views, ColocatedStateReadsTheBorrowedStoreByColocatedId) {
   ASSERT_EQ(v.colocated, (std::vector<RobotId>{1, 2}));
   EXPECT_EQ(v.colocated_state(0), store[0]);
   EXPECT_EQ(v.colocated_state(1), store[1]);
+}
+
+// -- NodeIndex sender order and EmptyPortIndex against direct references.
+
+/// Occupied nodes sorted by their smallest alive robot: the broadcast's
+/// sender order, computed without the index.
+std::vector<NodeId> senders_by_sort(const Configuration& conf) {
+  std::vector<RobotId> smallest(conf.node_count(), kNoRobot);
+  for (RobotId id = 1; id <= conf.robot_count(); ++id) {
+    if (!conf.alive(id)) continue;
+    RobotId& s = smallest[conf.position(id)];
+    if (s == kNoRobot || id < s) s = id;
+  }
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < conf.node_count(); ++v)
+    if (smallest[v] != kNoRobot) nodes.push_back(v);
+  std::sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
+    return smallest[a] < smallest[b];
+  });
+  return nodes;
+}
+
+std::vector<NodeId> sender_list(const NodeIndex& index) {
+  return {index.sender_nodes().begin(), index.sender_nodes().end()};
+}
+
+TEST(NodeIndexSenders, MatchSortBySmallestRobotOnRandomConfigurations) {
+  Rng rng(41);
+  NodeIndex index;  // one index across all cases: rebuilt in place
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(40);
+    const std::size_t k = rng.below(n + 1);  // the model requires k <= n
+    Configuration conf = placement::uniform_random(n, k, rng);
+    if (trial % 2 == 1 && k > 0) {
+      const std::size_t groups = 1 + rng.below(std::min({k, n, std::size_t{4}}));
+      conf = placement::grouped(n, k, groups, rng);
+    }
+    for (RobotId id = 1; id <= k; ++id)
+      if (rng.chance(0.2)) conf.kill(id);
+    index.build(conf);
+    ASSERT_EQ(sender_list(index), senders_by_sort(conf))
+        << "trial " << trial << " n=" << n << " k=" << k;
+    ASSERT_EQ(index.sender_nodes().size(), conf.occupied_count());
+  }
+}
+
+TEST(NodeIndexSenders, DegenerateConfigurations) {
+  NodeIndex index;
+  index.build(Configuration(5, {}));  // k = 0
+  EXPECT_TRUE(index.sender_nodes().empty());
+  index.build(Configuration(1, {0}));  // n = 1
+  EXPECT_EQ(sender_list(index), std::vector<NodeId>{0});
+  index.build(placement::rooted(9, 6, 4));  // every robot on one node
+  EXPECT_EQ(sender_list(index), std::vector<NodeId>{4});
+  Configuration all_dead(4, {1, 2, 1});
+  for (RobotId id = 1; id <= 3; ++id) all_dead.kill(id);
+  index.build(all_dead);
+  EXPECT_TRUE(index.sender_nodes().empty());
+  // Robot 1 crashed: node 0's sender is now robot 4, so node 0 is last.
+  Configuration crashed(4, {0, 1, 2, 0});
+  crashed.kill(1);
+  index.build(crashed);
+  EXPECT_EQ(sender_list(index), (std::vector<NodeId>{1, 2, 0}));
+}
+
+TEST(EmptyPortIndex, MatchesAPerNodeScanOnRandomGraphs) {
+  Rng rng(43);
+  NodeIndex index;
+  EmptyPortIndex empty;
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 2 + rng.below(60);
+    const Graph g = builders::random_connected(n, rng.below(2 * n), rng);
+    Configuration conf = placement::uniform_random(n, 1 + rng.below(n), rng);
+    if (rng.chance(0.5)) conf.kill(1);
+    index.build(conf);
+    empty.build(g, index, nullptr);
+    for (const NodeId v : index.sender_nodes()) {
+      std::vector<Port> expected;
+      for (Port p = 1; p <= g.degree(v); ++p)
+        if (conf.count_at(g.neighbor(v, p)) == 0) expected.push_back(p);
+      const std::span<const Port> got = empty.at(v);
+      ASSERT_EQ(std::vector<Port>(got.begin(), got.end()), expected)
+          << "trial " << trial << " node " << v;
+    }
+  }
 }
 
 }  // namespace
