@@ -11,12 +11,13 @@
 // The adversary set spans the reuse spectrum: `random` / `star-star` /
 // `ring-worst` rewire every round (cross-round reuse cannot fire there),
 // while `static`, `t-interval`, and `scripted` replay graphs across rounds,
-// which is where the delta-aware loop earns its keep. `path-trap` and
-// `clique-trap` (Theorems 1 and 2) dry-run every robot on candidate graphs
-// each round, so their rows time the plan-probe path. A mega-scale section
-// (random adversary, random placement, k up to 10^6) exercises the regime
-// the struct-of-arrays round core and the packet arena were built for; heap
-// allocations are counted per row (a process-global operator-new counter).
+// which is where the graph-reuse hint and the StructureCache fire.
+// `path-trap` and `clique-trap` (Theorems 1 and 2) dry-run every robot on
+// candidate graphs each round, so their rows time the plan-probe path. A
+// mega-scale section (random adversary, random placement, k up to 10^6)
+// exercises the regime the struct-of-arrays round core and the packet arena
+// were built for; heap allocations are counted per row (a process-global
+// operator-new counter).
 //
 //   bench_roundtime [--json] [--out=FILE] [--threads=1,2,4] [--reps=N]
 //                   [--smoke] [--mega] [--mega-smoke] [--validate[=FILE]]
@@ -42,8 +43,8 @@
 // agreed on all round observables (robot_rounds, rounds, packet_mbits,
 // dispersed): the engine claims bitwise identity at any thread count, and
 // this is that claim at bench scale. `--validate=FILE` parses a previously
-// written JSON file, checks it against schema v10 (field presence/types,
-// the same thread-count agreement, reuse counters nonzero on the
+// written JSON file, checks it against schema v11 (field presence/types,
+// the same thread-count agreement, graph reuse nonzero on the
 // replay-heavy rows), and exits -- no timing assertions, so it is safe on
 // loaded CI machines.
 //
@@ -54,7 +55,9 @@
 // structure_cache column along with the engine option it described; v8
 // dropped before_copies_skipped, which only ever equalled the row's rounds;
 // v9 added nproc; v10 dropped state_list_rounds_skipped, which only ever
-// equalled the row's rounds or 0.
+// equalled the row's rounds or 0; v11 dropped broadcasts_reused,
+// broadcast_deltas, packets_copied and packets_rebuilt with the broadcast
+// reuse and delta routes they counted.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -95,7 +98,7 @@ namespace {
 
 using namespace dyndisp;
 
-constexpr std::uint64_t kSchemaVersion = 10;
+constexpr std::uint64_t kSchemaVersion = 11;
 constexpr std::uint64_t kSeed = 11;
 
 /// k at and above which a row runs a single rep: the mega headline row.
@@ -137,13 +140,13 @@ struct Row {
 /// One bench row family: which adversary, how robots are placed, and how the
 /// node count scales with k. The replay-heavy rows use a rooted start on
 /// n = 3k: the run takes many rounds, most robots settle early and stay put,
-/// and only the moving frontier dirties nodes -- the regime the delta
-/// broadcast and structure cache target.
+/// and only the moving frontier dirties nodes -- the regime the graph-reuse
+/// hint and the structure cache target.
 struct AdversarySpec {
   const char* name;       // registry adversary name, or "scripted"
   const char* placement;  // registry placement name
   std::size_t n_num, n_den;  // n = k * n_num / n_den
-  bool reuse_heavy;       // replays graphs; reuse counters must be nonzero
+  bool reuse_heavy;       // replays graphs; graph_reuses must be nonzero
   bool extended = false;  // also runs the kExtendedSizes rows (full sweep)
   std::size_t max_k = 0;  // largest k of the full sweep (0: no cap)
 };
@@ -324,14 +327,6 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
     w.member("graph_reuses", static_cast<std::uint64_t>(r.stats.graph_reuses));
     w.member("validations_skipped",
              static_cast<std::uint64_t>(r.stats.validations_skipped));
-    w.member("broadcasts_reused",
-             static_cast<std::uint64_t>(r.stats.broadcasts_reused));
-    w.member("broadcast_deltas",
-             static_cast<std::uint64_t>(r.stats.broadcast_deltas));
-    w.member("packets_copied",
-             static_cast<std::uint64_t>(r.stats.packets_copied));
-    w.member("packets_rebuilt",
-             static_cast<std::uint64_t>(r.stats.packets_rebuilt));
     w.member("sc_exact_hits", r.sc.exact_hits);
     w.member("sc_components_reused", r.sc.components_reused);
     w.member("phase_graph_build_ms", r.stats.phase_graph_build_ms);
@@ -402,7 +397,7 @@ void validate_rows(const std::vector<Row>& rows) {
               pairs.size());
 }
 
-// ---- --validate=FILE: schema v10 checks, no timing assertions ----
+// ---- --validate=FILE: schema v11 checks, no timing assertions ----
 
 const JsonValue& req(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.find(key);
@@ -426,9 +421,8 @@ int validate_file(const std::string& path) {
 
   static const char* const kUints[] = {
       "k", "n", "threads", "nproc", "rounds", "robot_rounds", "heap_allocs",
-      "graph_reuses", "validations_skipped", "broadcasts_reused",
-      "broadcast_deltas", "packets_copied", "packets_rebuilt",
-      "sc_exact_hits", "sc_components_reused"};
+      "graph_reuses", "validations_skipped", "sc_exact_hits",
+      "sc_components_reused"};
   static const char* const kNumbers[] = {
       "wall_ms", "robot_rounds_per_sec", "packet_mbits", "peak_rss_mb",
       "phase_graph_build_ms", "phase_broadcast_ms", "phase_plan_ms",
@@ -449,14 +443,9 @@ int validate_file(const std::string& path) {
                               "/t=" + std::to_string(threads);
     for (const AdversarySpec& spec : kSpecs) {
       if (!spec.reuse_heavy || adversary != spec.name) continue;
-      // Replay-heavy adversary: the hint path and the broadcast reuse/delta
-      // path must both have fired.
+      // Replay-heavy adversary: the same_as_last hint path must have fired.
       if (req(row, "graph_reuses").as_uint() == 0)
         fail(tuple + ": reuse-heavy row has graph_reuses == 0");
-      if (req(row, "broadcasts_reused").as_uint() +
-              req(row, "broadcast_deltas").as_uint() ==
-          0)
-        fail(tuple + ": reuse-heavy row reused no broadcasts");
     }
   }
   std::printf("validate: %s ok (%zu rows, schema v%llu)\n", path.c_str(),

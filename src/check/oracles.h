@@ -18,7 +18,7 @@
 //   dispersal         the algorithm's basic liveness claim, post-run
 //   round-bound       Theorem 4 (rounds <= k), post-run, fault-free only
 //   faulty-round-bound Theorem 5 (rounds <= k-f+slack), post-run, faulty
-//   broadcast-reference every cross-round reuse equals a fresh rebuild,
+//   broadcast-reference the arena assembler equals an independent rebuild,
 //                     in-engine: each round's published broadcast matches
 //                     make_all_packets on that round's graph and
 //                     start-of-round configuration (global communication,

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdint>
 
+#include "util/grow.h"
+
 namespace dyndisp::core {
 
 const ComponentNode* ComponentGraph::find(RobotId name) const {
@@ -39,10 +41,10 @@ void ComponentGraph::clear() {
 
 void ComponentGraph::reserve(std::size_t nodes, std::size_t robots,
                              std::size_t edges) {
-  nodes_.reserve(nodes);
-  robots_.reserve(robots);
-  edges_.reserve(edges);
-  targets_.reserve(edges);
+  reserve_grown(nodes_, nodes);
+  reserve_grown(robots_, robots);
+  reserve_grown(edges_, edges);
+  reserve_grown(targets_, edges);
 }
 
 // The sender index replaces the seed's per-component std::map (which made
@@ -57,12 +59,16 @@ void ComponentBuilder::reset(const PacketSet& packets) {
   trivial_.clear();
   entries_.clear();
   // Every per-set buffer is sized for the whole set up front, so a builder
-  // that has indexed a set at least as large never grows again.
+  // that has indexed a set at least as large never grows again, and sized
+  // geometrically, so a set that grows every round regrows them O(log)
+  // times.
   const std::size_t senders = packets.size();
-  entries_.reserve(senders);
-  frontier_.reserve(senders);
-  members_.reserve(senders);
-  trivial_.reserve(senders);
+  reserve_grown(entries_, senders);
+  reserve_grown(frontier_, senders);
+  reserve_grown(members_, senders);
+  reserve_grown(trivial_, senders);
+  reserve_grown(visited_, senders);
+  reserve_grown(local_of_, senders);
   RobotId max_sender = 0, max_robot = 0;
   for (std::size_t i = 0; i < senders; ++i) {
     const PacketView pkt = packets[i];
@@ -72,8 +78,8 @@ void ComponentBuilder::reset(const PacketSet& packets) {
       max_robot = std::max(max_robot, pkt.robot(pkt.robot_count() - 1));
   }
   // Senders are robots: the largest robot bounds every set's rank table.
-  rank_of_.reserve(
-      static_cast<std::size_t>(std::max(max_sender, max_robot)) + 1);
+  reserve_grown(rank_of_,
+                static_cast<std::size_t>(std::max(max_sender, max_robot)) + 1);
   const auto by_sender = [](const std::pair<RobotId, PacketView>& a,
                             const std::pair<RobotId, PacketView>& b) {
     return a.first < b.first;

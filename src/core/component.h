@@ -92,6 +92,8 @@ class ComponentGraph {
 
   /// Empties the component, keeping capacity.
   void clear();
+  /// Sizes the buffers for up to `nodes` nodes, `robots` robots and `edges`
+  /// edges, growing their capacity geometrically (util/grow.h).
   void reserve(std::size_t nodes, std::size_t robots, std::size_t edges);
 
  private:

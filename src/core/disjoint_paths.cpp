@@ -4,6 +4,8 @@
 #include <cassert>
 #include <set>
 
+#include "util/grow.h"
+
 namespace dyndisp::core {
 
 std::vector<RobotId> leaf_node_set(const ComponentGraph& cg,
@@ -28,11 +30,11 @@ bool paths_disjoint(const RootPath& a, const RootPath& b) {
 }
 
 void DisjointPaths::reserve(std::size_t nodes) {
-  state_.reserve(nodes);
-  walked_.reserve(nodes);
+  reserve_grown(state_, nodes);
+  reserve_grown(walked_, nodes);
   // Kept paths share only the root: their lengths sum to below 2 * nodes.
-  nodes_.reserve(2 * nodes);
-  offsets_.reserve(nodes + 1);
+  reserve_grown(nodes_, 2 * nodes);
+  reserve_grown(offsets_, nodes + 1);
 }
 
 void DisjointPaths::compute(const ComponentGraph& cg, const SpanningTree& st,

@@ -45,7 +45,8 @@ class DisjointPaths {
   void compute(const ComponentGraph& cg, const SpanningTree& st,
                std::size_t max_keep = 0);
 
-  /// Sizes the buffers for trees of up to `nodes` nodes.
+  /// Sizes the buffers for trees of up to `nodes` nodes, growing their
+  /// capacity geometrically (util/grow.h).
   void reserve(std::size_t nodes);
 
   /// Paths kept by the last compute().

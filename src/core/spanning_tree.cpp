@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdint>
 
+#include "util/grow.h"
+
 namespace dyndisp::core {
 
 const TreeNode* SpanningTree::find(RobotId name) const {
@@ -35,15 +37,15 @@ void SpanningTree::clear() {
 }
 
 void SpanningTree::reserve(std::size_t nodes) {
-  nodes_.reserve(nodes);
-  parent_idx_.reserve(nodes);
-  children_.reserve(nodes);
+  reserve_grown(nodes_, nodes);
+  reserve_grown(parent_idx_, nodes);
+  reserve_grown(children_, nodes);
 }
 
 void TreeBuilder::reserve(std::size_t nodes, std::size_t edges) {
-  present_.reserve(nodes);
-  stack_.reserve(edges);
-  order_.reserve(nodes);
+  reserve_grown(present_, nodes);
+  reserve_grown(stack_, edges);
+  reserve_grown(order_, nodes);
 }
 
 // Both builders work on dense indices: cg.nodes() is ascending by name and

@@ -66,6 +66,8 @@ class SpanningTree {
 
   /// Empties the tree, keeping capacity.
   void clear();
+  /// Sizes the buffers for up to `nodes` nodes, growing their capacity
+  /// geometrically (util/grow.h).
   void reserve(std::size_t nodes);
 
  private:
@@ -97,7 +99,7 @@ class TreeBuilder {
   void build_bfs(const ComponentGraph& cg, SpanningTree& out);
 
   /// Sizes the scratch for components of up to `nodes` nodes and `edges`
-  /// edges.
+  /// edges, growing its capacity geometrically (util/grow.h).
   void reserve(std::size_t nodes, std::size_t edges);
 
  private:

@@ -251,14 +251,6 @@ RunResult Engine::run() {
   res.initial_occupied = conf_.occupied_count();
   res.max_occupied = res.initial_occupied;
 
-  const auto finalize_stats = [&]() {
-    const RoundContext::Counters& rc = ctx_.counters();
-    res.stats.broadcasts_reused = rc.broadcasts_reused;
-    res.stats.broadcast_deltas = rc.broadcast_deltas;
-    res.stats.packets_copied = rc.packets_copied;
-    res.stats.packets_rebuilt = rc.packets_rebuilt;
-  };
-
   // Exploration tracking on occupancy bitset words: ever-occupied is the
   // running OR of the configuration's occupied words, and newly-occupied
   // counts are popcounts of occ & ~ever -- no per-node scan, no per-round
@@ -287,7 +279,6 @@ RunResult Engine::run() {
       res.final_config = conf_;
       res.max_memory_bits = meter_.max_bits();
       res.explored_nodes = explored;
-      finalize_stats();
       return res;
     }
 
@@ -327,10 +318,10 @@ RunResult Engine::run() {
         if (g.fingerprint() == graph_.fingerprint() && g == graph_) {
           same_graph = true;
         } else {
-          // Capped scan: a delta is only useful up to n/4 changed nodes
-          // (beyond that full reassembly is cheaper), so churn-heavy rounds
-          // abandon the comparison as soon as that is certain instead of
-          // paying for a full edge-level diff.
+          // Capped scan: the StructureCache's delta rounds pay off only up
+          // to n/4 changed nodes (beyond that its full build is cheaper), so
+          // churn-heavy rounds abandon the comparison as soon as that is
+          // certain instead of paying for a full edge-level diff.
           small_delta = g.changed_nodes_into(graph_, graph_changed_,
                                              conf_.node_count() / 4);
         }
@@ -365,11 +356,9 @@ RunResult Engine::run() {
     res.stats.phase_graph_build_ms += phase_ns_to_ms(ph_t1 - ph_t0);
 
     if (options_.comm == CommModel::kGlobal) {
-      // One broadcast per round, by whichever route the context finds sound
-      // (reuse, delta or full); graph_changed_ is read on kSmallDelta only.
+      // One broadcast per round, assembled in full.
       ctx_.publish_packets(graph_, conf_, options_.neighborhood_knowledge,
-                           options_.byzantine.get(), round_change_,
-                           graph_changed_, pool_.get());
+                           options_.byzantine.get(), pool_.get());
       res.packets_sent += ctx_.packet_count();
       res.packet_bits_sent += ctx_.packet_bits();
     }
@@ -458,7 +447,6 @@ RunResult Engine::run() {
   res.final_config = conf_;
   res.max_memory_bits = meter_.max_bits();
   res.explored_nodes = explored;
-  finalize_stats();
   return res;
 }
 

@@ -142,14 +142,14 @@ struct EngineOptions {
   std::size_t threads = 1;
 };
 
-/// Delta-aware round-loop effectiveness, counted (not estimated) per run.
-/// The round loop (docs/PERFORMANCE.md) skips next_graph when the adversary
-/// promises an unchanged graph (same_as_last), skips re-validating a graph
-/// already validated, reuses or delta-assembles the packet broadcast, and
-/// hands robots valid ReuseHints so plan layers can memoize Algorithm 1-3
-/// structures across rounds (StructureCache, whose counters live on the
-/// cache instance: StructureCache::stats()). Every reuse equals a fresh
-/// rebuild (the broadcast-reference oracle in check/oracles.h checks it).
+/// Round-loop effectiveness, counted (not estimated) per run. The round
+/// loop (docs/PERFORMANCE.md) skips next_graph when the adversary promises
+/// an unchanged graph (same_as_last), skips re-validating a graph already
+/// validated, and hands robots valid ReuseHints so plan layers can memoize
+/// Algorithm 1-3 structures across rounds (StructureCache, whose counters
+/// live on the cache instance: StructureCache::stats()). Every round's
+/// broadcast is assembled in full; the broadcast-reference oracle in
+/// check/oracles.h checks it against an independent rebuild.
 /// Observability only: these fields are deliberately excluded from run
 /// digests (check/trial.cpp) and campaign records. The exclusion is
 /// machine-checked: the DYNDISP_STATS tag makes any read of these fields
@@ -157,16 +157,20 @@ struct EngineOptions {
 struct DYNDISP_STATS RoundLoopStats {
   std::size_t graph_reuses = 0;         ///< next_graph calls skipped (hint).
   std::size_t validations_skipped = 0;  ///< Re-validations of an unchanged graph skipped.
-  std::size_t broadcasts_reused = 0;    ///< Previous broadcast republished by handle.
-  std::size_t broadcast_deltas = 0;     ///< Broadcasts delta-assembled.
-  std::size_t packets_copied = 0;       ///< Packets copied on delta rounds.
-  std::size_t packets_rebuilt = 0;      ///< Packets rebuilt on delta rounds.
+  /// Counters of the deleted broadcast reuse and delta routes. Nothing
+  /// writes them, so they always read 0; they stay only because the
+  /// benchmark harness (benchmark/main.cpp) still reads them, and go with
+  /// the ROADMAP item "Benchmark definition v2".
+  std::size_t broadcasts_reused = 0;
+  std::size_t broadcast_deltas = 0;
+  std::size_t packets_copied = 0;
+  std::size_t packets_rebuilt = 0;
   /// Per-phase wall-time buckets, milliseconds summed over every executed
   /// round (util/phase_clock.h; observability only, digest-excluded like
   /// everything here). graph_build covers the round's activation draw, the
   /// RoundContext::begin_round node index (which the adversary's plan
   /// probes read), the adversary's next_graph and round-graph validation;
-  /// broadcast covers packet assembly/reuse/delta;
+  /// broadcast covers packet assembly;
   /// plan is this engine's serial lead step, the first stepping robot's
   /// view fill and step (for a shared PlanCache, the round's miss:
   /// Algorithm 1-3 structures + Algorithm 4 plan derivation); compute is
@@ -284,9 +288,8 @@ class Engine {
   /// adversary (and its plan probes) are consulted.
   const RoundContext* round_ctx_ = nullptr;
 
-  /// Round-loop persistence (delta-aware loop). ctx_ lives across rounds so
-  /// its buffers are reused; graph_ holds G_{r-1} for same-graph detection
-  /// and deltas; graph_validated_/validated_fp_ remember whether graph_
+  /// Round-loop persistence. ctx_ lives across rounds so its buffers are
+  /// reused; graph_ holds G_{r-1} for same-graph detection and deltas; graph_validated_/validated_fp_ remember whether graph_
   /// already passed validate_round_graph.
   RoundContext ctx_;
   Graph graph_;
@@ -305,7 +308,9 @@ class Engine {
   GraphChange round_change_ = GraphChange::kUnknown;
   /// Scratch: the nodes whose adjacency differs between G_r and G_{r-1},
   /// filled by the small-delta probe and meaningful only when round_change_
-  /// is kSmallDelta; the broadcast's delta route reads it.
+  /// is kSmallDelta. Nothing reads the list itself: the probe's verdict
+  /// sets the kSmallDelta class, which the StructureCache reads through the
+  /// hints, and the list goes with that cache.
   std::vector<NodeId> graph_changed_;
   MovePlan plan_buf_;                ///< Retained compute-phase plan buffer.
   /// The start-of-round configuration observers see (RoundSnapshot::before).

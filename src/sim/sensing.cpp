@@ -13,6 +13,18 @@ namespace dyndisp {
 namespace {
 std::atomic<std::size_t> g_packet_assemblies{0};
 
+// The wire cost model: a packet header (sender, count, degree), a neighbor
+// entry (port, min_robot, count) and a listed robot ID each cost a fixed
+// number of bits, so any set of packets costs a linear function of how many
+// of each it holds.
+std::size_t wire_bit_size(std::size_t headers, std::size_t neighbors,
+                          std::size_t ids, std::size_t k, std::size_t n) {
+  const std::size_t id_bits = bit_width_for(k + 1);
+  const std::size_t port_bits = bit_width_for(n);
+  return headers * (2 * id_bits + port_bits) +
+         neighbors * (port_bits + 2 * id_bits) + ids * id_bits;
+}
+
 DYNDISP_COLD
 InfoPacket make_packet_impl(const Graph& g, NodeId v, bool with_neighborhood,
                             const NodeIndex& index) {
@@ -190,55 +202,21 @@ void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
 
 std::size_t packet_bit_size(const PacketView& packet, std::size_t k,
                             std::size_t n) {
-  const std::size_t id_bits = bit_width_for(k + 1);
-  const std::size_t port_bits = bit_width_for(n);
-  std::size_t bits = id_bits;                // sender
-  bits += id_bits;                           // count
-  bits += port_bits;                         // degree
-  bits += packet.robot_count() * id_bits;    // co-located IDs
-  for (std::size_t i = 0, end = packet.neighbor_count(); i < end; ++i) {
-    const NeighborView nb = packet.neighbor(i);
-    bits += port_bits;                       // port
-    bits += id_bits;                         // min_robot
-    bits += id_bits;                         // count
-    bits += nb.robot_count() * id_bits;      // IDs on the neighbor
-  }
-  return bits;
+  std::size_t ids = packet.robot_count();
+  for (std::size_t i = 0, end = packet.neighbor_count(); i < end; ++i)
+    ids += packet.neighbor(i).robot_count();
+  return wire_bit_size(1, packet.neighbor_count(), ids, k, n);
 }
 
 DYNDISP_HOT
 void assemble_arena_metered(PacketArena& arena, const Graph& g,
                             const Configuration& conf, bool with_neighborhood,
                             const NodeIndex& index, std::size_t* wire_bits,
-                            ThreadPool* pool,
-                            std::vector<std::size_t>* bits_each,
-                            std::vector<NodeId>* nodes_each,
-                            const PacketSource* source) {
-  if (source == nullptr)
-    g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t n = conf.node_count();
-  const std::size_t k = conf.robot_count();
-  assert(source == nullptr || source->node_to_packet.size() == n);
-
-  // The previous packet node `v`'s packet copies, or null when it is built.
-  const auto copied = [source](NodeId v) -> const ArenaPacket* {
-    if (source == nullptr || source->node_to_packet[v] < 0) return nullptr;
-    return &source->arena.headers[static_cast<std::size_t>(
-        source->node_to_packet[v])];
-  };
-  // A packet's pool slice is contiguous (sender robots, then each
-  // neighbor's robots in port order), so its length is the distance from
-  // its first robot to the end of its last neighbor's range.
-  const auto slice_len = [source](const ArenaPacket& h) -> std::uint32_t {
-    if (h.nb_count == 0) return h.robots_count;
-    const ArenaNeighbor& last =
-        source->arena.neighbors[h.nb_begin + h.nb_count - 1];
-    return last.robots_begin + last.robots_count - h.robots_begin;
-  };
+                            ThreadPool* pool) {
+  g_packet_assemblies.fetch_add(1, std::memory_order_relaxed);
 
   // Pass 1 (serial): one header per occupied node, in sender order, with
-  // every range pre-assigned -- a copied packet's straight off its previous
-  // header, a built one's off the CSR index and the graph: sender robots
+  // every range pre-assigned off the CSR index and the graph: sender robots
   // first, then each occupied neighbor's robots, so a packet's pool slice
   // is contiguous. The index lists nodes by their smallest robot, so the
   // headers come out in the canonical sender-ascending order with no sort,
@@ -250,26 +228,20 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
   for (std::size_t i = 0; i < senders.size(); ++i) {
     const NodeId v = senders[i];
     ArenaPacket& h = arena.headers[i];
-    if (const ArenaPacket* prev = copied(v)) {
-      h = *prev;
-      h.robots_begin = pool_cursor;
-      pool_cursor += slice_len(*prev);
-    } else {
-      const std::size_t here = index.count(v);
-      h.sender = *index.begin(v);
-      h.count = static_cast<std::uint32_t>(here);
-      h.degree = static_cast<std::uint32_t>(g.degree(v));
-      h.robots_begin = pool_cursor;
-      h.robots_count = h.count;
-      pool_cursor += h.robots_count;
-      h.nb_count = 0;
-      if (with_neighborhood) {
-        for (Port p = 1; p <= g.degree(v); ++p) {
-          const std::size_t there = index.count(g.neighbor(v, p));
-          if (there == 0) continue;
-          ++h.nb_count;
-          pool_cursor += static_cast<std::uint32_t>(there);
-        }
+    const std::size_t here = index.count(v);
+    h.sender = *index.begin(v);
+    h.count = static_cast<std::uint32_t>(here);
+    h.degree = static_cast<std::uint32_t>(g.degree(v));
+    h.robots_begin = pool_cursor;
+    h.robots_count = h.count;
+    pool_cursor += h.robots_count;
+    h.nb_count = 0;
+    if (with_neighborhood) {
+      for (Port p = 1; p <= g.degree(v); ++p) {
+        const std::size_t there = index.count(g.neighbor(v, p));
+        if (there == 0) continue;
+        ++h.nb_count;
+        pool_cursor += static_cast<std::uint32_t>(there);
       }
     }
     h.nb_begin = nb_cursor;
@@ -278,36 +250,10 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
   arena.neighbors.resize(nb_cursor);
   arena.pool.resize(pool_cursor);
 
-  // Pass 2 (parallel): a copied packet takes its pool slice in one shot,
-  // its neighbor entries with rebased ranges (every range in one slice
-  // shifts by the same offset) and its metered bits; a built packet fills
-  // its slices and is metered.
-  const bool meter = wire_bits != nullptr || bits_each != nullptr;
-  if (bits_each) bits_each->resize(arena.headers.size());
-  if (nodes_each) nodes_each->resize(arena.headers.size());
-  std::vector<std::size_t> local_bits(
-      meter && bits_each == nullptr ? arena.headers.size() : 0);
-  std::vector<std::size_t>* bits = bits_each ? bits_each : &local_bits;
+  // Pass 2 (parallel): each packet fills its own pre-assigned slices.
   parallel_for(pool, arena.headers.size(), [&](std::size_t i) {
     const ArenaPacket& h = arena.headers[i];
     const NodeId v = senders[i];
-    if (nodes_each) (*nodes_each)[i] = v;
-    if (const ArenaPacket* prev = copied(v)) {
-      const PacketArena& from = source->arena;
-      std::copy(from.pool.begin() + prev->robots_begin,
-                from.pool.begin() + prev->robots_begin + slice_len(*prev),
-                arena.pool.begin() + h.robots_begin);
-      const std::uint32_t shift = h.robots_begin - prev->robots_begin;
-      for (std::uint32_t e = 0; e < prev->nb_count; ++e) {
-        ArenaNeighbor nb = from.neighbors[prev->nb_begin + e];
-        nb.robots_begin += shift;  // uint32 wraparound-safe: exact inverse
-        arena.neighbors[h.nb_begin + e] = nb;
-      }
-      if (meter)
-        (*bits)[i] = source->bits_each[static_cast<std::size_t>(
-            source->node_to_packet[v])];
-      return;
-    }
     std::copy(index.begin(v), index.end(v),
               arena.pool.begin() + h.robots_begin);
     std::uint32_t cursor = h.robots_begin + h.robots_count;
@@ -327,13 +273,16 @@ void assemble_arena_metered(PacketArena& arena, const Graph& g,
         cursor += nb.count;
       }
     }
-    if (meter) (*bits)[i] = packet_bit_size(PacketView(arena, i), k, n);
   });
-  if (wire_bits) {
-    std::size_t total = 0;
-    for (const std::size_t b : *bits) total += b;
-    *wire_bits = total;
-  }
+
+  // Every header, neighbor entry and pooled ID belongs to exactly one
+  // packet, so the broadcast's size is the cost model over the three array
+  // lengths: the sum of packet_bit_size over its packets, with no
+  // per-packet pass.
+  if (wire_bits)
+    *wire_bits = wire_bit_size(arena.headers.size(), arena.neighbors.size(),
+                               arena.pool.size(), conf.robot_count(),
+                               conf.node_count());
 }
 
 RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,

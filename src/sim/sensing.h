@@ -204,13 +204,10 @@ std::vector<InfoPacket> make_all_packets(const Graph& g,
                                          const Configuration& conf,
                                          bool with_neighborhood);
 
-/// Process-wide count of FULL broadcast assemblies (make_all_packets calls
-/// and assemble_arena_metered calls without a PacketSource). Test hook: the
-/// engine assembles the broadcast at most once per executed round. Reuse
-/// and delta rounds of the delta-aware round loop do not count as
-/// assemblies, so a round's broadcast is produced by exactly one of three
-/// routes: assemblies + RoundLoopStats::broadcasts_reused +
-/// broadcast_deltas == rounds.
+/// Process-wide count of broadcast assemblies (make_all_packets and
+/// assemble_arena_metered calls). Test hook: the engine assembles every
+/// executed round's broadcast exactly once, so over a run whose adversary
+/// probes no candidate graphs, assemblies == rounds.
 std::size_t packet_assembly_count();
 
 /// Wire size of one packet in bits, for the communication-cost metric:
@@ -226,38 +223,18 @@ inline std::size_t packet_bit_size(const InfoPacket& packet, std::size_t k,
   return packet_bit_size(PacketSet(std::vector<InfoPacket>{packet})[0], k, n);
 }
 
-/// A previous, untampered broadcast that delta assembly copies clean
-/// packets from.
-struct PacketSource {
-  const PacketArena& arena;
-  /// Wire bits of each of `arena`'s packets, aligned to its header order.
-  const std::vector<std::size_t>& bits_each;
-  /// Node -> index of the header in `arena` whose packet the node's packet
-  /// equals (copied), or negative (built afresh). Sized to the node count.
-  const std::vector<std::int32_t>& node_to_packet;
-};
-
 /// The broadcast assembler: builds one packet per occupied node into
 /// `arena` (every array resized and every entry overwritten, whatever it
 /// held -- allocation-free once its arrays have grown to steady state),
-/// headers in sender order as
-/// `index.sender_nodes()` lists them (no sort), each packet's pool slice
-/// contiguous, and meters the total wire size in the same traversal (when
-/// `wire_bits` is non-null). Per-node construction fans across `pool` when
-/// one is supplied; the output is identical at any thread count and record
-/// for record equal to make_all_packets. When `bits_each` / `nodes_each`
-/// are non-null they receive each packet's wire bits / sender node,
-/// aligned to the header order -- the per-packet
-/// ledger a later delta assembly copies from. With a `source`, a node it
-/// maps to a previous packet gets that packet's header, pool slice and
-/// metered bits copied instead of rebuilt; the result is the same.
+/// headers in sender order as `index.sender_nodes()` lists them (no sort),
+/// each packet's pool slice contiguous, and stores the total wire size in
+/// `wire_bits` when it is non-null. Per-node construction fans across
+/// `pool` when one is supplied; the output is identical at any thread count
+/// and record for record equal to make_all_packets.
 void assemble_arena_metered(PacketArena& arena, const Graph& g,
                             const Configuration& conf, bool with_neighborhood,
                             const NodeIndex& index, std::size_t* wire_bits,
-                            ThreadPool* pool = nullptr,
-                            std::vector<std::size_t>* bits_each = nullptr,
-                            std::vector<NodeId>* nodes_each = nullptr,
-                            const PacketSource* source = nullptr);
+                            ThreadPool* pool = nullptr);
 
 /// Assembles the full view of robot `id` standing on its node in `g`
 /// (tests and one-shot callers; the engine fills its view arena in place

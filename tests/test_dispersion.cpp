@@ -196,7 +196,6 @@ TEST(Dispersion, MemoizedModeIdenticalToFaithful) {
     EXPECT_TRUE(a.final_config == b.final_config);
     EXPECT_GT(b.stats.graph_reuses, 0u);
     if (memo_adv != &torus_b) continue;
-    EXPECT_GT(b.stats.broadcasts_reused + b.stats.broadcast_deltas, 0u);
     EXPECT_GT(b.stats.validations_skipped, 0u);
     // The planner consulted the cross-round cache (exact hit, delta or full
     // build depending on how much occupancy moved; test_structure_cache.cpp

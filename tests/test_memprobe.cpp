@@ -8,6 +8,7 @@
 // every retained buffer is warm.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -23,6 +24,7 @@
 #include "graph/builders.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
+#include "sim/round_context.h"
 #include "sim/sensing.h"
 #include "util/memprobe.h"
 
@@ -302,17 +304,17 @@ TEST(Memprobe, RegeneratedGraphRoundsAreAllocationFree) {
 // graph every round, empty-port views. Views borrow their node's range of
 // the round's empty-port lists, so a warm round allocates nothing per
 // robot: only the plan its PlanCache miss publishes (the shared SlidePlan
-// and its mover vector; see WarmPlanMissAllocatesAtMostThePlan), plus the
-// regrowth of the retained buffers sized by the broadcast (the planner
-// workspace's and the arena's, about two dozen), which grow while the
-// occupied set does -- every round until dispersion. A per-robot fill
-// allocation reads hundreds per round here.
+// and its mover vector; see WarmPlanMissAllocatesAtMostThePlan). The
+// retained buffers sized by the broadcast (the planner workspace's and the
+// arena's) grow while the occupied set does -- every round until
+// dispersion -- but geometrically, so by the end of warm-up none regrows
+// here; regrowing each to its exact size read 21 allocations per round. A
+// per-robot fill allocation reads hundreds.
 TEST(Memprobe, WarmAlgorithmFourRoundsAllocateAtMostThePlan) {
   constexpr std::size_t kNodes = 6000;
   constexpr std::size_t kRobots = 4000;
   constexpr Round kWarmup = 5;
   constexpr std::uint64_t kPlanAllocs = 2;
-  constexpr std::uint64_t kRetainedBufferGrowth = 30;
 
   RandomAdversary adv(kNodes, kNodes / 3, 17);
   Rng rng(23);
@@ -329,9 +331,40 @@ TEST(Memprobe, WarmAlgorithmFourRoundsAllocateAtMostThePlan) {
   ASSERT_TRUE(res.dispersed);
   ASSERT_GT(marks.size(), static_cast<std::size_t>(kWarmup) + 3);
   for (std::size_t r = kWarmup; r < marks.size(); ++r) {
-    EXPECT_LE(marks[r] - marks[r - 1], kPlanAllocs + kRetainedBufferGrowth)
+    EXPECT_LE(marks[r] - marks[r - 1], kPlanAllocs)
         << "allocations in round " << r;
   }
+}
+
+// A broadcast that gains one packet per round -- a rooted start whose robots
+// leave the root one per round along a path -- regrows the context's
+// retained buffers (the node index's sender list and the arena's header,
+// neighbor and ID arrays) geometrically, so 200 growing rounds allocate
+// O(log 200) times per buffer. A buffer cleared before it is refilled
+// regrows to its exact size, once per round.
+TEST(Memprobe, GrowingBroadcastAllocatesLogarithmically) {
+  constexpr std::size_t kRounds = 200;
+  constexpr std::size_t kNodes = kRounds + 1;
+  // The four growing buffers double at most bit_width(kNodes) times each;
+  // twice that leaves room for the first round's fixed-size buffers and
+  // still sits far below one allocation per round.
+  constexpr std::uint64_t kCeiling = 2 * 4 * std::bit_width(kNodes);
+
+  Configuration conf = placement::rooted(kNodes, kNodes);
+  const Graph g = builders::path(kNodes);
+  RoundContext ctx;
+  std::uint64_t allocs = 0;
+  for (std::size_t r = 1; r <= kRounds; ++r) {
+    conf.set_position(static_cast<RobotId>(r + 1), static_cast<NodeId>(r));
+    const memprobe::AllocGuard guard;
+    ctx.begin_round(conf);
+    ctx.publish_packets(g, conf, true, nullptr, nullptr);
+    allocs += guard.delta();
+    ASSERT_EQ(ctx.packet_count(), r + 1);
+  }
+  RecordProperty("allocs", std::to_string(allocs));
+  EXPECT_LE(allocs, kCeiling) << allocs << " allocations over " << kRounds
+                              << " rounds of a growing broadcast";
 }
 
 // The port-relabeling static adversary keeps its relabeling staging, so a

@@ -379,10 +379,8 @@ TEST(EngineLanes, PlanClockIsPerEngine) {
 
 TEST(RoundPipeline, PacketsAssembledExactlyOncePerRound) {
   // The interval adversary never probes, so the only assemblies are the
-  // per-round broadcasts. Every round's broadcast is produced exactly once,
-  // by one of three routes: a full assembly, a republish of the previous
-  // round's broadcast, or a delta reassembly. A T=5 window replays each
-  // graph for four rounds, so the reuse routes fire alongside assemblies.
+  // per-round broadcasts, one full assembly each. A T=5 window replays each
+  // graph for four rounds, and replayed rounds are assembled all the same.
   const std::size_t n = 36, k = 24;
   TIntervalAdversary adv(std::make_unique<RandomAdversary>(n, n / 3, 7), 5);
   EngineOptions opt;
@@ -392,11 +390,8 @@ TEST(RoundPipeline, PacketsAssembledExactlyOncePerRound) {
   const std::size_t before = packet_assembly_count();
   const RunResult r = engine.run();
   EXPECT_TRUE(r.dispersed);
-  const std::size_t assemblies = packet_assembly_count() - before;
-  EXPECT_GT(assemblies, 0u);
-  EXPECT_GT(r.stats.broadcasts_reused + r.stats.broadcast_deltas, 0u);
-  EXPECT_EQ(assemblies + r.stats.broadcasts_reused + r.stats.broadcast_deltas,
-            r.rounds);
+  EXPECT_GT(r.stats.graph_reuses, 0u);
+  EXPECT_EQ(packet_assembly_count() - before, r.rounds);
 }
 
 }  // namespace
